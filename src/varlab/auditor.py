@@ -13,7 +13,7 @@ carries the tighter truncated-mass variant under params["rhs_tight"].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,13 +21,13 @@ import numpy as np
 from .functional import Datum, ProblemSpec, eval_J, make_Jn_datum
 from .grid import (
     DiscreteField,
+    Grid,
     element_gradients,
     norm,
     truncate,
     tail,
     values_at_quadrature,
     weighted_grad_l2,
-    zero_field,
 )
 from .solver import SolveTrace
 
@@ -50,6 +50,9 @@ HOLDER_TOL = 1e-10
 #: ratios of successive differences below this scale-relative floor are
 #: treated as converged-to-roundoff rather than compared
 STAB_FLOOR = 1e-13
+#: bytes of the largest (samples, E, Q) temporary in the coercivity chain;
+#: larger blocks were no faster and raised the peak memory of a sweep
+CHAIN_BLOCK_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,35 @@ def audit_gk(u: DiscreteField, spec: ProblemSpec, f_used: Datum, k: float,
     return _report("GK_BOUND", lhs, rhs, params=params)
 
 
-def audit_coercivity_chain(v: DiscreteField, b=None,
+def coercivity_chain_terms(grid: Grid, values: np.ndarray) -> tuple:
+    """Both sides' integrals of the unit-amplitude split for a stack of fields.
+
+    `values` stacks S nodal vectors as an (S, P) array. Returns three (S,)
+    arrays: ∫|∇v|, ∫|∇v|²/(1+|v|)² and ∫(1+|v|)². Each sample's quadrature
+    sum is one contiguous row reduction, so it equals the single-field sum
+    bit for bit. The stack is worked through in blocks whose (B, E, Q)
+    temporaries stay within CHAIN_BLOCK_BYTES.
+    """
+    values = np.asarray(values, dtype=float)
+    w = grid.quad_weights                                     # (E, Q)
+    rows = max(1, CHAIN_BLOCK_BYTES // w.nbytes)
+    lhs, damped, amplitude = (np.empty(values.shape[0]) for _ in range(3))
+
+    def row_sums(a):
+        return a.reshape(a.shape[0], -1).sum(axis=1)
+
+    for lo in range(0, values.shape[0], rows):
+        local = values[lo:lo + rows, grid.elements]           # (B, E, L)
+        grads = np.linalg.norm(np.einsum(
+            "sel,eld->sed", local, grid.basis_gradients), axis=2)[..., None]
+        vq = np.abs(local @ grid.quadrature.points.T)         # (B, E, Q)
+        lhs[lo:lo + rows] = row_sums(w * grads)
+        damped[lo:lo + rows] = row_sums(w * (grads / (1.0 + vq)) ** 2)
+        amplitude[lo:lo + rows] = row_sums(w * (1.0 + vq) ** 2)
+    return lhs, damped, amplitude
+
+
+def audit_coercivity_chain(v, b=None,
                            extra_params: Optional[dict] = None) -> EstimateReport:
     """Two-factor split with unit amplitude: ∫|∇v| ≤ ½∫|∇v|²/(1+|v|)² + ½∫(1+|v|)².
 
@@ -216,20 +247,34 @@ def audit_coercivity_chain(v: DiscreteField, b=None,
     problem's b (the passed b, when given, is only recorded for context);
     the pointwise Young inequality makes this exact at quadrature level for
     EVERY field.
+
+    `v` is one field, or a non-empty sequence of fields on one grid that is
+    audited in a single batched pass. For a sequence the report is that of
+    its first field with the least slack, and params["samples"] and
+    params["failures"] count the fields and the failed ones.
     """
-    g = v.grid
-    grads = np.linalg.norm(element_gradients(v), axis=1)      # (E,)
-    vq = np.abs(values_at_quadrature(v))                      # (E, Q)
-    w = g.quad_weights
-    lhs = float(np.sum(w * grads[:, None]))
-    damped = float(np.sum(w * (grads[:, None] / (1.0 + vq)) ** 2))
-    amplitude = float(np.sum(w * (1.0 + vq) ** 2))
+    single = isinstance(v, DiscreteField)
+    fields = (v,) if single else tuple(v)
+    if not fields:
+        raise ValueError("the coercivity chain needs at least one field")
+    grid = fields[0].grid
+    if any(f.grid is not grid for f in fields):
+        raise ValueError("coercivity-chain fields must share one grid")
+    lhs, damped, amplitude = coercivity_chain_terms(
+        grid, np.stack([f.values for f in fields]))
     rhs = 0.5 * damped + 0.5 * amplitude
-    params = {"damped_term": damped, "amplitude_term": amplitude}
+    worst = int(np.argmin(rhs - lhs))
+    params = {"damped_term": float(damped[worst]),
+              "amplitude_term": float(amplitude[worst])}
     if b is not None:
-        params["coefficient"] = getattr(b, "label", str(b))
+        label = getattr(b, "label", None)
+        params["coefficient"] = str(b) if label is None else label
+    if not single:
+        passed = lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL
+        params.update(samples=len(fields),
+                      failures=int(np.count_nonzero(~passed)))
     params.update(extra_params or {})
-    return _report("COERCIVITY_CHAIN", lhs, rhs, params=params)
+    return _report("COERCIVITY_CHAIN", lhs[worst], rhs[worst], params=params)
 
 
 def _spike_field(u: DiscreteField) -> DiscreteField:
@@ -407,23 +452,16 @@ def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
             reports.append(audit_tk(v, spec, k, f_used=f_n, extra_params=extra))
             reports.append(audit_gk(v, spec, f_n, k, extra_params=extra))
 
+    # one field at a time, amplitude before values: that order fixes the RNG
+    # stream, and with it the artifacts
     rng = np.random.default_rng(seed)
-    worst_report = None
-    failures = 0
+    grid = spec.grid
+    samples = []
     for _ in range(coercivity_samples):
         amp = 10.0 ** rng.uniform(-2.0, 2.0)
-        vals = np.where(spec.grid.boundary_mask, 0.0,
-                        rng.uniform(-amp, amp, spec.grid.n_nodes))
-        rep = audit_coercivity_chain(
-            DiscreteField(grid=spec.grid, values=vals), spec.b)
-        failures += 0 if rep.passed else 1
-        if worst_report is None or rep.slack < worst_report.slack:
-            worst_report = rep
-    if worst_report is None:
-        worst_report = audit_coercivity_chain(zero_field(spec.grid), spec.b)
-    merged = dict(worst_report.params)
-    merged.update({"samples": coercivity_samples, "failures": failures})
-    reports.append(replace(worst_report, params=merged))
+        samples.append(DiscreteField(grid=grid, values=np.where(
+            grid.boundary_mask, 0.0, rng.uniform(-amp, amp, grid.n_nodes))))
+    reports.append(audit_coercivity_chain(samples, spec.b))
 
     if spec.b.lower_bound > 0:
         reports.append(audit_testclass(u, spec))

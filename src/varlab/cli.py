@@ -29,6 +29,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -244,9 +245,15 @@ def _parse_domain(value) -> DomainConfig:
         ly=_as_float(mapping.get("ly", 1.0), "domain.ly"))
     if out.dimension not in (1, 2):
         raise ConfigError(f"'domain.dimension' must be 1 or 2, got {out.dimension}")
+    meshed = ("cells",) if out.dimension == 1 else ("x_cells", "y_cells")
     for name in ("cells", "x_cells", "y_cells"):
-        if getattr(out, name) < 1:
-            raise ConfigError(f"'domain.{name}' must be >= 1")
+        value = getattr(out, name)
+        if name in meshed and value < 2:
+            raise ConfigError(
+                f"'domain.{name}' must be >= 2 so that the {out.dimension}D "
+                f"mesh has an interior node, got {value}")
+        if value < 1:
+            raise ConfigError(f"'domain.{name}' must be >= 1, got {value}")
     for name in ("length", "lx", "ly"):
         if getattr(out, name) <= 0:
             raise ConfigError(f"'domain.{name}' must be positive")
@@ -760,15 +767,6 @@ def _component_label(comp: ComponentConfig) -> str:
     return f"{comp.kind}({inner})"
 
 
-def _sweep_point_worker(payload: Tuple[int, str, str]) -> Tuple[int, int, dict]:
-    index, text, directory = payload
-    config = parse_config(text, default_subcommand="audit")
-    config = replace(config, subcommand="audit",
-                     output=replace(config.output, directory=directory))
-    code, report = _run_solve(config, with_audit=True)
-    return index, code, report
-
-
 def _run_sweep(config: RunConfig, jobs: int = 1) -> Tuple[int, dict]:
     directory = config.output.directory
     os.makedirs(directory, exist_ok=True)
@@ -799,24 +797,21 @@ def _run_sweep(config: RunConfig, jobs: int = 1) -> Tuple[int, dict]:
             for dc in config.sweep.data:
                 points.append((ic, cc, dc))
 
-    payloads = []
-    for index, (ic, cc, dc) in enumerate(points):
-        point_config = replace(
-            config, subcommand="audit", integrand=ic, coefficient=cc, datum=dc,
-            output=replace(config.output, directory="."))
-        payloads.append((index, render_config(point_config),
-                         os.path.join(directory, f"point_{index:03d}")))
-
+    point_configs = [
+        replace(config, subcommand="audit", integrand=ic, coefficient=cc,
+                datum=dc, output=replace(config.output, directory=os.path.join(
+                    directory, f"point_{index:03d}")))
+        for index, (ic, cc, dc) in enumerate(points)]
+    run_point = partial(_run_solve, with_audit=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point_worker, payloads))
+            results = list(pool.map(run_point, point_configs))
     else:
-        results = [_sweep_point_worker(p) for p in payloads]
-    results.sort(key=lambda item: item[0])
+        results = [run_point(c) for c in point_configs]
 
     matrix_rows, point_entries = [], []
     non_converged = audit_failures = 0
-    for index, code, point_report in results:
+    for index, (code, point_report) in enumerate(results):
         ic, cc, dc = points[index]
         failed = point_report.get("estimates_failed", [])
         if not point_report["converged"]:

@@ -1,8 +1,11 @@
-"""Damped-descent minimization with the two-level truncation schedule.
+"""Quasi-Newton minimization with the two-level truncation schedule.
 
 The inner loop minimizes the clamped energy eval_JM for one amplitude level
-M by preconditioned gradient descent with Armijo backtracking; the accepted
-step always satisfies the literal decrease contract
+M by preconditioned limited-memory quasi-Newton (the L-BFGS two-loop
+recursion over the last ten curvature pairs, around the preconditioner
+below) with Armijo backtracking; when the memory stops yielding a descent
+direction it is cleared and the step falls back to the preconditioned
+gradient. The accepted step always satisfies the literal decrease contract
 
     E(v + s·d) <= E(v) - c·s·‖d‖²,   c = 1e-4.
 

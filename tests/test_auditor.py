@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlab.auditor import (
+    CHAIN_BLOCK_BYTES,
     ESTIMATE_IDS,
     EstimateReport,
     audit_battery,
@@ -21,14 +22,19 @@ from varlab.auditor import (
     audit_terzastima,
     audit_testclass,
     audit_tk,
+    coercivity_chain_terms,
     default_k_grid,
     pairing_fields,
 )
-from varlab.functional import ProblemSpec, eval_J, make_Jn_datum
+from varlab.functional import (CoefficientField, ProblemSpec, eval_J,
+                               make_Jn_datum)
 from varlab.grid import (
     DiscreteField,
     build_interval_grid,
+    build_rect_grid,
+    element_gradients,
     field_from_values,
+    values_at_quadrature,
     zero_field,
 )
 from varlab.library import make_coefficient, make_integrand, make_library_datum
@@ -36,8 +42,8 @@ from varlab.solver import solve_outer
 
 
 def _solved(cells=32, coeff=("constant", {"value": 1.0}), datum=("sine", None),
-            integrand="quadratic"):
-    grid = build_interval_grid(0.0, 1.0, cells)
+            integrand="quadratic", grid=None):
+    grid = grid if grid is not None else build_interval_grid(0.0, 1.0, cells)
     spec = ProblemSpec(grid=grid, integrand=make_integrand(integrand),
                        b=make_coefficient(grid, coeff[0], coeff[1]),
                        f=make_library_datum(grid, datum[0], datum[1]))
@@ -346,3 +352,75 @@ def test_battery_stage_params_present():
             assert "rhs_tight" in r.params
         if r.estimate_id in ("TK_BOUND", "GK_BOUND"):
             assert "k" in r.params
+
+
+def test_battery_never_reprs_the_coefficient(monkeypatch):
+    # the chain records the coefficient's label; a repr of the whole field
+    # (every grid array) once cost 98% of an audit
+    spec, u, trace = _solved(cells=16)
+
+    def refuse(self):
+        raise AssertionError("CoefficientField repr on the audit path")
+
+    monkeypatch.setattr(CoefficientField, "__repr__", refuse)
+    reports = audit_battery(spec, u, trace, coercivity_samples=20)
+    coer = next(r for r in reports if r.estimate_id == "COERCIVITY_CHAIN")
+    assert coer.params["coefficient"] == spec.b.label
+
+
+def test_battery_rejects_zero_coercivity_samples():
+    spec, u, trace = _solved(cells=16)
+    with pytest.raises(ValueError, match="at least one field"):
+        audit_battery(spec, u, trace, coercivity_samples=0)
+
+
+def _chain_one_field(v):
+    """The single-field coercivity-chain formula: lhs, rhs, damped, amplitude."""
+    g = v.grid
+    grads = np.linalg.norm(element_gradients(v), axis=1)
+    vq = np.abs(values_at_quadrature(v))
+    w = g.quad_weights
+    lhs = float(np.sum(w * grads[:, None]))
+    damped = float(np.sum(w * (grads[:, None] / (1.0 + vq)) ** 2))
+    amplitude = float(np.sum(w * (1.0 + vq) ** 2))
+    return lhs, 0.5 * damped + 0.5 * amplitude, damped, amplitude
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("grid", [build_interval_grid(0.0, 1.0, 512),
+                                  build_rect_grid(24, 24, 1.0, 1.0)],
+                         ids=["1d-512", "2d-24x24"])
+def test_batched_chain_matches_per_sample_loop(grid, seed):
+    spec, u, trace = _solved(grid=grid)
+    samples = CHAIN_BLOCK_BYTES // grid.quad_weights.nbytes + 50
+    reports = audit_battery(spec, u, trace, seed=seed,
+                            coercivity_samples=samples)
+    coer = next(r for r in reports if r.estimate_id == "COERCIVITY_CHAIN")
+
+    # the battery's draws, one field at a time, through the one-field formula
+    rng = np.random.default_rng(seed)
+    stack, expected = [], []
+    for _ in range(samples):
+        amp = 10.0 ** rng.uniform(-2.0, 2.0)
+        vals = np.where(grid.boundary_mask, 0.0,
+                        rng.uniform(-amp, amp, grid.n_nodes))
+        stack.append(vals)
+        expected.append(_chain_one_field(DiscreteField(grid=grid, values=vals)))
+    worst, failures = 0, 0
+    for i, (lhs, rhs, _, _) in enumerate(expected):
+        failures += 0 if lhs <= rhs * (1 + coer.rel_tol) + coer.abs_tol else 1
+        if rhs - lhs < expected[worst][1] - expected[worst][0]:
+            worst = i
+
+    lhs, rhs, damped, amplitude = expected[worst]
+    assert (coer.lhs, coer.rhs) == (lhs, rhs)
+    assert coer.params["damped_term"] == damped
+    assert coer.params["amplitude_term"] == amplitude
+    assert coer.params["samples"] == samples
+    assert coer.params["failures"] == failures
+
+    got = coercivity_chain_terms(grid, np.array(stack))
+    want = np.array(expected)
+    for column, values in zip((0, 2, 3), got):
+        assert np.array_equal(values, want[:, column])
+    assert int(np.argmin(0.5 * got[1] + 0.5 * got[2] - got[0])) == worst

@@ -124,6 +124,23 @@ def test_type_and_range_validation():
         parse_config("subcommand: [unclosed\n")
 
 
+@pytest.mark.parametrize("domain, name", [
+    ("{dimension: 1, cells: 1}", "cells"),
+    ("{dimension: 2, x_cells: 1, y_cells: 4}", "x_cells"),
+    ("{dimension: 2, x_cells: 4, y_cells: 1}", "y_cells"),
+])
+def test_domain_without_interior_node_rejected(domain, name, tmp_path, capsys):
+    text = f"subcommand: audit\ndomain: {domain}\n"
+    with pytest.raises(ConfigError, match=rf"'domain\.{name}' must be >= 2"):
+        parse_config(text)
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(text)
+    assert main(["audit", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"'domain.{name}' must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rho_range_depends_on_dimension():
     cfg = parse_config("subcommand: counterexample\n"
                        "counterexample: {dimension: 4, rho: 0.9}\n")
@@ -390,21 +407,31 @@ def test_sweep_terzastima_slack_grows_with_damping_amplitude(tmp_path):
 
 
 def test_sweep_jobs_do_not_change_artifact_bytes(tmp_path):
-    text = ("subcommand: sweep\n"
-            "domain: {dimension: 1, cells: 16, length: 1.0}\n"
-            "sweep:\n"
-            "  integrands: [{kind: quadratic}]\n"
-            "  coefficients: [{kind: zero}, {kind: constant}]\n"
-            "  data: [{kind: sine}]\n"
-            "audit: {coercivity_samples: 3, minimality_samples: 3}\n")
-    from dataclasses import replace
-    cfg = parse_config(text)
-    seq = replace(cfg, output=replace(cfg.output, directory=str(tmp_path / "s1")))
-    par = replace(cfg, output=replace(cfg.output, directory=str(tmp_path / "s2")))
-    assert run(seq, jobs=1) == EXIT_OK
-    assert run(par, jobs=2) == EXIT_OK
-    assert (tmp_path / "s1" / "sweep_report.json").read_bytes() == \
-        (tmp_path / "s2" / "sweep_report.json").read_bytes()
+    # every artifact, through the command line's --jobs
+    cfg_file = tmp_path / "sweep.yaml"
+    cfg_file.write_text(
+        "subcommand: sweep\n"
+        "domain: {dimension: 1, cells: 16, length: 1.0}\n"
+        "sweep:\n"
+        "  integrands: [{kind: quadratic}, {kind: logaug}]\n"
+        "  coefficients: [{kind: constant}]\n"
+        "  data: [{kind: sine}, {kind: power-singularity}]\n"
+        "audit: {coercivity_samples: 4, minimality_samples: 3}\n")
+    trees = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                     "--jobs", str(jobs)]) == EXIT_OK
+        trees[jobs] = {p.relative_to(out).as_posix(): p.read_bytes()
+                       for p in out.rglob("*") if p.is_file()}
+    assert {"sweep_report.json", "sweep_matrix.csv"} <= set(trees[1])
+    for index in range(4):
+        for name in ("report.json", "estimates.csv", "solution.csv",
+                     "energies.csv", "config_echo.yaml"):
+            assert f"point_{index:03d}/{name}" in trees[1]
+    assert sorted(trees[1]) == sorted(trees[2])
+    for name, data in trees[1].items():
+        assert trees[2][name] == data, name
 
 
 # --------------------------------------------------------------- exit codes
