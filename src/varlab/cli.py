@@ -28,16 +28,19 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
+                         replace)
+from functools import lru_cache, partial
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from .auditor import audit_battery
-from .counterexample import DivergenceReport, divergence_report
-from .functional import ProblemSpec, certify
+from .counterexample import (MAX_LEVEL, DivergenceReport, RadialProfile,
+                             divergence_report)
+from .functional import ProblemSpec, certify, check_schedule
 from .grid import Grid, build_interval_grid, build_rect_grid
 from .library import (COEFFICIENTS, DATA, INTEGRANDS, make_coefficient,
                       make_integrand, make_library_datum)
@@ -57,17 +60,49 @@ class ConfigError(ValueError):
 
 
 # ----------------------------------------------------------- config model
+#
+# Each section is a frozen dataclass, and the fields are the one table of
+# the config document: a field's default is the only default of its key,
+# and its metadata holds the rules the parser applies to it.  Metadata keys:
+#   min, max    inclusive bounds of a number
+#   positive    the number must be > 0
+#   choices     the allowed values
+#   registry    the library registry of a component's kinds and params
+#   rule        a domain function that checks (and may normalize) the value
+#   document    False for a field that is not part of the document
+# Rules across fields of one section live in its __post_init__.
+
+
+def _key(default=MISSING, **rules):
+    return field(default=default, metadata=rules)
+
+
+@contextmanager
+def _domain_rule(path: str):
+    """Re-raise a domain object's ValueError as a ConfigError naming `path`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"'{path}': {exc}") from None
 
 
 @dataclass(frozen=True)
 class DomainConfig:
-    dimension: int = 1
-    cells: int = 128
-    length: float = 1.0
-    x_cells: int = 16
-    y_cells: int = 16
-    lx: float = 1.0
-    ly: float = 1.0
+    dimension: int = _key(1, min=1, max=2)
+    cells: int = _key(128, min=1)
+    length: float = _key(1.0, positive=True)
+    x_cells: int = _key(16, min=1)
+    y_cells: int = _key(16, min=1)
+    lx: float = _key(1.0, positive=True)
+    ly: float = _key(1.0, positive=True)
+
+    def __post_init__(self):
+        for name in ("cells",) if self.dimension == 1 else ("x_cells", "y_cells"):
+            value = getattr(self, name)
+            if value < 2:
+                raise ConfigError(
+                    f"'domain.{name}' must be >= 2 so that the {self.dimension}D "
+                    f"mesh has an interior node, got {value}")
 
 
 @dataclass(frozen=True)
@@ -78,79 +113,76 @@ class ComponentConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-8
-    max_iter: int = 50000
-    m_schedule: Optional[tuple] = None
-    n_schedule: Optional[tuple] = None
+    tol: float = _key(1e-8, positive=True)
+    max_iter: int = _key(50000, min=1)
+    m_schedule: Optional[Tuple[float, ...]] = _key(None, rule=check_schedule)
+    n_schedule: Optional[Tuple[float, ...]] = _key(None, rule=check_schedule)
 
 
 @dataclass(frozen=True)
 class CounterexampleConfig:
-    dimension: int = 3
-    rho: float = 0.25
-    n_max: int = 12
-    quad_points: int = 512
+    dimension: int = _key(3, min=3)
+    rho: float = _key(0.25)
+    n_max: int = _key(12, min=1, max=MAX_LEVEL)
+    quad_points: int = _key(512, min=100)
+
+    def __post_init__(self):
+        # the range of rho depends on the dimension
+        with _domain_rule("counterexample.rho"):
+            RadialProfile(self.dimension, self.rho, 0)
 
 
 @dataclass(frozen=True)
 class AuditConfig:
-    coercivity_samples: int = 200
-    minimality_samples: int = 50
+    coercivity_samples: int = _key(200, min=1)
+    minimality_samples: int = _key(50, min=1)
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "."
+    directory: str = _key(".", document=False)
     csv: bool = True
     json: bool = True
 
 
-def _default_sweep_integrands():
-    return (ComponentConfig("quadratic"), ComponentConfig("anisotropic"),
-            ComponentConfig("logaug"))
-
-
-def _default_sweep_coefficients():
-    return (ComponentConfig("zero"), ComponentConfig("constant", {"value": 1.0}),
-            ComponentConfig("step"), ComponentConfig("smooth-bump"))
-
-
-def _default_sweep_data():
-    return (ComponentConfig("constant", {"value": 1.0}), ComponentConfig("sine"),
-            ComponentConfig("power-singularity"), ComponentConfig("step"))
-
-
 @dataclass(frozen=True)
 class SweepConfig:
-    integrands: tuple = field(default_factory=_default_sweep_integrands)
-    coefficients: tuple = field(default_factory=_default_sweep_coefficients)
-    data: tuple = field(default_factory=_default_sweep_data)
+    integrands: Tuple[ComponentConfig, ...] = _key(
+        (ComponentConfig("quadratic"), ComponentConfig("anisotropic"),
+         ComponentConfig("logaug")),
+        registry=INTEGRANDS)
+    coefficients: Tuple[ComponentConfig, ...] = _key(
+        (ComponentConfig("zero"), ComponentConfig("constant", {"value": 1.0}),
+         ComponentConfig("step"), ComponentConfig("smooth-bump")),
+        registry=COEFFICIENTS)
+    data: Tuple[ComponentConfig, ...] = _key(
+        (ComponentConfig("constant", {"value": 1.0}), ComponentConfig("sine"),
+         ComponentConfig("power-singularity"), ComponentConfig("step")),
+        registry=DATA)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    subcommand: str
-    domain: DomainConfig = field(default_factory=DomainConfig)
-    integrand: ComponentConfig = field(
-        default_factory=lambda: ComponentConfig("quadratic"))
-    coefficient: ComponentConfig = field(
-        default_factory=lambda: ComponentConfig("constant", {"value": 1.0}))
-    datum: ComponentConfig = field(
-        default_factory=lambda: ComponentConfig("sine"))
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    counterexample: CounterexampleConfig = field(
-        default_factory=CounterexampleConfig)
-    sweep: SweepConfig = field(default_factory=SweepConfig)
-    audit: AuditConfig = field(default_factory=AuditConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
-    seed: int = 0
+    subcommand: str = _key(choices=SUBCOMMANDS)
+    domain: DomainConfig = DomainConfig()
+    integrand: ComponentConfig = _key(ComponentConfig("quadratic"),
+                                      registry=INTEGRANDS)
+    coefficient: ComponentConfig = _key(
+        ComponentConfig("constant", {"value": 1.0}), registry=COEFFICIENTS)
+    datum: ComponentConfig = _key(ComponentConfig("sine"), registry=DATA)
+    solver: SolverConfig = SolverConfig()
+    counterexample: CounterexampleConfig = CounterexampleConfig()
+    sweep: SweepConfig = SweepConfig()
+    audit: AuditConfig = AuditConfig()
+    output: OutputConfig = OutputConfig()
+    seed: int = _key(0, min=0, max=2 ** 64 - 1)
 
 
 # ------------------------------------------------------------ parse helpers
 
 
 def _known(keys) -> str:
-    return ", ".join(sorted(keys))
+    return ", ".join(sorted(map(str, keys))) or "none"
 
 
 def _expect_mapping(value, where: str) -> dict:
@@ -168,6 +200,12 @@ def _check_keys(mapping: dict, known, where: str):
             raise ConfigError(
                 f"unknown key '{where + '.' if where else ''}{key}'; "
                 f"known keys{scope}: {_known(known)}")
+
+
+def _check_choice(value, choices, what: str, where: str = ""):
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"unknown {what} {value!r}{where}; "
+                          f"known {what}s: {_known(choices)}")
 
 
 def _as_int(value, where: str) -> int:
@@ -200,155 +238,84 @@ def _as_bool(value, where: str) -> bool:
     return value
 
 
-def _as_schedule(value, where: str) -> Optional[tuple]:
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(
-            f"'{where}' must be null or a non-empty list of numbers, got {value!r}")
-    levels = tuple(_as_float(v, where) for v in value)
-    if any(v <= 0 for v in levels):
-        raise ConfigError(f"'{where}' levels must be positive, got {levels}")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError(f"'{where}' must be strictly increasing, got {levels}")
-    return levels
+_SCALARS = {int: _as_int, float: _as_float, bool: _as_bool}
 
 
 def _as_component(value, registry: dict, where: str) -> ComponentConfig:
     mapping = _expect_mapping(value, where)
-    _check_keys(mapping, ("kind", "params"), where)
+    _check_keys(mapping, _document_fields(ComponentConfig), where)
     if "kind" not in mapping:
         raise ConfigError(f"'{where}' needs a 'kind'; known kinds: "
                           f"{_known(registry)}")
     kind = mapping["kind"]
-    if kind not in registry:
-        raise ConfigError(
-            f"unknown kind '{kind}' for '{where}'; known kinds: {_known(registry)}")
+    _check_choice(kind, registry, "kind", f" for '{where}'")
     params = _expect_mapping(mapping.get("params"), f"{where}.params")
-    for key in params:
-        if not isinstance(key, str):
-            raise ConfigError(f"'{where}.params' keys must be strings, got {key!r}")
+    _check_keys(params, registry[kind].params, f"{where}.params")
+    for name, param in params.items():
+        _as_float(param, f"{where}.params.{name}")
+    # stored as written, so the echo and the sweep labels keep their bytes
     return ComponentConfig(kind=kind, params=dict(params))
 
 
-def _parse_domain(value) -> DomainConfig:
-    mapping = _expect_mapping(value, "domain")
-    known = ("dimension", "cells", "length", "x_cells", "y_cells", "lx", "ly")
-    _check_keys(mapping, known, "domain")
-    out = DomainConfig(
-        dimension=_as_int(mapping.get("dimension", 1), "domain.dimension"),
-        cells=_as_int(mapping.get("cells", 128), "domain.cells"),
-        length=_as_float(mapping.get("length", 1.0), "domain.length"),
-        x_cells=_as_int(mapping.get("x_cells", 16), "domain.x_cells"),
-        y_cells=_as_int(mapping.get("y_cells", 16), "domain.y_cells"),
-        lx=_as_float(mapping.get("lx", 1.0), "domain.lx"),
-        ly=_as_float(mapping.get("ly", 1.0), "domain.ly"))
-    if out.dimension not in (1, 2):
-        raise ConfigError(f"'domain.dimension' must be 1 or 2, got {out.dimension}")
-    meshed = ("cells",) if out.dimension == 1 else ("x_cells", "y_cells")
-    for name in ("cells", "x_cells", "y_cells"):
-        value = getattr(out, name)
-        if name in meshed and value < 2:
-            raise ConfigError(
-                f"'domain.{name}' must be >= 2 so that the {out.dimension}D "
-                f"mesh has an interior node, got {value}")
-        if value < 1:
-            raise ConfigError(f"'domain.{name}' must be >= 1, got {value}")
-    for name in ("length", "lx", "ly"):
-        if getattr(out, name) <= 0:
-            raise ConfigError(f"'domain.{name}' must be positive")
-    return out
+@lru_cache(maxsize=None)
+def _document_fields(cls) -> dict:
+    """name -> (field, resolved type) for each document key of a section."""
+    types = get_type_hints(cls)
+    return {f.name: (f, types[f.name]) for f in fields(cls)
+            if f.metadata.get("document", True)}
 
 
-def _parse_solver(value) -> SolverConfig:
-    mapping = _expect_mapping(value, "solver")
-    _check_keys(mapping, ("tol", "max_iter", "m_schedule", "n_schedule"), "solver")
-    tol = _as_float(mapping.get("tol", 1e-8), "solver.tol")
-    if tol <= 0:
-        raise ConfigError(f"'solver.tol' must be positive, got {tol}")
-    max_iter = _as_int(mapping.get("max_iter", 50000), "solver.max_iter")
-    if max_iter < 1:
-        raise ConfigError(f"'solver.max_iter' must be >= 1, got {max_iter}")
-    return SolverConfig(
-        tol=tol, max_iter=max_iter,
-        m_schedule=_as_schedule(mapping.get("m_schedule"), "solver.m_schedule"),
-        n_schedule=_as_schedule(mapping.get("n_schedule"), "solver.n_schedule"))
+def _as_type(tp, value, registry, where: str):
+    """Convert a YAML value to the field type `tp`."""
+    if get_origin(tp) is Union:                   # Optional[...]
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
+    if tp is ComponentConfig:
+        return _as_component(value, registry, where)
+    if is_dataclass(tp):
+        return _parse_section(tp, value, where)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"'{where}' must be a non-empty list, got {value!r}")
+        return tuple(_as_type(get_args(tp)[0], item, registry, f"{where}[{i}]")
+                     for i, item in enumerate(value))
+    return _SCALARS[tp](value, where) if tp in _SCALARS else value
 
 
-def _parse_counterexample(value) -> CounterexampleConfig:
-    mapping = _expect_mapping(value, "counterexample")
-    _check_keys(mapping, ("dimension", "rho", "n_max", "quad_points"),
-                "counterexample")
-    dim = _as_int(mapping.get("dimension", 3), "counterexample.dimension")
-    if dim <= 2:
-        raise ConfigError(
-            f"'counterexample.dimension' must be an integer > 2, got {dim}")
-    rho = _as_float(mapping.get("rho", 0.25), "counterexample.rho")
-    hi = (dim - 2) / 2.0
-    if not (0 < rho < hi):
-        raise ConfigError(
-            f"'counterexample.rho' must lie in (0, {hi:g}) for dimension "
-            f"{dim}, got {rho}")
-    n_max = _as_int(mapping.get("n_max", 12), "counterexample.n_max")
-    if n_max < 1:
-        raise ConfigError(f"'counterexample.n_max' must be >= 1, got {n_max}")
-    quad_points = _as_int(mapping.get("quad_points", 512),
-                          "counterexample.quad_points")
-    if quad_points < 100:
-        raise ConfigError(
-            f"'counterexample.quad_points' must be >= 100, got {quad_points}")
-    return CounterexampleConfig(dimension=dim, rho=rho, n_max=n_max,
-                                quad_points=quad_points)
+def _parse_field(f, tp, value, where: str):
+    """Coerce one field's value, then apply the rules in its metadata."""
+    rules = f.metadata
+    value = _as_type(tp, value, rules.get("registry"), where)
+    if "choices" in rules:
+        _check_choice(value, rules["choices"], f.name)
+    if "min" in rules and value < rules["min"]:
+        raise ConfigError(f"'{where}' must be >= {rules['min']}, got {value}")
+    if "max" in rules and value > rules["max"]:
+        raise ConfigError(f"'{where}' must be <= {rules['max']}, got {value}")
+    if rules.get("positive") and value <= 0:
+        raise ConfigError(f"'{where}' must be positive, got {value}")
+    if "rule" in rules and value is not None:
+        with _domain_rule(where):
+            value = rules["rule"](value)
+    return value
 
 
-def _parse_audit(value) -> AuditConfig:
-    mapping = _expect_mapping(value, "audit")
-    _check_keys(mapping, ("coercivity_samples", "minimality_samples"), "audit")
-    out = AuditConfig(
-        coercivity_samples=_as_int(mapping.get("coercivity_samples", 200),
-                                   "audit.coercivity_samples"),
-        minimality_samples=_as_int(mapping.get("minimality_samples", 50),
-                                   "audit.minimality_samples"))
-    if out.coercivity_samples < 1:
-        raise ConfigError("'audit.coercivity_samples' must be >= 1")
-    if out.minimality_samples < 1:
-        raise ConfigError("'audit.minimality_samples' must be >= 1")
-    return out
-
-
-def _parse_output(value) -> OutputConfig:
-    mapping = _expect_mapping(value, "output")
-    _check_keys(mapping, ("csv", "json"), "output")
-    return OutputConfig(
-        csv=_as_bool(mapping.get("csv", True), "output.csv"),
-        json=_as_bool(mapping.get("json", True), "output.json"))
-
-
-def _parse_component_list(value, registry: dict, where: str, default) -> tuple:
-    if value is None:
-        return default
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"'{where}' must be a non-empty list")
-    return tuple(_as_component(item, registry, f"{where}[{i}]")
-                 for i, item in enumerate(value))
-
-
-def _parse_sweep(value) -> SweepConfig:
-    mapping = _expect_mapping(value, "sweep")
-    _check_keys(mapping, ("integrands", "coefficients", "data"), "sweep")
-    return SweepConfig(
-        integrands=_parse_component_list(
-            mapping.get("integrands"), INTEGRANDS, "sweep.integrands",
-            _default_sweep_integrands()),
-        coefficients=_parse_component_list(
-            mapping.get("coefficients"), COEFFICIENTS, "sweep.coefficients",
-            _default_sweep_coefficients()),
-        data=_parse_component_list(
-            mapping.get("data"), DATA, "sweep.data", _default_sweep_data()))
-
-
-_TOP_KEYS = ("subcommand", "domain", "integrand", "coefficient", "datum",
-             "solver", "counterexample", "sweep", "audit", "output", "seed")
+def _parse_section(cls, value, path: str):
+    mapping = _expect_mapping(value, path or "config")
+    known = _document_fields(cls)
+    _check_keys(mapping, known, path)
+    values = {}
+    for name, (f, tp) in known.items():
+        where = f"{path}.{name}" if path else name
+        # a null list stands for its default, as an absent one does
+        if name in mapping and not (mapping[name] is None
+                                    and get_origin(tp) is tuple):
+            values[name] = _parse_field(f, tp, mapping[name], where)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing '{where}'; known {name}s: "
+                              f"{_known(f.metadata['choices'])}")
+    return cls(**values)
 
 
 def parse_config(text: str, default_subcommand: Optional[str] = None) -> RunConfig:
@@ -363,77 +330,21 @@ def parse_config(text: str, default_subcommand: Optional[str] = None) -> RunConf
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     mapping = _expect_mapping(raw, "config")
-    _check_keys(mapping, _TOP_KEYS, "")
-
-    sub = mapping.get("subcommand", default_subcommand)
-    if sub is None:
-        raise ConfigError(
-            f"missing 'subcommand'; known subcommands: {_known(SUBCOMMANDS)}")
-    if sub not in SUBCOMMANDS:
-        raise ConfigError(
-            f"unknown subcommand '{sub}'; known subcommands: "
-            f"{_known(SUBCOMMANDS)}")
-
-    seed = _as_int(mapping.get("seed", 0), "seed")
-    if not (0 <= seed < 2 ** 64):
-        raise ConfigError(f"'seed' must fit in 64 unsigned bits, got {seed}")
-
-    return RunConfig(
-        subcommand=sub,
-        domain=_parse_domain(mapping.get("domain")),
-        integrand=_as_component(
-            mapping.get("integrand", {"kind": "quadratic"}), INTEGRANDS,
-            "integrand"),
-        coefficient=_as_component(
-            mapping.get("coefficient", {"kind": "constant",
-                                        "params": {"value": 1.0}}),
-            COEFFICIENTS, "coefficient"),
-        datum=_as_component(
-            mapping.get("datum", {"kind": "sine"}), DATA, "datum"),
-        solver=_parse_solver(mapping.get("solver")),
-        counterexample=_parse_counterexample(mapping.get("counterexample")),
-        sweep=_parse_sweep(mapping.get("sweep")),
-        audit=_parse_audit(mapping.get("audit")),
-        output=_parse_output(mapping.get("output")),
-        seed=seed)
+    if "subcommand" not in mapping and default_subcommand is not None:
+        mapping = {**mapping, "subcommand": default_subcommand}
+    return _parse_section(RunConfig, mapping, "")
 
 
-def config_to_mapping(config: RunConfig) -> dict:
+def config_to_mapping(config) -> dict:
     """Plain-YAML mapping with every default materialized (echo document)."""
-    def comp(c: ComponentConfig) -> dict:
-        return {"kind": c.kind, "params": dict(c.params)}
-
-    return {
-        "subcommand": config.subcommand,
-        "seed": config.seed,
-        "domain": {
-            "dimension": config.domain.dimension, "cells": config.domain.cells,
-            "length": config.domain.length, "x_cells": config.domain.x_cells,
-            "y_cells": config.domain.y_cells, "lx": config.domain.lx,
-            "ly": config.domain.ly},
-        "integrand": comp(config.integrand),
-        "coefficient": comp(config.coefficient),
-        "datum": comp(config.datum),
-        "solver": {
-            "tol": config.solver.tol, "max_iter": config.solver.max_iter,
-            "m_schedule": (None if config.solver.m_schedule is None
-                           else list(config.solver.m_schedule)),
-            "n_schedule": (None if config.solver.n_schedule is None
-                           else list(config.solver.n_schedule))},
-        "counterexample": {
-            "dimension": config.counterexample.dimension,
-            "rho": config.counterexample.rho,
-            "n_max": config.counterexample.n_max,
-            "quad_points": config.counterexample.quad_points},
-        "sweep": {
-            "integrands": [comp(c) for c in config.sweep.integrands],
-            "coefficients": [comp(c) for c in config.sweep.coefficients],
-            "data": [comp(c) for c in config.sweep.data]},
-        "audit": {
-            "coercivity_samples": config.audit.coercivity_samples,
-            "minimality_samples": config.audit.minimality_samples},
-        "output": {"csv": config.output.csv, "json": config.output.json},
-    }
+    if is_dataclass(config):
+        return {name: config_to_mapping(getattr(config, name))
+                for name in _document_fields(type(config))}
+    if isinstance(config, tuple):
+        return [config_to_mapping(item) for item in config]
+    if isinstance(config, dict):
+        return dict(config)
+    return config
 
 
 def render_config(config: RunConfig) -> str:
@@ -609,12 +520,17 @@ def _build_grid(dom: DomainConfig) -> Grid:
 
 def _build_spec(config: RunConfig) -> ProblemSpec:
     grid = _build_grid(config.domain)
+    # a factory's range error names the component it came from
+    with _domain_rule("integrand"):
+        integrand = make_integrand(config.integrand.kind,
+                                   config.integrand.params)
+    with _domain_rule("coefficient"):
+        b = make_coefficient(grid, config.coefficient.kind,
+                             config.coefficient.params)
+    with _domain_rule("datum"):
+        f = make_library_datum(grid, config.datum.kind, config.datum.params)
     return ProblemSpec(
-        grid=grid,
-        integrand=make_integrand(config.integrand.kind, config.integrand.params),
-        b=make_coefficient(grid, config.coefficient.kind,
-                           config.coefficient.params),
-        f=make_library_datum(grid, config.datum.kind, config.datum.params),
+        grid=grid, integrand=integrand, b=b, f=f,
         m_schedule=config.solver.m_schedule,
         n_schedule=config.solver.n_schedule,
         solver_tol=config.solver.tol,
@@ -722,14 +638,17 @@ def _run_counterexample(config: RunConfig) -> Tuple[int, dict]:
 
 
 def _certify_entries(components, seed: int) -> list:
+    """Certify each distinct integrand of (config path, component) pairs."""
     entries = []
     seen = set()
-    for comp in components:
+    for where, comp in components:
         key = (comp.kind, tuple(sorted(comp.params.items())))
         if key in seen:
             continue
         seen.add(key)
-        rep = certify(make_integrand(comp.kind, comp.params), seed=seed)
+        with _domain_rule(where):
+            integrand = make_integrand(comp.kind, comp.params)
+        rep = certify(integrand, seed=seed)
         entries.append({
             "kind": comp.kind, "params": dict(comp.params),
             "label": rep.label, "passed": rep.passed,
@@ -740,9 +659,9 @@ def _certify_entries(components, seed: int) -> list:
 
 
 def _run_certify(config: RunConfig) -> Tuple[int, dict]:
-    components = [ComponentConfig(kind) for kind in sorted(INTEGRANDS)]
+    components = [(kind, ComponentConfig(kind)) for kind in sorted(INTEGRANDS)]
     if config.integrand.params:
-        components.append(config.integrand)
+        components.append(("integrand", config.integrand))
     entries = _certify_entries(components, config.seed)
     code = EXIT_OK if all(e["passed"] for e in entries) else EXIT_AUDIT_FAIL
     report = {
@@ -769,9 +688,9 @@ def _component_label(comp: ComponentConfig) -> str:
 
 def _run_sweep(config: RunConfig, jobs: int = 1) -> Tuple[int, dict]:
     directory = config.output.directory
-    os.makedirs(directory, exist_ok=True)
-
-    certs = _certify_entries(config.sweep.integrands, config.seed)
+    certs = _certify_entries(
+        [(f"sweep.integrands[{i}]", comp)
+         for i, comp in enumerate(config.sweep.integrands)], config.seed)
     report = {
         "schema": SCHEMA_VERSION,
         "subcommand": "sweep",
@@ -899,10 +818,8 @@ def main(argv: Optional[list] = None) -> int:
                 f"config names subcommand '{config.subcommand}' but the "
                 f"command line says '{args.subcommand}'")
         if args.seed is not None:
-            if not (0 <= args.seed < 2 ** 64):
-                raise ConfigError(
-                    f"'--seed' must fit in 64 unsigned bits, got {args.seed}")
-            config = replace(config, seed=args.seed)
+            config = replace(config, seed=_parse_field(
+                *_document_fields(RunConfig)["seed"], args.seed, "--seed"))
         if args.out is not None:
             config = replace(config,
                              output=replace(config.output, directory=args.out))

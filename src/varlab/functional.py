@@ -20,7 +20,7 @@ consistency check hold to near machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -132,6 +132,19 @@ def make_Jn_datum(f: Datum, n: float) -> Datum:
                  quad_values=q, l2_norm_sq=l2sq, linf_bound=bound)
 
 
+def check_schedule(levels, name: str = "schedule") -> tuple:
+    """The truncation-schedule rule: a non-empty, strictly increasing tuple
+    of positive levels.  Returns the levels as floats."""
+    sched = tuple(float(s) for s in levels)
+    if not sched:
+        raise ValueError(f"{name} must be non-empty when given")
+    if any(s <= 0 for s in sched):
+        raise ValueError(f"{name} levels must be positive, got {sched}")
+    if any(b <= a for a, b in zip(sched, sched[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {sched}")
+    return sched
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full minimization instance: grid, integrand, damping b, datum f.
@@ -155,24 +168,13 @@ class ProblemSpec:
         for name in ("m_schedule", "n_schedule"):
             sched = getattr(self, name)
             if sched is not None:
-                sched = tuple(float(s) for s in sched)
-                if len(sched) == 0:
-                    raise ValueError(f"{name} must be nonempty when given")
-                if any(s <= 0 for s in sched):
-                    raise ValueError(f"{name} levels must be positive")
-                if any(b <= a for a, b in zip(sched, sched[1:])):
-                    raise ValueError(f"{name} must be strictly increasing")
-                object.__setattr__(self, name, sched)
+                object.__setattr__(self, name, check_schedule(sched, name))
         if self.solver_tol <= 0:
             raise ValueError("solver_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.b.grid is not self.grid or self.f.grid is not self.grid:
             raise ValueError("coefficient and datum must live on the spec grid")
-
-
-def with_datum(spec: ProblemSpec, datum: Datum) -> ProblemSpec:
-    return replace(spec, f=datum)
 
 
 # ------------------------------------------------------------- evaluation
@@ -251,9 +253,6 @@ class CertificationReport:
     seed: int
     margins: dict
     violations: tuple = field(default_factory=tuple)
-
-    def worst(self, kind: str) -> float:
-        return self.margins[kind]
 
 
 def certify(integrand: Integrand, samples: int = 2000, seed: int = 0,

@@ -1,21 +1,43 @@
 """Built-in integrands, damping coefficients, and source data.
 
 Everything is looked up through string registries so the CLI layer can
-validate config keys before touching numerics. Coefficient and datum
-factories are domain-aware: spatial shapes are expressed in coordinates
-normalized to the grid's bounding box, so the same kind works on (0,1),
-(0,2) or a rectangle without re-tuning parameters.
+validate config keys before touching numerics. Each registry entry names
+the parameters its factory reads; the make_* functions reject any other
+name, and each factory checks the range of its own values. Coefficient
+and datum factories are domain-aware: spatial shapes are expressed in
+coordinates normalized to the grid's bounding box, so the same kind works
+on (0,1), (0,2) or a rectangle without re-tuning parameters.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .functional import CoefficientField, Datum, Integrand, make_datum
 from .grid import Array, Grid
+
+
+class Kind(NamedTuple):
+    """A registry entry: the factory and the only parameter names it takes."""
+
+    build: Callable
+    params: Tuple[str, ...] = ()
+
+
+def _build(registry: dict, what: str, kind: str, params: Optional[dict], *args):
+    if kind not in registry:
+        raise ValueError(f"unknown {what} kind {kind!r}; "
+                         f"choose from {sorted(registry)}")
+    params = dict(params or {})
+    entry = registry[kind]
+    for name in params:
+        if name not in entry.params:
+            raise ValueError(f"{kind} {what} takes no parameter {name!r}; "
+                             f"known: {list(entry.params)}")
+    return entry.build(*args, params)
 
 
 # --------------------------------------------------------------- integrands
@@ -60,9 +82,6 @@ def _anisotropic(params: dict) -> Integrand:
 
 def _logaug(params: dict) -> Integrand:
     # j = |ξ|² + ½ log(1+|ξ|²): strictly convex, between |ξ|² and 1.5|ξ|²
-    if params:
-        raise ValueError(f"logaug integrand takes no parameters, got {sorted(params)}")
-
     def density(x, xi):
         n2 = np.sum(xi * xi, axis=-1)
         return n2 + 0.5 * np.log1p(n2)
@@ -76,17 +95,14 @@ def _logaug(params: dict) -> Integrand:
 
 
 INTEGRANDS: dict = {
-    "quadratic": _quadratic,
-    "anisotropic": _anisotropic,
-    "logaug": _logaug,
+    "quadratic": Kind(_quadratic, ("scale",)),
+    "anisotropic": Kind(_anisotropic, ("contrast",)),
+    "logaug": Kind(_logaug),
 }
 
 
 def make_integrand(kind: str, params: Optional[dict] = None) -> Integrand:
-    if kind not in INTEGRANDS:
-        raise ValueError(f"unknown integrand kind {kind!r}; "
-                         f"choose from {sorted(INTEGRANDS)}")
-    return INTEGRANDS[kind](dict(params or {}))
+    return _build(INTEGRANDS, "integrand", kind, params)
 
 
 # ------------------------------------------------------------- coefficients
@@ -114,8 +130,6 @@ def _const_coeff(grid: Grid, params: dict) -> CoefficientField:
 
 
 def _zero_coeff(grid: Grid, params: dict) -> CoefficientField:
-    if params:
-        raise ValueError(f"zero coefficient takes no parameters, got {sorted(params)}")
     q = np.zeros(grid.quad_weights.shape)
     return CoefficientField(label="zero", grid=grid, quad_values=q,
                             lower_bound=0.0, upper_bound=0.0)
@@ -150,19 +164,16 @@ def _bump_coeff(grid: Grid, params: dict) -> CoefficientField:
 
 
 COEFFICIENTS: dict = {
-    "constant": _const_coeff,
-    "zero": _zero_coeff,
-    "step": _step_coeff,
-    "smooth-bump": _bump_coeff,
+    "constant": Kind(_const_coeff, ("value",)),
+    "zero": Kind(_zero_coeff),
+    "step": Kind(_step_coeff, ("height",)),
+    "smooth-bump": Kind(_bump_coeff, ("height",)),
 }
 
 
 def make_coefficient(grid: Grid, kind: str,
                      params: Optional[dict] = None) -> CoefficientField:
-    if kind not in COEFFICIENTS:
-        raise ValueError(f"unknown coefficient kind {kind!r}; "
-                         f"choose from {sorted(COEFFICIENTS)}")
-    return COEFFICIENTS[kind](grid, dict(params or {}))
+    return _build(COEFFICIENTS, "coefficient", kind, params, grid)
 
 
 # --------------------------------------------------------------------- data
@@ -220,15 +231,13 @@ def _step_datum(grid: Grid, params: dict) -> Datum:
 
 
 DATA: dict = {
-    "constant": _const_datum,
-    "sine": _sine_datum,
-    "power-singularity": _power_datum,
-    "step": _step_datum,
+    "constant": Kind(_const_datum, ("value",)),
+    "sine": Kind(_sine_datum, ("amplitude",)),
+    "power-singularity": Kind(_power_datum, ("exponent",)),
+    "step": Kind(_step_datum, ("high", "low")),
 }
 
 
 def make_library_datum(grid: Grid, kind: str,
                        params: Optional[dict] = None) -> Datum:
-    if kind not in DATA:
-        raise ValueError(f"unknown datum kind {kind!r}; choose from {sorted(DATA)}")
-    return DATA[kind](grid, dict(params or {}))
+    return _build(DATA, "datum", kind, params, grid)

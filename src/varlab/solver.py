@@ -24,14 +24,14 @@ detector. The outer schedule does the same over clamped data f_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .functional import Datum, ProblemSpec, eval_JM, make_Jn_datum, residual, with_datum
+from .functional import Datum, ProblemSpec, eval_JM, make_Jn_datum, residual
 from .grid import DiscreteField, Grid, norm, values_at_quadrature, zero_field
 
 ARMIJO_C = 1e-4
@@ -257,7 +257,7 @@ def solve_M_schedule(spec: ProblemSpec, datum: Datum,
     if datum.linf_bound is None:
         raise ValueError("amplitude schedule needs a datum with a finite "
                          "sup bound; clamp the datum first")
-    stage_spec = with_datum(spec, datum)
+    stage_spec = replace(spec, f=datum)
     schedule = m_schedule if m_schedule is not None else spec.m_schedule
     if schedule is None:
         schedule = _powers_up_to(2.0 * datum.linf_bound)

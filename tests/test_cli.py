@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 import yaml
@@ -41,6 +42,7 @@ def _read_json(path):
 
 
 FAST_AUDIT = "audit: {coercivity_samples: 5, minimality_samples: 5}\n"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ------------------------------------------------------------------ parsing
@@ -118,6 +120,10 @@ def test_type_and_range_validation():
     with pytest.raises(ConfigError, match=r"counterexample\.quad_points"):
         parse_config("subcommand: counterexample\n"
                      "counterexample: {quad_points: 99}\n")
+    with pytest.raises(ConfigError,
+                       match=r"'counterexample\.n_max' must be <= 350"):
+        parse_config("subcommand: counterexample\n"
+                     "counterexample: {n_max: 351}\n")
     with pytest.raises(ConfigError, match=r"output\.csv"):
         parse_config("subcommand: solve\noutput: {csv: 1}\n")
     with pytest.raises(ConfigError, match="not valid YAML"):
@@ -141,6 +147,51 @@ def test_domain_without_interior_node_rejected(domain, name, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, argv, path", [
+    pytest.param(text, argv, path, id=path) for text, argv, path in (
+        ("subcommand: counterexample\ncounterexample: {n_max: 351}\n", [],
+         "counterexample.n_max"),
+        ("subcommand: solve\n"
+         "integrand: {kind: quadratic, params: {scal: 2}}\n", [],
+         "integrand.params.scal"),
+        ("subcommand: solve\n"
+         "coefficient: {kind: constant, params: {value: [1]}}\n", [],
+         "coefficient.params.value"),
+        ("subcommand: solve\n"
+         "datum: {kind: sine, params: {amplitude: null}}\n", [],
+         "datum.params.amplitude"),
+        ("subcommand: solve\n"
+         "integrand: {kind: quadratic, params: {scale: -1}}\n", [],
+         "integrand"),
+        ("subcommand: sweep\nsweep: {integrands: [{kind: quadratic}, "
+         "{kind: logaug, params: {scale: 2}}]}\n", [],
+         "sweep.integrands[1].params.scale"),
+        ("subcommand: sweep\nsweep: {integrands: [{kind: quadratic}, "
+         "{kind: quadratic, params: {scale: -1}}]}\n", [],
+         "sweep.integrands[1]"),
+        ("subcommand: solve\n", ["--seed", "-1"], "--seed"),
+    )
+])
+def test_malformed_config_exits_one_naming_the_field(text, argv, path,
+                                                     tmp_path, capsys):
+    subcommand = text.split()[1]
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg_file), "--out", str(out),
+                 *argv]) == EXIT_USAGE
+    assert f"'{path}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_component_params_are_kept_as_written():
+    cfg = parse_config("subcommand: solve\n"
+                       "coefficient: {kind: step, params: {height: 3}}\n")
+    assert cfg.coefficient.params == {"height": 3}
+    assert isinstance(cfg.coefficient.params["height"], int)
+    assert "height: 3\n" in render_config(cfg)
+
+
 def test_rho_range_depends_on_dimension():
     cfg = parse_config("subcommand: counterexample\n"
                        "counterexample: {dimension: 4, rho: 0.9}\n")
@@ -160,9 +211,15 @@ def test_render_parse_round_trip_defaults_and_custom():
         "datum: {kind: power-singularity, params: {exponent: 0.3}}\n"
         "solver: {tol: 1e-10, m_schedule: [1, 2, 4], n_schedule: [2, 8]}\n"
         "seed: 123456789\n",
+        *(path.read_text() for path in sorted(CONFIGS.glob("*.yaml"))),
     ):
         cfg = parse_config(text)
         assert parse_config(render_config(cfg)) == cfg
+
+
+def test_schema_document_states_the_defaults():
+    schema = (CONFIGS / "schema_v1.yaml").read_text()
+    assert parse_config(schema) == parse_config("subcommand: solve\n")
 
 
 def test_config_mapping_has_no_directory():

@@ -333,7 +333,7 @@ def test_certify_rejects_linear_growth():
             np.linalg.norm(xi, axis=-1, keepdims=True), 1e-300))
     report = certify(bad, samples=500, seed=1)
     assert not report.passed
-    assert report.worst("lower") < 0
+    assert report.margins["lower"] < 0
     kinds = {v["kind"] for v in report.violations}
     assert "lower" in kinds
 
@@ -346,7 +346,7 @@ def test_certify_catches_wrong_gradient():
         grad=lambda x, xi: 3.0 * xi)
     report = certify(bad, samples=500, seed=1)
     assert not report.passed
-    assert report.worst("fd") < 0
+    assert report.margins["fd"] < 0
 
 
 def test_certify_is_deterministic():
@@ -382,6 +382,8 @@ def test_unknown_kinds_rejected():
         make_library_datum(grid, "noise")
     with pytest.raises(ValueError):
         make_integrand("logaug", {"scale": 2.0})
+    with pytest.raises(ValueError, match="'scal'"):
+        make_integrand("quadratic", {"scal": 2.0})
 
 
 def test_anisotropic_reduces_to_quadratic_at_zero_modulation():
