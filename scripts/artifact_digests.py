@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Print a sha256 manifest of the artifacts of a fixed set of varlab runs.
+
+The set is the one a change that keeps iterates and tables bit for bit
+must leave unchanged:
+
+  - the perfbench sweep config (12 audited points) at seeds 1, 2 and 3;
+  - the default `varlab audit`;
+  - a 2D 24x24 `varlab audit`;
+  - the default `varlab counterexample`;
+  - each `configs/*.yaml`, run as the subcommand it names.
+
+Each run writes into its own directory of a temporary tree, which is
+removed at the end. The output is one `sha256  run/path` line per
+artifact, sorted by path, so two trees compare with one `diff`:
+
+    python scripts/artifact_digests.py > after.txt
+    (cd ../parent && python scripts/artifact_digests.py) > before.txt
+    diff before.txt after.txt
+
+The script imports varlab and perfbench from the tree it sits in. Each
+run's exit code goes to standard error; it is also in the run's report.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+import yaml
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+from perfbench.workloads import SWEEP_CONFIG  # noqa: E402
+from varlab.cli import main as cli_main  # noqa: E402
+
+AUDIT_2D = ("subcommand: audit\n"
+            "domain: {dimension: 2, x_cells: 24, y_cells: 24}\n")
+
+
+def runs() -> list:
+    """(run name, subcommand, config text or None, seed or None)."""
+    out = [(f"sweep-seed{seed}", "sweep", SWEEP_CONFIG, seed)
+           for seed in (1, 2, 3)]
+    out += [("audit-default", "audit", None, None),
+            ("audit-2d-24", "audit", AUDIT_2D, None),
+            ("counterexample-default", "counterexample", None, None)]
+    configs = os.path.join(ROOT, "configs")
+    for name in sorted(os.listdir(configs)):
+        if name.endswith(".yaml"):
+            with open(os.path.join(configs, name)) as fh:
+                text = fh.read()
+            out.append((f"configs-{name[:-5]}",
+                        yaml.safe_load(text)["subcommand"], text, None))
+    return out
+
+
+def manifest(directory: str) -> list:
+    """`sha256  relative/path` for every file under `directory`, by path."""
+    lines = []
+    for base, _, files in os.walk(directory):
+        for name in files:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append((os.path.relpath(path, directory).replace(os.sep, "/"),
+                          digest))
+    return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        inputs, outputs = os.path.join(work, "in"), os.path.join(work, "out")
+        os.makedirs(inputs)
+        for name, subcommand, text, seed in runs():
+            argv = [subcommand, "--out", os.path.join(outputs, name)]
+            if text is not None:
+                config = os.path.join(inputs, name + ".yaml")
+                with open(config, "w") as fh:
+                    fh.write(text)
+                argv += ["--config", config]
+            if seed is not None:
+                argv += ["--seed", str(seed)]
+            print(f"{name}: exit {cli_main(argv)}", file=sys.stderr)
+        lines = manifest(outputs)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

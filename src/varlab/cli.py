@@ -23,16 +23,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
                          replace)
 from functools import lru_cache, partial
-from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from itertools import repeat
+from typing import (Iterator, Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 import yaml
@@ -414,25 +418,54 @@ def _json_text(value, indent: int = 0) -> str:
 
 
 def _csv_cell(value) -> str:
+    """One CSV cell: floats at 17 significant digits (`nan`, `inf`, `-inf`
+    when non-finite), `true`/`false`, blank for None, other values as str
+    with csv.writer's minimal quoting."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
-    return str(value)
+    text = str(value)
+    if _MAY_NEED_QUOTES(text):
+        # csv.writer decides, so the quoting is its QUOTE_MINIMAL exactly
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+        return buffer.getvalue()[:-2]
+    return text
 
 
-def _write_csv(path: str, header: list, rows: list):
+_MAY_NEED_QUOTES = re.compile('[,"\r\n]').search
+# float64 and int64 arrays are formatted in one pass, with _csv_cell's rules
+_COLUMN_FORMATS = {np.dtype(np.float64): "{:.17g}".format,
+                   np.dtype(np.int64): str}
+
+
+def _csv_column(values) -> list:
+    """The cells of one column."""
+    fmt = _COLUMN_FORMATS.get(getattr(values, "dtype", None))
+    if fmt is not None:
+        return list(map(fmt, values.tolist()))
+    return [_csv_cell(v) for v in values]
+
+
+def _row_blocks(rows: list) -> list:
+    """A table given row by row, as the one block of columns _write_csv takes."""
+    return [[_csv_column(column) for column in zip(*rows)]] if rows else []
+
+
+def _write_csv(path: str, header: list, blocks):
+    """Write a CSV table block by block, so that no more than one block's
+    text is held at once.  A block is a list of formatted columns: a list
+    of cells, or one cell that repeats down the block."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        fh.write(",".join(map(_csv_cell, header)) + "\n")
+        for columns in blocks:
+            rows = max(len(c) for c in columns if isinstance(c, list))
+            cells = [repeat(c, rows) if isinstance(c, str) else c
+                     for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_text(path: str, text: str):
@@ -445,27 +478,29 @@ def _write_text(path: str, text: str):
 # --------------------------------------------------------- artifact writers
 
 
-def _solution_rows(grid: Grid, trace: SolveTrace) -> Tuple[list, list]:
+def _solution_table(grid: Grid, trace: SolveTrace) -> Tuple[list, Iterator]:
+    """Header and blocks of solution.csv, one block per outer stage; the
+    node columns are formatted once and shared by every stage."""
     dim = grid.nodes.shape[1]
     header = (["stage_index", "n_level", "node_index", "x", "value"] if dim == 1
               else ["stage_index", "n_level", "node_index", "x", "y", "value"])
-    rows = []
-    for si, stage in enumerate(trace.stages):
-        for ni in range(grid.n_nodes):
-            coords = [grid.nodes[ni, d] for d in range(dim)]
-            rows.append([si, stage.n_level, ni, *coords,
-                         stage.field.values[ni]])
-    return header, rows
+    nodes = [_csv_column(np.arange(grid.n_nodes))]
+    nodes += [_csv_column(grid.nodes[:, d]) for d in range(dim)]
+    blocks = ([_csv_cell(si), _csv_cell(stage.n_level), *nodes,
+               _csv_column(stage.field.values)]
+              for si, stage in enumerate(trace.stages))
+    return header, blocks
 
 
-def _energy_rows(trace: SolveTrace) -> Tuple[list, list]:
+def _energy_table(trace: SolveTrace) -> Tuple[list, list]:
+    """Header and blocks of energies.csv, one block per clamp stage."""
     header = ["stage_index", "n_level", "m_level", "iteration", "energy"]
-    rows = []
-    for si, stage in enumerate(trace.stages):
-        for rec in stage.inner.records:
-            for it, energy in enumerate(rec.energy_history):
-                rows.append([si, stage.n_level, rec.m_level, it, energy])
-    return header, rows
+    blocks = [[_csv_cell(si), _csv_cell(stage.n_level), _csv_cell(rec.m_level),
+               _csv_column(np.arange(len(rec.energy_history))),
+               _csv_column(rec.energy_history)]
+              for si, stage in enumerate(trace.stages)
+              for rec in stage.inner.records]
+    return header, blocks
 
 
 _ESTIMATE_HEADER = ["estimate_id", "n", "M", "k", "lhs", "rhs", "slack",
@@ -498,15 +533,14 @@ def _estimates_json(reports) -> dict:
     return keyed
 
 
-def _counterexample_rows(rep: DivergenceReport) -> Tuple[list, list]:
+def _counterexample_table(rep: DivergenceReport) -> Tuple[list, list]:
     header = ["level", "radius", "w11_seminorm", "log_h1_seminorm",
               "damped_gradient", "square_mass", "amplitude_mass",
               "identity_rel_error"]
-    rows = [[n, rep.r_values[i], rep.w11_values[i], rep.log_h1_values[i],
-             rep.damped_grad_values[i], rep.square_mass_values[i],
-             rep.amplitude_mass_values[i], rep.identity_rel_errors[i]]
-            for i, n in enumerate(rep.levels)]
-    return header, rows
+    columns = (rep.levels, rep.r_values, rep.w11_values, rep.log_h1_values,
+               rep.damped_grad_values, rep.square_mass_values,
+               rep.amplitude_mass_values, rep.identity_rel_errors)
+    return header, [[_csv_column(c) for c in columns]]
 
 
 # ------------------------------------------------------------ run pipeline
@@ -561,8 +595,8 @@ def _emit(config: RunConfig, basename: str, report: dict,
         _write_text(os.path.join(directory, basename + ".json"),
                     _json_text(_coerce(report)))
     if config.output.csv and csv_files:
-        for name, (header, rows) in csv_files.items():
-            _write_csv(os.path.join(directory, name), header, rows)
+        for name, (header, blocks) in csv_files.items():
+            _write_csv(os.path.join(directory, name), header, blocks)
 
 
 def _run_solve(config: RunConfig, with_audit: bool) -> Tuple[int, dict]:
@@ -580,8 +614,8 @@ def _run_solve(config: RunConfig, with_audit: bool) -> Tuple[int, dict]:
         "stabilization_l2": list(trace.stabilization_history),
     }
     csv_files = {
-        "solution.csv": _solution_rows(spec.grid, trace),
-        "energies.csv": _energy_rows(trace),
+        "solution.csv": _solution_table(spec.grid, trace),
+        "energies.csv": _energy_table(trace),
     }
 
     if with_audit:
@@ -603,7 +637,8 @@ def _run_solve(config: RunConfig, with_audit: bool) -> Tuple[int, dict]:
             "energy": minim.energy, "min_slack": minim.min_slack,
             "tolerance": minim.tolerance, "passed": minim.passed,
             "entries": len(minim.entries)}
-        csv_files["estimates.csv"] = (_ESTIMATE_HEADER, _estimate_rows(reports))
+        csv_files["estimates.csv"] = (_ESTIMATE_HEADER,
+                                      _row_blocks(_estimate_rows(reports)))
 
     report["exit_status"] = code
     _emit(config, "report", report, csv_files)
@@ -614,7 +649,6 @@ def _run_counterexample(config: RunConfig) -> Tuple[int, dict]:
     ce = config.counterexample
     rep = divergence_report(ce.dimension, ce.rho, ce.n_max, ce.quad_points)
     code = EXIT_OK if rep.passed else EXIT_AUDIT_FAIL
-    header, rows = _counterexample_rows(rep)
     report = {
         "schema": SCHEMA_VERSION,
         "subcommand": "counterexample",
@@ -633,19 +667,31 @@ def _run_counterexample(config: RunConfig) -> Tuple[int, dict]:
         "passed": rep.passed,
         "exit_status": code,
     }
-    _emit(config, "report", report, {"counterexample.csv": (header, rows)})
+    _emit(config, "report", report,
+          {"counterexample.csv": _counterexample_table(rep)})
     return code, report
+
+
+def _distinct(components):
+    """The (config path, component) pairs whose component comes first."""
+    seen = set()
+    for where, comp in components:
+        key = (comp.kind, tuple(sorted(comp.params.items())))
+        if key not in seen:
+            seen.add(key)
+            yield where, comp
+
+
+def _sweep_entries(config: RunConfig, name: str) -> list:
+    """(config path, component) pairs of one sweep list."""
+    return [(f"sweep.{name}[{i}]", comp)
+            for i, comp in enumerate(getattr(config.sweep, name))]
 
 
 def _certify_entries(components, seed: int) -> list:
     """Certify each distinct integrand of (config path, component) pairs."""
     entries = []
-    seen = set()
-    for where, comp in components:
-        key = (comp.kind, tuple(sorted(comp.params.items())))
-        if key in seen:
-            continue
-        seen.add(key)
+    for where, comp in _distinct(components):
         with _domain_rule(where):
             integrand = make_integrand(comp.kind, comp.params)
         rep = certify(integrand, seed=seed)
@@ -675,7 +721,8 @@ def _run_certify(config: RunConfig) -> Tuple[int, dict]:
     }
     header = ["kind", "passed", "samples", "seed"]
     rows = [[e["kind"], e["passed"], e["samples"], e["seed"]] for e in entries]
-    _emit(config, "report", report, {"certification.csv": (header, rows)})
+    _emit(config, "report", report,
+          {"certification.csv": (header, _row_blocks(rows))})
     return code, report
 
 
@@ -688,9 +735,15 @@ def _component_label(comp: ComponentConfig) -> str:
 
 def _run_sweep(config: RunConfig, jobs: int = 1) -> Tuple[int, dict]:
     directory = config.output.directory
-    certs = _certify_entries(
-        [(f"sweep.integrands[{i}]", comp)
-         for i, comp in enumerate(config.sweep.integrands)], config.seed)
+    # build each distinct coefficient and datum once, so that a range error
+    # names its sweep entry before any point is written
+    grid = _build_grid(config.domain)
+    for name, make in (("coefficients", make_coefficient),
+                       ("data", make_library_datum)):
+        for where, comp in _distinct(_sweep_entries(config, name)):
+            with _domain_rule(where):
+                make(grid, comp.kind, comp.params)
+    certs = _certify_entries(_sweep_entries(config, "integrands"), config.seed)
     report = {
         "schema": SCHEMA_VERSION,
         "subcommand": "sweep",
@@ -761,7 +814,7 @@ def _run_sweep(config: RunConfig, jobs: int = 1) -> Tuple[int, dict]:
                     "certification_failed": False},
         "exit_status": code})
     _emit(config, "sweep_report", report,
-          {"sweep_matrix.csv": (matrix_header, matrix_rows)})
+          {"sweep_matrix.csv": (matrix_header, _row_blocks(matrix_rows))})
     return code, report
 
 

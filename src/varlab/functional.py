@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -180,26 +180,35 @@ class ProblemSpec:
 # ------------------------------------------------------------- evaluation
 
 
-def _gradient_term_pieces(spec: ProblemSpec, v: DiscreteField, M: float):
-    """Shared pieces: element gradients, quad values, j samples, denominators."""
+class EnergyPieces(NamedTuple):
+    """The per-quadrature-point arrays that eval_JM and residual share."""
+
+    vq: Array       # field values, (E, Q)
+    den: Array      # clamped denominators (1 + b|T_M(v)|)², (E, Q)
+    j: Array        # integrand samples j(x, ∇v), (E, Q)
+    xi: Array       # element gradients broadcast to the points, (E, Q, d)
+
+
+def energy_pieces(spec: ProblemSpec, v: DiscreteField, M: float) -> EnergyPieces:
+    """Build the pieces of eval_JM(spec, v, M) and residual(spec, v, M) once,
+    for a caller that needs both on the same field and clamp level."""
     g = spec.grid
-    grads = element_gradients(v)                          # (E, d)
-    vq = values_at_quadrature(v)                          # (E, Q)
-    clamped = np.clip(vq, -M, M)
-    den = (1.0 + spec.b.quad_values * np.abs(clamped)) ** 2
-    xi = np.broadcast_to(grads[:, None, :], g.quad_coords.shape)
-    j = spec.integrand.density(g.quad_coords, xi)         # (E, Q)
-    return grads, vq, clamped, den, j, xi
+    vq = values_at_quadrature(v)
+    den = (1.0 + spec.b.quad_values * np.abs(np.clip(vq, -M, M))) ** 2
+    xi = np.broadcast_to(element_gradients(v)[:, None, :], g.quad_coords.shape)
+    return EnergyPieces(vq, den, spec.integrand.density(g.quad_coords, xi), xi)
 
 
-def eval_JM(spec: ProblemSpec, v: DiscreteField, M: float) -> float:
-    """Discrete energy with the denominator amplitude clamped at M."""
+def eval_JM(spec: ProblemSpec, v: DiscreteField, M: float,
+            pieces: Optional[EnergyPieces] = None) -> float:
+    """Discrete energy with the denominator amplitude clamped at M.
+
+    `pieces`, when given, must be energy_pieces(spec, v, M)."""
     if M <= 0:
         raise ValueError(f"clamp level must be positive, got {M}")
-    g = spec.grid
-    _, vq, _, den, j, _ = _gradient_term_pieces(spec, v, M)
+    vq, den, j, _ = pieces if pieces is not None else energy_pieces(spec, v, M)
     integrand = j / den + 0.5 * vq * vq - spec.f.quad_values * vq
-    return float(np.sum(g.quad_weights * integrand))
+    return float(np.sum(spec.grid.quad_weights * integrand))
 
 
 def eval_J(spec: ProblemSpec, v: DiscreteField) -> float:
@@ -207,34 +216,47 @@ def eval_J(spec: ProblemSpec, v: DiscreteField) -> float:
     return eval_JM(spec, v, math.inf)
 
 
-def gradient_term(spec: ProblemSpec, v: DiscreteField, M: float = math.inf) -> float:
-    """The damped-gradient integral alone: ∫ j(x,∇v)/(1+b|T_M(v)|)²."""
-    _, _, _, den, j, _ = _gradient_term_pieces(spec, v, M)
-    return float(np.sum(spec.grid.quad_weights * (j / den)))
+def _contract(a: Array, bary: Array) -> Array:
+    """(L, E) array of sum_q a[e, q]·bary[q, l], summed from zero in q order."""
+    out = np.zeros((bary.shape[1], a.shape[0]))
+    for q in range(bary.shape[0]):
+        out += bary[q][:, None] * a[:, q]
+    return out
 
 
-def residual(spec: ProblemSpec, v: DiscreteField, M: float = math.inf) -> Array:
-    """Exact nodal gradient of the discrete eval_JM; boundary entries are 0."""
+def residual(spec: ProblemSpec, v: DiscreteField, M: float = math.inf,
+             pieces: Optional[EnergyPieces] = None) -> Array:
+    """Exact nodal gradient of the discrete eval_JM; boundary entries are 0.
+
+    `pieces`, when given, must be energy_pieces(spec, v, M)."""
     if M <= 0:
         raise ValueError(f"clamp level must be positive, got {M}")
     g = spec.grid
-    grads, vq, clamped, den, j, xi = _gradient_term_pieces(spec, v, M)
+    vq, den, j, xi = pieces if pieces is not None else energy_pieces(spec, v, M)
     w = g.quad_weights                                    # (E, Q)
     bary = g.quadrature.points                            # (Q, L)
+    grad_basis = g.basis_gradients                        # (E, L, d)
 
+    # Element contributions, held as (L, E).  Each of the three terms is
+    # summed from zero over (q, d) in that order, which is bit for bit the
+    # einsum of the same formula (kept as the reference in the tests).
     dj = spec.integrand.grad(g.quad_coords, xi)           # (E, Q, d)
     # ∂/∂v_l of j(x, ∇v)/den: through ∇v ...
-    local = np.einsum("eq,eqd,eld->el", w / den, dj, g.basis_gradients)
+    w_den = w / den
+    local = np.zeros((bary.shape[1], g.n_elements))
+    for q in range(bary.shape[0]):
+        for d in range(grad_basis.shape[2]):
+            local += (w_den[:, q] * dj[:, q, d]) * grad_basis[:, :, d].T
     # ... and through the clamped amplitude in the denominator.
     den_chain = -2.0 * j / den ** 1.5 * spec.b.quad_values \
         * _clamp_abs_derivative(vq, M)
-    local += np.einsum("eq,ql->el", w * den_chain, bary)
+    local += _contract(w * den_chain, bary)
     # mass and load terms.
-    local += np.einsum("eq,ql->el", w * (vq - spec.f.quad_values), bary)
+    local += _contract(w * (vq - spec.f.quad_values), bary)
 
     out = np.zeros(g.n_nodes)
     for l in range(g.elements.shape[1]):
-        out += np.bincount(g.elements[:, l], weights=local[:, l],
+        out += np.bincount(g.elements[:, l], weights=local[l],
                            minlength=g.n_nodes)
     out[g.boundary_mask] = 0.0
     return out

@@ -279,15 +279,6 @@ def element_gradients(v: DiscreteField) -> Array:
     return np.einsum("el,eld->ed", v.values[g.elements], g.basis_gradients)
 
 
-def element_gradient(v: DiscreteField, element: int) -> Array:
-    """Gradient vector of `v` on one element."""
-    g = v.grid
-    if not (0 <= element < g.n_elements):
-        raise IndexError(f"element {element} out of range [0, {g.n_elements})")
-    idx = g.elements[element]
-    return g.basis_gradients[element].T @ v.values[idx]
-
-
 def values_at_quadrature(v: DiscreteField) -> Array:
     """Interpolated field values at all quadrature points, shape (E, Q)."""
     g = v.grid

@@ -31,7 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .functional import Datum, ProblemSpec, eval_JM, make_Jn_datum, residual
+from .functional import (Datum, ProblemSpec, energy_pieces, eval_JM,
+                         make_Jn_datum, residual)
 from .grid import DiscreteField, Grid, norm, values_at_quadrature, zero_field
 
 ARMIJO_C = 1e-4
@@ -161,9 +162,10 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
     precond = _precond if _precond is not None else _Preconditioner(spec)
 
     v = start
-    energy = eval_JM(spec, v, M)
+    pieces = energy_pieces(spec, v, M)
+    energy = eval_JM(spec, v, M, pieces=pieces)
     history = [energy]
-    r = residual(spec, v, M)
+    r = residual(spec, v, M, pieces=pieces)
     res_linf = float(np.max(np.abs(r)))
     step = 1.0
     iterations = 0
@@ -212,14 +214,15 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
         for bt in range(MAX_BACKTRACKS + 1):
             trial_vals = v.values + s * d
             trial = DiscreteField(grid=spec.grid, values=trial_vals)
-            trial_energy = eval_JM(spec, trial, M)
+            pieces = energy_pieces(spec, trial, M)
+            trial_energy = eval_JM(spec, trial, M, pieces=pieces)
             if trial_energy <= energy - ARMIJO_C * s * d_sq:
                 accepted = True
                 break
             s *= BACKTRACK
         if not accepted:
             break   # reported as a non-converged stage, never a crash
-        r_new = residual(spec, trial, M)
+        r_new = residual(spec, trial, M, pieces=pieces)
         mem_s.append(s * d)
         mem_y.append(r_new - r)
         if len(mem_s) > 10:

@@ -6,6 +6,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -18,6 +19,10 @@ from varlab.cli import (
     ComponentConfig,
     ConfigError,
     RunConfig,
+    _csv_cell,
+    _csv_column,
+    _row_blocks,
+    _write_csv,
     config_to_mapping,
     main,
     parse_config,
@@ -227,6 +232,94 @@ def test_config_mapping_has_no_directory():
     mapping = config_to_mapping(cfg)
     assert "directory" not in mapping["output"]
     assert set(mapping["output"]) == {"csv", "json"}
+
+
+# ---------------------------------------------------------------- csv writer
+
+
+def _reference_csv(path, header, rows):
+    """The row-by-row writer the block writer must match byte for byte."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            if math.isnan(value):
+                return "nan"
+            if math.isinf(value):
+                return "inf" if value > 0 else "-inf"
+            return format(value, ".17g")
+        return str(value)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell(v) for v in row])
+
+
+# non-finite values, both zeros, a subnormal, the smallest normal, and
+# values whose shortest and 17-digit forms differ
+FLOATS = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+          2.2250738585072014e-308, 0.1, 1.0 / 3.0, -1e300, 123456789.0, 2.5]
+STRINGS = ["plain", "a,b", 'say "hi"', '",', "", "two\nlines", "cr\rhere",
+           " padded ", "tab\there", "ünïcödé", "semi;colon"]
+
+
+def test_csv_writer_matches_the_row_writer_cell_by_cell(tmp_path):
+    rows = []
+    for i, x in enumerate(FLOATS):
+        rows.append([i, x, np.float64(x), np.float32(i / 7), STRINGS[i % len(STRINGS)],
+                     bool(i % 2), np.bool_(i % 3), None, np.int64(-i),
+                     (i, "x"), STRINGS[-1 - i % len(STRINGS)]])
+    header = ["index", "x", "x64", "x32", "label", "flag", "np_flag", "blank",
+              "i64", "pair", "quoted, header"]
+    _write_csv(tmp_path / "new.csv", header, _row_blocks(rows))
+    _reference_csv(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_writer_columns_match_the_row_writer(tmp_path):
+    values = np.array(FLOATS * 3)
+    blocks = [[_csv_cell(k), _csv_column(np.arange(values.size)),
+               _csv_column(values), _csv_cell(STRINGS[k]),
+               _csv_column(values.tolist())] for k in range(3)]
+    rows = [[k, i, values[i], STRINGS[k], float(values[i])]
+            for k in range(3) for i in range(values.size)]
+    header = ["k", "i", "array", "label", "list"]
+    _write_csv(tmp_path / "new.csv", header, blocks)
+    _reference_csv(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_solution_table_matches_the_row_writer(tmp_path, dimension):
+    from types import SimpleNamespace
+    from varlab.cli import _solution_table
+    from varlab.grid import build_interval_grid, build_rect_grid
+    grid = (build_interval_grid(0.0, 1.0, 20) if dimension == 1
+            else build_rect_grid(5, 4, 1.0, 1.5))
+    rng = np.random.default_rng(dimension)
+    stages = []
+    for n_level in (1.0, 2.0, 4.0):
+        values = rng.normal(size=grid.n_nodes)
+        values[:len(FLOATS)] = FLOATS
+        stages.append(SimpleNamespace(
+            n_level=n_level, field=SimpleNamespace(values=values)))
+    trace = SimpleNamespace(stages=stages)
+
+    header, blocks = _solution_table(grid, trace)
+    _write_csv(tmp_path / "new.csv", header, blocks)
+    rows = [[si, stage.n_level, ni, *grid.nodes[ni], stage.field.values[ni]]
+            for si, stage in enumerate(stages) for ni in range(grid.n_nodes)]
+    _reference_csv(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+    assert len((tmp_path / "new.csv").read_text().splitlines()) == \
+        1 + 3 * grid.n_nodes
 
 
 # ---------------------------------------------------------------- artifacts
@@ -489,6 +582,22 @@ def test_sweep_jobs_do_not_change_artifact_bytes(tmp_path):
     assert sorted(trees[1]) == sorted(trees[2])
     for name, data in trees[1].items():
         assert trees[2][name] == data, name
+
+
+def test_sweep_rejects_a_bad_component_before_any_point(tmp_path, capsys):
+    cfg_file = tmp_path / "sweep.yaml"
+    cfg_file.write_text(
+        "subcommand: sweep\n"
+        "domain: {dimension: 1, cells: 16, length: 1.0}\n"
+        "sweep:\n"
+        "  integrands: [{kind: quadratic}]\n"
+        "  coefficients: [{kind: zero}, {kind: step, params: {height: -1}}]\n"
+        "  data: [{kind: sine}]\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) \
+        == EXIT_USAGE
+    assert "sweep.coefficients[1]" in capsys.readouterr().err
+    assert not (out / "point_000").exists()
 
 
 # --------------------------------------------------------------- exit codes

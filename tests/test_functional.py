@@ -19,8 +19,8 @@ from varlab.functional import (
     ProblemSpec,
     certify,
     eval_J,
+    energy_pieces,
     eval_JM,
-    gradient_term,
     make_Jn_datum,
     make_datum,
     residual,
@@ -64,16 +64,22 @@ def test_energy_hat_with_load():
     assert eval_J(spec, hat) == pytest.approx(4 + 0.5 / 3 - 0.5, rel=1e-14)
 
 
+def _damped_term(spec, v, M=math.inf):
+    # the damped-gradient integral ∫ j(x,∇v)/(1+b|T_M(v)|)², from the pieces
+    pieces = energy_pieces(spec, v, M)
+    return float(np.sum(spec.grid.quad_weights * (pieces.j / pieces.den)))
+
+
 def test_energy_hat_damped_frozen():
     # oracle: per-cell 2-pt Gauss sum of 4/(1+|v|)^2 done with scalar arithmetic
     spec, hat = _hat_problem(b_kind="constant", f_value=1.0)
-    assert gradient_term(spec, hat) == pytest.approx(1.9881656804733727, rel=1e-14)
+    assert _damped_term(spec, hat) == pytest.approx(1.9881656804733727, rel=1e-14)
     assert eval_J(spec, hat) == pytest.approx(1.6548323471400392, rel=1e-13)
 
 
 def test_energy_hat_clamped_frozen():
     spec, hat = _hat_problem(b_kind="constant")
-    assert gradient_term(spec, hat, M=0.25) == pytest.approx(
+    assert _damped_term(spec, hat, M=0.25) == pytest.approx(
         2.643040408712897, rel=1e-14)
 
 
@@ -201,6 +207,64 @@ def test_residual_kink_convention_at_origin():
         f=make_datum(grid, lambda x: np.zeros(x.shape[0])))
     r = residual(spec, zero_field(grid), M=1.0)
     np.testing.assert_allclose(r, 0.0, atol=1e-15)
+
+
+def _einsum_residual(spec, v, M):
+    """The residual as three einsum contractions: the reference the kernel
+    must equal bit for bit."""
+    from varlab.functional import _clamp_abs_derivative
+    from varlab.grid import element_gradients, values_at_quadrature
+    g = spec.grid
+    grads = element_gradients(v)
+    vq = values_at_quadrature(v)
+    den = (1.0 + spec.b.quad_values * np.abs(np.clip(vq, -M, M))) ** 2
+    xi = np.broadcast_to(grads[:, None, :], g.quad_coords.shape)
+    j = spec.integrand.density(g.quad_coords, xi)
+    w = g.quad_weights
+    bary = g.quadrature.points
+    dj = spec.integrand.grad(g.quad_coords, xi)
+    local = np.einsum("eq,eqd,eld->el", w / den, dj, g.basis_gradients)
+    den_chain = -2.0 * j / den ** 1.5 * spec.b.quad_values \
+        * _clamp_abs_derivative(vq, M)
+    local += np.einsum("eq,ql->el", w * den_chain, bary)
+    local += np.einsum("eq,ql->el", w * (vq - spec.f.quad_values), bary)
+    out = np.zeros(g.n_nodes)
+    for l in range(g.elements.shape[1]):
+        out += np.bincount(g.elements[:, l], weights=local[:, l],
+                           minlength=g.n_nodes)
+    out[g.boundary_mask] = 0.0
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("integrand_kind", ["quadratic", "anisotropic", "logaug"])
+def test_residual_kernel_is_bitwise_the_einsum_formula(dimension, integrand_kind):
+    grid = (build_interval_grid(0.0, 1.0, 40) if dimension == 1
+            else build_rect_grid(7, 6, 1.0, 1.0))
+    spec = ProblemSpec(
+        grid=grid, integrand=make_integrand(integrand_kind),
+        b=make_coefficient(grid, "step"),
+        f=make_library_datum(grid, "power-singularity"))
+    rng = np.random.default_rng(dimension)
+    for _ in range(3):
+        vals = rng.uniform(-2.0, 2.0, grid.n_nodes)
+        # signed zeros, including whole elements of them
+        vals[rng.random(grid.n_nodes) < 0.3] = -0.0
+        vals[rng.random(grid.n_nodes) < 0.2] = 0.0
+        vals[grid.elements[0]] = -0.0
+        v = DiscreteField(grid=grid, values=vals)
+        # 0.5 clamps part of the field, inf clamps none of it
+        for M in (0.5, math.inf):
+            pieces = energy_pieces(spec, v, M)
+            want = _bits(_einsum_residual(spec, v, M))
+            assert np.array_equal(_bits(residual(spec, v, M)), want)
+            assert np.array_equal(_bits(residual(spec, v, M, pieces=pieces)), want)
+            assert _bits(eval_JM(spec, v, M, pieces=pieces)) == \
+                _bits(eval_JM(spec, v, M))
 
 
 # ------------------------------------------------------------------- datums

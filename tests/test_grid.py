@@ -17,7 +17,6 @@ from varlab.grid import (
     DiscreteField,
     build_interval_grid,
     build_rect_grid,
-    element_gradient,
     element_gradients,
     field_from_values,
     integrate_at_quadrature,
@@ -222,18 +221,12 @@ def test_gradient_of_ramp_is_one():
     g = build_interval_grid(0.0, 1.0, 5)
     ramp = DiscreteField(g, g.nodes[:, 0].copy())  # analytic probe, not zero-trace
     for e in range(g.n_elements):
-        np.testing.assert_allclose(element_gradient(ramp, e), [1.0], atol=1e-14)
+        np.testing.assert_allclose(element_gradients(ramp)[e], [1.0], atol=1e-14)
 
 
 def test_gradient_of_zero_field():
     g = build_rect_grid(2, 2, 1.0, 1.0)
     np.testing.assert_allclose(element_gradients(zero_field(g)), 0.0)
-
-
-def test_gradient_out_of_range():
-    g = build_interval_grid(0.0, 1.0, 2)
-    with pytest.raises(IndexError):
-        element_gradient(zero_field(g), 2)
 
 
 def test_triangle_gradients_match_affine_solve():
