@@ -5,9 +5,13 @@ The set is the one a change that keeps iterates and tables bit for bit
 must leave unchanged:
 
   - the perfbench sweep config (12 audited points) at seeds 1, 2 and 3;
+  - the default 48-point `varlab sweep` at seed 4 with two worker
+    processes (`--jobs 2`);
   - the default `varlab audit`;
   - a 2D 24x24 `varlab audit`;
   - the default `varlab counterexample`;
+  - the default `varlab certify`, and one that adds the quadratic
+    integrand at scale 2;
   - each `configs/*.yaml`, run as the subcommand it names.
 
 Each run writes into its own directory of a temporary tree, which is
@@ -37,22 +41,28 @@ from varlab.cli import main as cli_main  # noqa: E402
 
 AUDIT_2D = ("subcommand: audit\n"
             "domain: {dimension: 2, x_cells: 24, y_cells: 24}\n")
+CERTIFY_SCALED = ("subcommand: certify\n"
+                  "integrand: {kind: quadratic, params: {scale: 2}}\n")
 
 
 def runs() -> list:
-    """(run name, subcommand, config text or None, seed or None)."""
-    out = [(f"sweep-seed{seed}", "sweep", SWEEP_CONFIG, seed)
+    """(run name, subcommand, config text or None, extra arguments)."""
+    out = [(f"sweep-seed{seed}", "sweep", SWEEP_CONFIG, ["--seed", str(seed)])
            for seed in (1, 2, 3)]
-    out += [("audit-default", "audit", None, None),
-            ("audit-2d-24", "audit", AUDIT_2D, None),
-            ("counterexample-default", "counterexample", None, None)]
+    out += [("sweep-default-jobs2", "sweep", None,
+             ["--jobs", "2", "--seed", "4"]),
+            ("audit-default", "audit", None, []),
+            ("audit-2d-24", "audit", AUDIT_2D, []),
+            ("counterexample-default", "counterexample", None, []),
+            ("certify-default", "certify", None, []),
+            ("certify-scale2", "certify", CERTIFY_SCALED, [])]
     configs = os.path.join(ROOT, "configs")
     for name in sorted(os.listdir(configs)):
         if name.endswith(".yaml"):
             with open(os.path.join(configs, name)) as fh:
                 text = fh.read()
             out.append((f"configs-{name[:-5]}",
-                        yaml.safe_load(text)["subcommand"], text, None))
+                        yaml.safe_load(text)["subcommand"], text, []))
     return out
 
 
@@ -73,15 +83,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         inputs, outputs = os.path.join(work, "in"), os.path.join(work, "out")
         os.makedirs(inputs)
-        for name, subcommand, text, seed in runs():
-            argv = [subcommand, "--out", os.path.join(outputs, name)]
+        for name, subcommand, text, extra in runs():
+            argv = [subcommand, "--out", os.path.join(outputs, name), *extra]
             if text is not None:
                 config = os.path.join(inputs, name + ".yaml")
                 with open(config, "w") as fh:
                     fh.write(text)
                 argv += ["--config", config]
-            if seed is not None:
-                argv += ["--seed", str(seed)]
             print(f"{name}: exit {cli_main(argv)}", file=sys.stderr)
         lines = manifest(outputs)
     print("\n".join(lines))

@@ -13,17 +13,20 @@ Usage: python scripts/divergence_table.py [--dimension 3] [--rho 0.25]
 
 import argparse
 
+from varlab.cli import CounterexampleConfig
 from varlab.counterexample import divergence_report
 
 
 def main() -> int:
+    defaults = CounterexampleConfig()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dimension", type=int, default=3)
-    parser.add_argument("--rho", type=float, default=0.25)
-    parser.add_argument("--n-max", type=int, default=12)
+    parser.add_argument("--dimension", type=int, default=defaults.dimension)
+    parser.add_argument("--rho", type=float, default=defaults.rho)
+    parser.add_argument("--n-max", type=int, default=defaults.n_max)
     args = parser.parse_args()
 
-    rep = divergence_report(args.dimension, args.rho, args.n_max)
+    rep = divergence_report(args.dimension, args.rho, args.n_max,
+                            defaults.quad_points)
     print(f"dimension {rep.dimension}, rho {rep.rho}, "
           f"log-energy limit {rep.log_h1_limit:.12f}")
     print(f"{'n':>4} {'grad L1':>14} {'log energy':>14} {'damped grad':>14} "

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from varlab.cli import SolverConfig
 from varlab.functional import ProblemSpec
 from varlab.grid import build_interval_grid
 from varlab.library import make_coefficient, make_integrand, make_library_datum
@@ -26,6 +27,7 @@ def main() -> int:
                         default=[16, 32, 64, 128, 256])
     args = parser.parse_args()
     cells = tuple(args.cells)
+    max_iter = SolverConfig().max_iter
 
     def linear_problem(n):
         grid = build_interval_grid(0.0, 1.0, n)
@@ -33,14 +35,14 @@ def main() -> int:
             grid=grid, integrand=make_integrand("quadratic"),
             b=make_coefficient(grid, "zero"),
             f=make_library_datum(grid, "constant", {"value": 1.0}),
-            solver_tol=1e-12)
+            solver_tol=1e-12, max_iter=max_iter)
 
     def exact(x):
         return 1.0 - (np.cosh((x[:, 0] - 0.5) / math.sqrt(2.0))
                       / math.cosh(0.5 / math.sqrt(2.0)))
 
     print("linear problem (closed form available)")
-    print(f"{'cells':>7} {'Linf error':>14} {'order':>8}")
+    print(f"{'cells':>7} {'L2 error':>14} {'order':>8}")
     rep = refinement_study(linear_problem, cells, exact=exact)
     for i, n in enumerate(rep.cell_counts):
         order = f"{rep.reference_orders[i - 1]:8.3f}" if i else " " * 8
@@ -52,7 +54,7 @@ def main() -> int:
             grid=grid, integrand=make_integrand("logaug"),
             b=make_coefficient(grid, "constant", {"value": 1.0}),
             f=make_library_datum(grid, "sine"),
-            solver_tol=1e-12)
+            solver_tol=1e-12, max_iter=max_iter)
 
     print("\ndamped log-augmented problem (Cauchy distances between levels)")
     print(f"{'cells':>7} {'dist to next':>14} {'order':>8}")

@@ -13,12 +13,13 @@ carries the tighter truncated-mass variant under params["rhs_tight"].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .functional import Datum, ProblemSpec, eval_J, make_Jn_datum
+from .functional import (CoefficientField, Datum, ProblemSpec, eval_J,
+                         make_Jn_datum)
 from .grid import (
     DiscreteField,
     Grid,
@@ -53,6 +54,9 @@ STAB_FLOOR = 1e-13
 #: bytes of the largest (samples, E, Q) temporary in the coercivity chain;
 #: larger blocks were no faster and raised the peak memory of a sweep
 CHAIN_BLOCK_BYTES = 128 << 10
+#: a comparison field undercuts the candidate minimizer when its energy is
+#: lower by more than this, relative to 1 + |its energy|
+MINIMALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,55 +111,47 @@ def default_k_grid(u: DiscreteField) -> tuple:
 # ------------------------------------------------------- individual audits
 
 
-def audit_linf(u: DiscreteField, g: Datum,
-               extra_params: Optional[dict] = None) -> EstimateReport:
+def audit_linf(u: DiscreteField, g: Datum) -> EstimateReport:
     """Sup bound: ‖u‖∞ ≤ ‖g‖∞ (warning severity; see tolerances note)."""
-    params = dict(extra_params or {})
     lhs = u.linf()
     if g.linf_bound is None:
-        params["applicable"] = False
         return _report("LINF_BOUND", lhs, math.inf, severity="warning",
-                       params=params,
+                       params={"applicable": False},
                        note="not applicable: datum has no sup bound")
-    params["applicable"] = True
     return _report("LINF_BOUND", lhs, g.linf_bound, severity="warning",
-                   params=params)
+                   params={"applicable": True})
 
 
-def audit_primastima(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
-                     extra_params: Optional[dict] = None) -> EstimateReport:
+def audit_primastima(u: DiscreteField, spec: ProblemSpec,
+                     f_used: Datum) -> EstimateReport:
     """Damped-gradient bound: α·∫|∇u|²/(1+b|u|)² ≤ ½∫|f|²."""
     alpha = spec.integrand.alpha
-    lhs = alpha * weighted_grad_l2(u, spec.b)
+    lhs = alpha * weighted_grad_l2(u, spec.b.quad_values)
     rhs = 0.5 * spec.f.l2_norm_sq
-    params = {"alpha": alpha, "rhs_tight": 0.5 * f_used.l2_norm_sq}
-    params.update(extra_params or {})
-    return _report("PRIMASTIMA", lhs, rhs, params=params)
+    return _report("PRIMASTIMA", lhs, rhs, params={
+        "alpha": alpha, "rhs_tight": 0.5 * f_used.l2_norm_sq})
 
 
 def audit_tk(u: DiscreteField, spec: ProblemSpec, k: float,
-             f_used: Optional[Datum] = None,
-             extra_params: Optional[dict] = None) -> EstimateReport:
+             f_used: Datum) -> EstimateReport:
     """Truncate-energy bound: |T_k(u)|²_H¹ ≤ (1+Bk)²/(2α)·∫|f|²."""
     alpha = spec.integrand.alpha
     B = spec.b.upper_bound
     lhs = norm(truncate(u, k), "H1_semi") ** 2
     factor = (1.0 + B * k) ** 2 / (2.0 * alpha)
     rhs = factor * spec.f.l2_norm_sq
-    params = {"k": float(k), "B": B, "alpha": alpha}
-    if f_used is not None:
-        params["rhs_tight"] = factor * f_used.l2_norm_sq
-    params.update(extra_params or {})
-    return _report("TK_BOUND", lhs, rhs, params=params)
+    return _report("TK_BOUND", lhs, rhs, params={
+        "k": float(k), "B": B, "alpha": alpha,
+        "rhs_tight": factor * f_used.l2_norm_sq})
 
 
-def audit_secondastima(u: DiscreteField, f_used: Datum,
-                       extra_params: Optional[dict] = None) -> EstimateReport:
+def audit_secondastima(u: DiscreteField, spec: ProblemSpec,
+                       f_used: Datum) -> EstimateReport:
     """Square-mass bound: ∫|u|² ≤ 4∫|f|²."""
     lhs = norm(u, "L2") ** 2
-    rhs = 4.0 * f_used.l2_norm_sq
-    params = dict(extra_params or {})
-    return _report("SECONDASTIMA", lhs, rhs, params=params)
+    rhs = 4.0 * spec.f.l2_norm_sq
+    return _report("SECONDASTIMA", lhs, rhs,
+                   params={"rhs_tight": 4.0 * f_used.l2_norm_sq})
 
 
 def _amplitude_mass(u: DiscreteField, spec: ProblemSpec) -> float:
@@ -164,8 +160,8 @@ def _amplitude_mass(u: DiscreteField, spec: ProblemSpec) -> float:
     return float(np.sum(u.grid.quad_weights * (1.0 + spec.b.quad_values * uq) ** 2))
 
 
-def audit_terzastima(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
-                     extra_params: Optional[dict] = None) -> EstimateReport:
+def audit_terzastima(u: DiscreteField, spec: ProblemSpec,
+                     f_used: Datum) -> EstimateReport:
     """Total-variation bound from the two-factor split of ∫|∇u|.
 
     Main check: ∫|∇u| ≤ √(∫|f|²/2α)·(√meas + 2B√∫|f|²). Additionally
@@ -179,15 +175,14 @@ def audit_terzastima(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
     lhs = norm(u, "W11_semi")
     rhs = math.sqrt(mass / (2.0 * alpha)) * (
         math.sqrt(u.grid.measure) + 2.0 * B * math.sqrt(mass))
-    holder_rhs = math.sqrt(weighted_grad_l2(u, spec.b)) * math.sqrt(
-        _amplitude_mass(u, spec))
+    holder_rhs = math.sqrt(weighted_grad_l2(
+        u, spec.b.quad_values)) * math.sqrt(_amplitude_mass(u, spec))
     holder_ok = lhs <= holder_rhs * (1.0 + HOLDER_TOL) + ABS_TOL
     tight = math.sqrt(f_used.l2_norm_sq / (2.0 * alpha)) * (
         math.sqrt(u.grid.measure) + 2.0 * B * math.sqrt(f_used.l2_norm_sq))
     params = {"B": B, "alpha": alpha, "rhs_tight": tight,
               "holder_lhs": lhs, "holder_rhs": holder_rhs,
               "holder_passed": bool(holder_ok)}
-    params.update(extra_params or {})
     if holder_ok:
         return _report("TERZASTIMA", lhs, rhs, params=params)
     # unreachable for finite fields (pointwise Young/Cauchy–Schwarz is exact
@@ -197,8 +192,8 @@ def audit_terzastima(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
                    note="middle two-factor split step violated")
 
 
-def audit_gk(u: DiscreteField, spec: ProblemSpec, f_used: Datum, k: float,
-             extra_params: Optional[dict] = None) -> EstimateReport:
+def audit_gk(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
+             k: float) -> EstimateReport:
     """Tail bound: ∫|G_k(u)|² ≤ 4·∫_{|u| ≥ k}|f|² (region at quadrature)."""
     lhs = norm(tail(u, k), "L2") ** 2
     region = np.abs(values_at_quadrature(u)) >= k
@@ -207,7 +202,6 @@ def audit_gk(u: DiscreteField, spec: ProblemSpec, f_used: Datum, k: float,
     params = {"k": float(k),
               "rhs_tight": 4.0 * float(np.sum(w * region * f_used.quad_values ** 2)),
               "region_measure": float(np.sum(w * region))}
-    params.update(extra_params or {})
     return _report("GK_BOUND", lhs, rhs, params=params)
 
 
@@ -239,22 +233,20 @@ def coercivity_chain_terms(grid: Grid, values: np.ndarray) -> tuple:
     return lhs, damped, amplitude
 
 
-def audit_coercivity_chain(v, b=None,
-                           extra_params: Optional[dict] = None) -> EstimateReport:
+def audit_coercivity_chain(fields: Sequence[DiscreteField],
+                           b: CoefficientField) -> EstimateReport:
     """Two-factor split with unit amplitude: ∫|∇v| ≤ ½∫|∇v|²/(1+|v|)² + ½∫(1+|v|)².
 
     The chain fixes the unit amplitude coefficient regardless of the
-    problem's b (the passed b, when given, is only recorded for context);
-    the pointwise Young inequality makes this exact at quadrature level for
-    EVERY field.
+    problem's b (whose label is only recorded for context); the pointwise
+    Young inequality makes this exact at quadrature level for EVERY field.
 
-    `v` is one field, or a non-empty sequence of fields on one grid that is
-    audited in a single batched pass. For a sequence the report is that of
-    its first field with the least slack, and params["samples"] and
-    params["failures"] count the fields and the failed ones.
+    `fields` is a non-empty sequence of fields on one grid, audited in a
+    single batched pass. The report is that of its first field with the
+    least slack, and params["samples"] and params["failures"] count the
+    fields and the failed ones.
     """
-    single = isinstance(v, DiscreteField)
-    fields = (v,) if single else tuple(v)
+    fields = tuple(fields)
     if not fields:
         raise ValueError("the coercivity chain needs at least one field")
     grid = fields[0].grid
@@ -264,17 +256,11 @@ def audit_coercivity_chain(v, b=None,
         grid, np.stack([f.values for f in fields]))
     rhs = 0.5 * damped + 0.5 * amplitude
     worst = int(np.argmin(rhs - lhs))
-    params = {"damped_term": float(damped[worst]),
-              "amplitude_term": float(amplitude[worst])}
-    if b is not None:
-        label = getattr(b, "label", None)
-        params["coefficient"] = str(b) if label is None else label
-    if not single:
-        passed = lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL
-        params.update(samples=len(fields),
-                      failures=int(np.count_nonzero(~passed)))
-    params.update(extra_params or {})
-    return _report("COERCIVITY_CHAIN", lhs[worst], rhs[worst], params=params)
+    passed = lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL
+    return _report("COERCIVITY_CHAIN", lhs[worst], rhs[worst], params={
+        "damped_term": float(damped[worst]),
+        "amplitude_term": float(amplitude[worst]), "coefficient": b.label,
+        "samples": len(fields), "failures": int(np.count_nonzero(~passed))})
 
 
 def _spike_field(u: DiscreteField) -> DiscreteField:
@@ -289,9 +275,8 @@ def _spike_field(u: DiscreteField) -> DiscreteField:
 
 
 def audit_testclass(u: DiscreteField, spec: ProblemSpec,
-                    w_family: Optional[Sequence[Tuple[str, DiscreteField]]] = None,
-                    k_grid: Optional[Sequence[float]] = None,
-                    extra_params: Optional[dict] = None) -> EstimateReport:
+                    w_family: Optional[Sequence[Tuple[str, DiscreteField]]] = None
+                    ) -> EstimateReport:
     """Competitor comparison: eval_J(u) ≤ eval_J(T_k(w)) over a test family.
 
     Requires a strictly positive lower amplitude bound. Each candidate's
@@ -306,8 +291,7 @@ def audit_testclass(u: DiscreteField, spec: ProblemSpec,
         two_u = DiscreteField(grid=u.grid, values=2.0 * u.values)
         w_family = [("u", u), ("2u", two_u), ("spike", _spike_field(u))]
     base = max(max(w.linf() for _, w in w_family), 1e-12)
-    if k_grid is None:
-        k_grid = tuple(m * base for m in (0.25, 0.5, 1.0, 2.0))
+    k_grid = tuple(m * base for m in (0.25, 0.5, 1.0, 2.0))
 
     lhs = eval_J(spec, u)
     candidates = []
@@ -329,7 +313,6 @@ def audit_testclass(u: DiscreteField, spec: ProblemSpec,
     abs_tol = 1e-9 * (1.0 + abs(lhs))
     params = {"k_grid": list(k_grid), "candidates": candidates,
               "lower_amplitude": A}
-    params.update(extra_params or {})
     if surrogates_ok:
         return _report("TESTCLASS", lhs, rhs, rel_tol=0.0, abs_tol=abs_tol,
                        params=params)
@@ -366,8 +349,8 @@ def pairing_fields(dim: int) -> tuple:
     return tuple(fields)
 
 
-def _damped_pairing(u: DiscreteField, spec: ProblemSpec,
-                    phi: Callable[[np.ndarray], np.ndarray]) -> float:
+def damped_pairing(u: DiscreteField, spec: ProblemSpec,
+                   phi: Callable[[np.ndarray], np.ndarray]) -> float:
     """Quadrature of Φ·∇u/(1 + b|u|)."""
     g = u.grid
     grads = element_gradients(u)                              # (E, d)
@@ -390,8 +373,7 @@ def _ratio_chain(diffs: Sequence[float], floor: float) -> float:
     return worst
 
 
-def audit_stabilization(trace: SolveTrace, spec: ProblemSpec,
-                        pairing: Optional[tuple] = None
+def audit_stabilization(trace: SolveTrace, spec: ProblemSpec
                         ) -> Tuple[EstimateReport, EstimateReport]:
     """Cauchy diagnostics across outer stages (ratio form, rhs = 1).
 
@@ -408,12 +390,10 @@ def audit_stabilization(trace: SolveTrace, spec: ProblemSpec,
                      params={"diffs": diffs,
                              "n_levels": [s.n_level for s in trace.stages]})
 
-    family = pairing if pairing is not None else pairing_fields(
-        spec.grid.dimension)
     pairings = {}
     worst = 0.0
-    for label, phi in family:
-        vals = [_damped_pairing(f, spec, phi) for f in fields]
+    for label, phi in pairing_fields(spec.grid.dimension):
+        vals = [damped_pairing(f, spec, phi) for f in fields]
         pdiffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
         floor = STAB_FLOOR * (1.0 + abs(vals[-1]))
         worst = max(worst, _ratio_chain(pdiffs, floor))
@@ -428,29 +408,31 @@ def audit_stabilization(trace: SolveTrace, spec: ProblemSpec,
 
 
 def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
-                  seed: int = 0, coercivity_samples: int = 200) -> tuple:
+                  seed: int, coercivity_samples: int) -> tuple:
     """Run every applicable audit for a finished solve, in a fixed order."""
     reports = []
     final_stage = trace.stages[-1]
     final_datum = make_Jn_datum(spec.f, final_stage.n_level)
-    reports.append(audit_linf(u, final_datum,
-                              extra_params={"n": final_stage.n_level}))
+    linf = audit_linf(u, final_datum)
+    reports.append(replace(linf, params={**linf.params,
+                                         "n": final_stage.n_level}))
 
     for stage in trace.stages:
         f_n = make_Jn_datum(spec.f, stage.n_level)
         fixindex = stage.inner.m_fixpoint_index
         m_level = stage.inner.records[
             fixindex if fixindex is not None else -1].m_level
-        extra = {"n": stage.n_level, "M": m_level}
         v = stage.field
-        reports.append(audit_primastima(v, spec, f_n, extra_params=extra))
-        reports.append(audit_secondastima(
-            v, spec.f,
-            extra_params={**extra, "rhs_tight": 4.0 * f_n.l2_norm_sq}))
-        reports.append(audit_terzastima(v, spec, f_n, extra_params=extra))
+        stage_reports = [audit_primastima(v, spec, f_n),
+                         audit_secondastima(v, spec, f_n),
+                         audit_terzastima(v, spec, f_n)]
         for k in default_k_grid(v):
-            reports.append(audit_tk(v, spec, k, f_used=f_n, extra_params=extra))
-            reports.append(audit_gk(v, spec, f_n, k, extra_params=extra))
+            stage_reports += [audit_tk(v, spec, k, f_n),
+                              audit_gk(v, spec, f_n, k)]
+        # each stage report records the levels it was audited at
+        reports += [replace(r, params={**r.params, "n": stage.n_level,
+                                       "M": m_level})
+                    for r in stage_reports]
 
     # one field at a time, amplitude before values: that order fixes the RNG
     # stream, and with it the artifacts
@@ -470,3 +452,64 @@ def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
     reports.append(strong)
     reports.append(weak)
     return tuple(reports)
+
+
+# --------------------------------------------------------- minimality check
+
+
+@dataclass(frozen=True)
+class MinimalityReport:
+    """Random-comparison audit of local minimality for a computed field."""
+
+    energy: float           # energy of the candidate minimizer
+    entries: tuple          # (label, comparison energy, slack) triples
+    min_slack: float
+    tolerance: float
+    passed: bool
+
+
+def minimality_check(spec: ProblemSpec, u: DiscreteField, n_samples: int,
+                     seed: int) -> MinimalityReport:
+    """Compare eval_J(u) against truncates, scalings, and random fields.
+
+    Every comparison v must satisfy
+    eval_J(u) ≤ eval_J(v) + MINIMALITY_TOL·(1+|eval_J(v)|); the slack
+    eval_J(v) − eval_J(u) is recorded per field.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    j_u = eval_J(spec, u)
+    comparisons = []
+    amp = u.linf()
+    if amp > 0:
+        for frac in (0.25, 0.5, 0.75):
+            comparisons.append((f"truncate({frac:g}*linf)",
+                                truncate(u, frac * amp)))
+    for c in (0.0, 0.5, 0.9, 1.1, 2.0):
+        comparisons.append((f"scale({c:g})",
+                            DiscreteField(grid=u.grid, values=c * u.values)))
+    base = amp if amp > 0 else 1.0
+    k = 0
+    while len(comparisons) < n_samples:
+        a = base * (0.5, 1.0, 2.0)[k % 3]
+        vals = np.where(u.grid.boundary_mask, 0.0,
+                        rng.uniform(-a, a, u.grid.n_nodes))
+        comparisons.append((f"random(amp={a:g},#{k})",
+                            DiscreteField(grid=u.grid, values=vals)))
+        k += 1
+    comparisons = comparisons[:n_samples]
+
+    entries = []
+    min_slack = math.inf
+    passed = True
+    for label, v in comparisons:
+        j_v = eval_J(spec, v)
+        slack = j_v - j_u
+        entries.append((label, j_v, slack))
+        min_slack = min(min_slack, slack)
+        if slack < -MINIMALITY_TOL * (1.0 + abs(j_v)):
+            passed = False
+    return MinimalityReport(energy=j_u, entries=tuple(entries),
+                            min_slack=min_slack, tolerance=MINIMALITY_TOL,
+                            passed=passed)

@@ -34,21 +34,21 @@ from contextlib import contextmanager
 from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
                          replace)
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import product, repeat
 from typing import (Iterator, Optional, Tuple, Union, get_args, get_origin,
                     get_type_hints)
 
 import numpy as np
 import yaml
 
-from .auditor import audit_battery
-from .counterexample import (MAX_LEVEL, DivergenceReport, RadialProfile,
-                             divergence_report)
+from .auditor import audit_battery, minimality_check
+from .counterexample import (MAX_LEVEL, MIN_QUAD_POINTS, DivergenceReport,
+                             RadialProfile, divergence_report)
 from .functional import ProblemSpec, certify, check_schedule
 from .grid import Grid, build_interval_grid, build_rect_grid
 from .library import (COEFFICIENTS, DATA, INTEGRANDS, make_coefficient,
                       make_integrand, make_library_datum)
-from .solver import SolveTrace, minimality_check, solve_outer
+from .solver import SolveTrace, solve_outer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,7 +128,7 @@ class CounterexampleConfig:
     dimension: int = _key(3, min=3)
     rho: float = _key(0.25)
     n_max: int = _key(12, min=1, max=MAX_LEVEL)
-    quad_points: int = _key(512, min=100)
+    quad_points: int = _key(512, min=MIN_QUAD_POINTS)
 
     def __post_init__(self):
         # the range of rho depends on the dimension
@@ -360,25 +360,6 @@ def render_config(config: RunConfig) -> str:
 # ------------------------------------------------- deterministic serializers
 
 
-def _coerce(value):
-    """Reduce numpy scalars/arrays and containers to plain Python values."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, np.ndarray):
-        return [_coerce(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _coerce(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_coerce(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _float_token(x: float) -> str:
     if math.isnan(x):
         return '"nan"'
@@ -389,17 +370,18 @@ def _float_token(x: float) -> str:
 
 def _json_text(value, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats,
-    non-finite floats as strings — always valid JSON."""
+    non-finite floats as strings — always valid JSON.  A numpy scalar is
+    written as the Python value it holds."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return repr(value)
-    if isinstance(value, float):
-        return _float_token(value)
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _float_token(float(value))
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=True)
     if isinstance(value, dict):
@@ -524,11 +506,10 @@ def _estimates_json(reports) -> dict:
     keyed: dict = {}
     for rep in reports:
         entry = {
-            "lhs": _coerce(rep.lhs), "rhs": _coerce(rep.rhs),
-            "slack": _coerce(rep.slack), "rel_tol": rep.rel_tol,
-            "abs_tol": rep.abs_tol, "severity": rep.severity,
-            "passed": rep.passed, "note": rep.note,
-            "params": _coerce(rep.params)}
+            "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
+            "rel_tol": rep.rel_tol, "abs_tol": rep.abs_tol,
+            "severity": rep.severity, "passed": rep.passed, "note": rep.note,
+            "params": rep.params}
         keyed.setdefault(rep.estimate_id, []).append(entry)
     return keyed
 
@@ -565,50 +546,48 @@ def _build_spec(config: RunConfig) -> ProblemSpec:
         f = make_library_datum(grid, config.datum.kind, config.datum.params)
     return ProblemSpec(
         grid=grid, integrand=integrand, b=b, f=f,
+        solver_tol=config.solver.tol, max_iter=config.solver.max_iter,
         m_schedule=config.solver.m_schedule,
-        n_schedule=config.solver.n_schedule,
-        solver_tol=config.solver.tol,
-        max_iter=config.solver.max_iter)
+        n_schedule=config.solver.n_schedule)
 
 
 def _stage_summaries(trace: SolveTrace) -> list:
-    out = []
-    for stage in trace.stages:
-        out.append({
-            "n_level": stage.n_level,
-            "energy": stage.energy,
-            "m_levels": [rec.m_level for rec in stage.inner.records],
-            "m_fixpoint_index": stage.inner.m_fixpoint_index,
-            "iterations": [rec.iterations for rec in stage.inner.records],
-            "converged": stage.inner.converged,
-        })
-    return out
+    return [{"n_level": stage.n_level,
+             "energy": stage.energy,
+             "m_levels": [rec.m_level for rec in stage.inner.records],
+             "m_fixpoint_index": stage.inner.m_fixpoint_index,
+             "iterations": [rec.iterations for rec in stage.inner.records],
+             "converged": stage.inner.converged}
+            for stage in trace.stages]
 
 
-def _emit(config: RunConfig, basename: str, report: dict,
-          csv_files: Optional[dict] = None):
+def _report_head(config: RunConfig) -> dict:
+    """The keys that open every report."""
+    return {"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
+            "seed": config.seed, "config": config_to_mapping(config)}
+
+
+def _emit(config: RunConfig, basename: str, report: dict, csv_files: dict):
     directory = config.output.directory
     os.makedirs(directory, exist_ok=True)
     _write_text(os.path.join(directory, "config_echo.yaml"),
                 render_config(config))
     if config.output.json:
         _write_text(os.path.join(directory, basename + ".json"),
-                    _json_text(_coerce(report)))
-    if config.output.csv and csv_files:
+                    _json_text(report))
+    if config.output.csv:
         for name, (header, blocks) in csv_files.items():
             _write_csv(os.path.join(directory, name), header, blocks)
 
 
-def _run_solve(config: RunConfig, with_audit: bool) -> Tuple[int, dict]:
+def _run_solve(config: RunConfig) -> Tuple[int, dict]:
+    """`solve`, or `audit` when the config names it."""
     spec = _build_spec(config)
     u, trace = solve_outer(spec)
     code = EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
     report = {
-        "schema": SCHEMA_VERSION,
-        "subcommand": "audit" if with_audit else "solve",
-        "seed": config.seed,
-        "config": config_to_mapping(config),
+        **_report_head(config),
         "converged": trace.converged,
         "stages": _stage_summaries(trace),
         "stabilization_l2": list(trace.stabilization_history),
@@ -618,7 +597,7 @@ def _run_solve(config: RunConfig, with_audit: bool) -> Tuple[int, dict]:
         "energies.csv": _energy_table(trace),
     }
 
-    if with_audit:
+    if config.subcommand == "audit":
         reports = audit_battery(spec, u, trace, seed=config.seed,
                                 coercivity_samples=config.audit.coercivity_samples)
         minim = minimality_check(spec, u,
@@ -650,10 +629,7 @@ def _run_counterexample(config: RunConfig) -> Tuple[int, dict]:
     rep = divergence_report(ce.dimension, ce.rho, ce.n_max, ce.quad_points)
     code = EXIT_OK if rep.passed else EXIT_AUDIT_FAIL
     report = {
-        "schema": SCHEMA_VERSION,
-        "subcommand": "counterexample",
-        "seed": config.seed,
-        "config": config_to_mapping(config),
+        **_report_head(config),
         "dimension": rep.dimension, "rho": rep.rho,
         "levels": list(rep.levels),
         "w11_seminorms": list(rep.w11_values),
@@ -711,10 +687,7 @@ def _run_certify(config: RunConfig) -> Tuple[int, dict]:
     entries = _certify_entries(components, config.seed)
     code = EXIT_OK if all(e["passed"] for e in entries) else EXIT_AUDIT_FAIL
     report = {
-        "schema": SCHEMA_VERSION,
-        "subcommand": "certify",
-        "seed": config.seed,
-        "config": config_to_mapping(config),
+        **_report_head(config),
         "certifications": entries,
         "passed": code == EXIT_OK,
         "exit_status": code,
@@ -733,7 +706,9 @@ def _component_label(comp: ComponentConfig) -> str:
     return f"{comp.kind}({inner})"
 
 
-def _run_sweep(config: RunConfig, jobs: int = 1) -> Tuple[int, dict]:
+def _run_sweep(config: RunConfig, jobs: int) -> Tuple[int, dict]:
+    """Audit every point of the sweep product; when an integrand fails its
+    certification, the sweep has no point."""
     directory = config.output.directory
     # build each distinct coefficient and datum once, so that a range error
     # names its sweep entry before any point is written
@@ -744,93 +719,72 @@ def _run_sweep(config: RunConfig, jobs: int = 1) -> Tuple[int, dict]:
             with _domain_rule(where):
                 make(grid, comp.kind, comp.params)
     certs = _certify_entries(_sweep_entries(config, "integrands"), config.seed)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "subcommand": "sweep",
-        "seed": config.seed,
-        "config": config_to_mapping(config),
-        "certifications": certs,
-    }
-    matrix_header = ["point", "integrand", "coefficient", "datum", "converged",
-                     "estimates_total", "estimates_failed", "failed_ids",
-                     "linf_passed", "minimality_passed", "exit_status"]
-
-    if not all(e["passed"] for e in certs):
-        report.update({"points": [], "summary": {
-            "points": 0, "audit_failures": 0, "non_converged": 0,
-            "certification_failed": True}, "exit_status": EXIT_AUDIT_FAIL})
-        _emit(config, "sweep_report", report,
-              {"sweep_matrix.csv": (matrix_header, [])})
-        return EXIT_AUDIT_FAIL, report
-
-    points = []
-    for ic in config.sweep.integrands:
-        for cc in config.sweep.coefficients:
-            for dc in config.sweep.data:
-                points.append((ic, cc, dc))
+    certified = all(e["passed"] for e in certs)
+    sweep = config.sweep
+    points = (list(product(sweep.integrands, sweep.coefficients, sweep.data))
+              if certified else [])
 
     point_configs = [
         replace(config, subcommand="audit", integrand=ic, coefficient=cc,
                 datum=dc, output=replace(config.output, directory=os.path.join(
                     directory, f"point_{index:03d}")))
         for index, (ic, cc, dc) in enumerate(points)]
-    run_point = partial(_run_solve, with_audit=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_point, point_configs))
+            results = list(pool.map(_run_solve, point_configs))
     else:
-        results = [run_point(c) for c in point_configs]
+        results = [_run_solve(c) for c in point_configs]
 
     matrix_rows, point_entries = [], []
     non_converged = audit_failures = 0
-    for index, (code, point_report) in enumerate(results):
-        ic, cc, dc = points[index]
-        failed = point_report.get("estimates_failed", [])
+    for index, ((ic, cc, dc), (code, point_report)) in enumerate(
+            zip(points, results)):
+        failed = point_report["estimates_failed"]
         if not point_report["converged"]:
             non_converged += 1
         if failed:
             audit_failures += 1
+        labels = [_component_label(c) for c in (ic, cc, dc)]
         matrix_rows.append([
-            index, _component_label(ic), _component_label(cc),
-            _component_label(dc), point_report["converged"],
-            point_report.get("estimates_total", 0), len(failed),
-            ";".join(failed), point_report.get("linf_passed", True),
-            point_report.get("minimality", {}).get("passed", True), code])
+            index, *labels, point_report["converged"],
+            point_report["estimates_total"], len(failed), ";".join(failed),
+            point_report["linf_passed"],
+            point_report["minimality"]["passed"], code])
         point_entries.append({
-            "index": index, "integrand": _component_label(ic),
-            "coefficient": _component_label(cc), "datum": _component_label(dc),
-            "report": point_report})
+            "index": index, "integrand": labels[0], "coefficient": labels[1],
+            "datum": labels[2], "report": point_report})
 
     if non_converged:
         code = EXIT_NOT_CONVERGED
-    elif audit_failures:
+    elif audit_failures or not certified:
         code = EXIT_AUDIT_FAIL
     else:
         code = EXIT_OK
-    report.update({
+    report = {
+        **_report_head(config),
+        "certifications": certs,
         "points": point_entries,
         "summary": {"points": len(points), "audit_failures": audit_failures,
                     "non_converged": non_converged,
-                    "certification_failed": False},
-        "exit_status": code})
+                    "certification_failed": not certified},
+        "exit_status": code}
+    header = ["point", "integrand", "coefficient", "datum", "converged",
+              "estimates_total", "estimates_failed", "failed_ids",
+              "linf_passed", "minimality_passed", "exit_status"]
     _emit(config, "sweep_report", report,
-          {"sweep_matrix.csv": (matrix_header, _row_blocks(matrix_rows))})
+          {"sweep_matrix.csv": (header, _row_blocks(matrix_rows))})
     return code, report
 
 
 def run(config: RunConfig, jobs: int = 1) -> int:
     """Execute one subcommand, write its artifacts, return the exit code."""
-    if config.subcommand == "solve":
-        return _run_solve(config, with_audit=False)[0]
-    if config.subcommand == "audit":
-        return _run_solve(config, with_audit=True)[0]
-    if config.subcommand == "counterexample":
-        return _run_counterexample(config)[0]
-    if config.subcommand == "sweep":
-        return _run_sweep(config, jobs=jobs)[0]
-    if config.subcommand == "certify":
-        return _run_certify(config)[0]
-    raise ConfigError(f"unknown subcommand '{config.subcommand}'")
+    runners = {"solve": _run_solve, "audit": _run_solve,
+               "counterexample": _run_counterexample,
+               "sweep": partial(_run_sweep, jobs=jobs),
+               "certify": _run_certify}
+    if config.subcommand not in runners:
+        raise ConfigError(f"unknown subcommand '{config.subcommand}'")
+    return runners[config.subcommand](config)[0]
 
 
 # -------------------------------------------------------------- entry point

@@ -30,6 +30,8 @@ IDENTITY_REL_TOL = 1e-8
 MAX_PANELS = 1 << 17
 #: exp(2n) must stay inside double range (overflow just past n ≈ 354)
 MAX_LEVEL = 350
+#: fewest quadrature points a radial integral may start from
+MIN_QUAD_POINTS = 100
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,11 @@ def _converged_shell(p: RadialProfile, fn, quad_points: int) -> float:
 # -------------------------------------------------------------- public ops
 
 
-def w11_seminorm(p: RadialProfile, quad_points: int = 512) -> float:
+def w11_seminorm(p: RadialProfile, quad_points: int) -> float:
     """∫_ball |∇v_n| = ω·∫_{r_n}^1 rho·r^(-rho-1)·exp(r^(-rho)-1)·r^(N-1) dr."""
-    if quad_points < 100:
-        raise ValueError(f"need quad_points >= 100, got {quad_points}")
+    if quad_points < MIN_QUAD_POINTS:
+        raise ValueError(
+            f"need quad_points >= {MIN_QUAD_POINTS}, got {quad_points}")
     N, rho = p.dimension, p.rho
 
     def fn(r):
@@ -145,7 +148,7 @@ def log_h1_limit(dimension: int, rho: float) -> float:
 
 
 def coercive_functional_value(p: RadialProfile,
-                              quad_points: int = 512) -> Tuple[float, float]:
+                              quad_points: int) -> Tuple[float, float]:
     """(∫|∇v_n|²/(1+v_n)², ∫v_n²) by radial quadrature.
 
     The first component is evaluated as the raw quotient — numerator and
@@ -170,7 +173,7 @@ def coercive_functional_value(p: RadialProfile,
     return omega * shell_damped, omega * (plateau + shell_mass)
 
 
-def amplitude_mass(p: RadialProfile, quad_points: int = 512) -> float:
+def amplitude_mass(p: RadialProfile, quad_points: int) -> float:
     """∫_ball (1 + v_n)² (plateau closed form + shell quadrature)."""
     N, rho = p.dimension, p.rho
 
@@ -208,7 +211,7 @@ class DivergenceReport:
 
 
 def divergence_report(dimension: int, rho: float, n_max: int,
-                      quad_points: int = 512) -> DivergenceReport:
+                      quad_points: int) -> DivergenceReport:
     """Tabulate levels 0..n_max and check boundedness / divergence / chain.
 
     Assertions: (a) the log-substitution energies stay below the analytic

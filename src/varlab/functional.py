@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -159,10 +159,10 @@ class ProblemSpec:
     integrand: Integrand
     b: CoefficientField
     f: Datum
+    solver_tol: float
+    max_iter: int
     m_schedule: Optional[tuple] = None
     n_schedule: Optional[tuple] = None
-    solver_tol: float = 1e-8
-    max_iter: int = 50_000
 
     def __post_init__(self):
         for name in ("m_schedule", "n_schedule"):
@@ -277,11 +277,12 @@ class CertificationReport:
     violations: tuple = field(default_factory=tuple)
 
 
-def certify(integrand: Integrand, samples: int = 2000, seed: int = 0,
-            dims: Sequence[int] = (1, 2)) -> CertificationReport:
+def certify(integrand: Integrand, seed: int,
+            samples: int = 2000) -> CertificationReport:
     """Randomized verification of the growth/gradient/convexity contract.
 
-    Samples x uniformly in the unit box and ξ with log-uniform magnitudes in
+    Samples x uniformly in the unit box of dimensions 1 and 2, in that
+    order, and ξ with log-uniform magnitudes in
     [1e-3, 1e3], then checks, with roundoff-sized slack:
       lower/upper:  α|ξ|² ≤ j(x,ξ) ≤ β|ξ|²
       gradient:     |j_ξ(x,ξ)| ≤ γ|ξ|
@@ -305,7 +306,7 @@ def certify(integrand: Integrand, samples: int = 2000, seed: int = 0,
                                "xi": np.asarray(xi).tolist(),
                                "margin": float(margin)})
 
-    for dim in dims:
+    for dim in (1, 2):
         x = rng.uniform(0.0, 1.0, size=(samples, dim))
         direction = rng.normal(size=(samples, dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -104,10 +104,6 @@ class Grid:
     @property
     def measure(self) -> float:
         return float(self.element_measures.sum())
-
-    @property
-    def interior_index(self) -> Array:
-        return np.flatnonzero(~self.boundary_mask)
 
 
 def _finish_grid(dimension: int, nodes: Array, elements: Array,
@@ -312,16 +308,14 @@ def norm(v: DiscreteField, which: str) -> float:
     raise ValueError(f"unknown norm {which!r}; expected one of {NORM_KINDS}")
 
 
-def weighted_grad_l2(v: DiscreteField, b: Union[Array, "object"]) -> float:
+def weighted_grad_l2(v: DiscreteField, b_q: Array) -> float:
     """Amplitude-damped gradient energy  ∫ |∇v|² / (1 + b|v|)².
 
-    `b` is either an (E, Q) array of coefficient samples at the grid's
-    quadrature points or an object exposing such an array as `.quad_values`
-    (a coefficient field). |v| at each quadrature point is the absolute value
+    `b_q` is the (E, Q) array of coefficient samples at the grid's
+    quadrature points. |v| at each quadrature point is the absolute value
     of the interpolated value.
     """
     g = v.grid
-    b_q = getattr(b, "quad_values", b)
     b_q = np.asarray(b_q, dtype=float)
     if b_q.shape != g.quad_weights.shape:
         raise ValueError(

@@ -94,14 +94,6 @@ class SolveTrace:
     def converged(self) -> bool:
         return all(s.inner.converged for s in self.stages)
 
-    @property
-    def energy_values(self) -> tuple:
-        out = []
-        for stage in self.stages:
-            for rec in stage.inner.records:
-                out.extend(rec.energy_history)
-        return tuple(out)
-
 
 # ----------------------------------------------------------- preconditioner
 
@@ -252,19 +244,14 @@ def _powers_up_to(target: float) -> tuple:
     return tuple(levels)
 
 
-def solve_M_schedule(spec: ProblemSpec, datum: Datum,
-                     start: Optional[DiscreteField] = None,
-                     m_schedule: Optional[tuple] = None
+def solve_M_schedule(spec: ProblemSpec, datum: Datum, schedule: tuple,
+                     start: Optional[DiscreteField] = None
                      ) -> Tuple[DiscreteField, MScheduleTrace]:
     """Run the clamp schedule for one datum, warm-starting stage to stage."""
     if datum.linf_bound is None:
         raise ValueError("amplitude schedule needs a datum with a finite "
                          "sup bound; clamp the datum first")
     stage_spec = replace(spec, f=datum)
-    schedule = m_schedule if m_schedule is not None else spec.m_schedule
-    if schedule is None:
-        schedule = _powers_up_to(2.0 * datum.linf_bound)
-
     v = start if start is not None else zero_field(spec.grid)
     # a warm start that begins above the zero field's energy would break the
     # zero-comparison guarantee (final energy ≤ 0); fall back to cold start
@@ -308,11 +295,8 @@ def solve_outer(spec: ProblemSpec) -> Tuple[DiscreteField, SolveTrace]:
     current: Optional[DiscreteField] = None
     for n in n_schedule:
         datum = make_Jn_datum(spec.f, n)
-        m_schedule = spec.m_schedule
-        if m_schedule is None:
-            m_schedule = _powers_up_to(2.0 * n)
-        v, inner = solve_M_schedule(spec, datum, start=current,
-                                    m_schedule=m_schedule)
+        m_schedule = spec.m_schedule or _powers_up_to(2.0 * n)
+        v, inner = solve_M_schedule(spec, datum, m_schedule, start=current)
         stages.append(OuterStageResult(n_level=float(n), field=v, inner=inner,
                                        energy=inner.records[-1].energy))
         if current is not None:
@@ -383,90 +367,23 @@ def refinement_study(make_spec: Callable[[int], ProblemSpec],
         lifted = _evaluate_p1(coarse, fine.grid.nodes)
         diff = DiscreteField(grid=fine.grid, values=fine.values - lifted)
         distances.append(norm(diff, "L2"))
-    orders = []
-    for (d0, d1), (c0, c1) in zip(zip(distances, distances[1:]),
-                                  zip(counts, counts[1:])):
-        ratio = math.log(c1 / c0)
-        orders.append(math.log(d0 / d1) / ratio if d1 > 0 and d0 > 0 else math.inf)
 
     ref_errors: tuple = ()
-    ref_orders: tuple = ()
     if exact is not None:
-        errs = []
-        for u in solutions:
-            diff = DiscreteField(
-                grid=u.grid, values=u.values - np.asarray(exact(u.grid.nodes)))
-            errs.append(norm(diff, "L2"))
-        ref_errors = tuple(errs)
-        ro = []
-        for (e0, e1), (c0, c1) in zip(zip(errs, errs[1:]),
-                                      zip(counts, counts[1:])):
-            ro.append(math.log(e0 / e1) / math.log(c1 / c0)
-                      if e0 > 0 and e1 > 0 else math.inf)
-        ref_orders = tuple(ro)
+        ref_errors = tuple(
+            norm(DiscreteField(grid=u.grid, values=u.values - np.asarray(
+                exact(u.grid.nodes))), "L2")
+            for u in solutions)
     return RefinementReport(cell_counts=counts, distances=tuple(distances),
-                            orders=tuple(orders), reference_errors=ref_errors,
-                            reference_orders=ref_orders)
+                            orders=_rates(distances, counts),
+                            reference_errors=ref_errors,
+                            reference_orders=_rates(ref_errors, counts))
 
 
-# --------------------------------------------------------- minimality check
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Random-comparison audit of local minimality for a computed field."""
-
-    energy: float           # energy of the candidate minimizer
-    entries: tuple          # (label, comparison energy, slack) triples
-    min_slack: float
-    tolerance: float
-    passed: bool
-
-
-def minimality_check(spec: ProblemSpec, u: DiscreteField, n_samples: int = 50,
-                     seed: int = 0, tolerance: float = 1e-9) -> MinimalityReport:
-    """Compare eval_J(u) against truncates, scalings, and random fields.
-
-    Every comparison v must satisfy eval_J(u) ≤ eval_J(v) + tol·(1+|eval_J(v)|);
-    the slack eval_J(v) − eval_J(u) is recorded per field.
-    """
-    from .functional import eval_J
-    from .grid import truncate
-
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    j_u = eval_J(spec, u)
-    comparisons = []
-    amp = u.linf()
-    if amp > 0:
-        for frac in (0.25, 0.5, 0.75):
-            comparisons.append((f"truncate({frac:g}*linf)",
-                                truncate(u, frac * amp)))
-    for c in (0.0, 0.5, 0.9, 1.1, 2.0):
-        comparisons.append((f"scale({c:g})",
-                            DiscreteField(grid=u.grid, values=c * u.values)))
-    base = amp if amp > 0 else 1.0
-    k = 0
-    while len(comparisons) < n_samples:
-        a = base * (0.5, 1.0, 2.0)[k % 3]
-        vals = np.where(u.grid.boundary_mask, 0.0,
-                        rng.uniform(-a, a, u.grid.n_nodes))
-        comparisons.append((f"random(amp={a:g},#{k})",
-                            DiscreteField(grid=u.grid, values=vals)))
-        k += 1
-    comparisons = comparisons[:n_samples]
-
-    entries = []
-    min_slack = math.inf
-    passed = True
-    for label, v in comparisons:
-        j_v = eval_J(spec, v)
-        slack = j_v - j_u
-        entries.append((label, j_v, slack))
-        min_slack = min(min_slack, slack)
-        if slack < -tolerance * (1.0 + abs(j_v)):
-            passed = False
-    return MinimalityReport(energy=j_u, entries=tuple(entries),
-                            min_slack=min_slack, tolerance=tolerance,
-                            passed=passed)
+def _rates(values: Sequence[float], counts: tuple) -> tuple:
+    """log(v_i/v_{i+1}) / log(c_{i+1}/c_i) over consecutive pairs; inf where
+    either value is 0."""
+    return tuple(
+        math.log(v0 / v1) / math.log(c1 / c0) if v0 > 0 and v1 > 0 else math.inf
+        for (v0, v1), (c0, c1) in zip(zip(values, values[1:]),
+                                      zip(counts, counts[1:])))

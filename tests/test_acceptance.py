@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from varlab.auditor import _damped_pairing, pairing_fields
+from varlab.auditor import damped_pairing, pairing_fields
 from varlab.cli import parse_config, run
 from varlab.counterexample import RadialProfile, divergence_report, w11_seminorm
 from varlab.functional import ProblemSpec, eval_JM, residual
@@ -25,6 +25,9 @@ from varlab.grid import (build_interval_grid, field_from_values,
                          values_at_quadrature)
 from varlab.library import make_coefficient, make_integrand, make_library_datum
 from varlab.solver import solve_M_schedule, solve_outer
+
+#: the radial quadrature's starting points, as the config default
+QUAD_POINTS = 512
 
 
 # ------------------------------------------------------- shared fixtures
@@ -56,7 +59,7 @@ def sweep_runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def witness():
     start = time.perf_counter()
-    report = divergence_report(3, 0.25, 30)
+    report = divergence_report(3, 0.25, 30, QUAD_POINTS)
     return report, time.perf_counter() - start
 
 
@@ -70,7 +73,7 @@ def test_criterion_1_closed_form_and_tridiagonal_oracle():
         grid=grid, integrand=make_integrand("quadratic"),
         b=make_coefficient(grid, "zero"),
         f=make_library_datum(grid, "constant", {"value": 1.0}),
-        solver_tol=1e-12)
+        solver_tol=1e-12, max_iter=50_000)
     u, trace = solve_outer(spec)
     elapsed = time.perf_counter() - start
     assert trace.converged
@@ -144,10 +147,11 @@ def test_criterion_4_clamp_stage_outputs_coincide():
     spec = ProblemSpec(
         grid=grid, integrand=make_integrand("quadratic"),
         b=make_coefficient(grid, "constant", {"value": 1.0}),
-        f=make_library_datum(grid, "sine", {"amplitude": 1.0}))
+        f=make_library_datum(grid, "sine", {"amplitude": 1.0}),
+        solver_tol=1e-8, max_iter=50_000)
     datum = make_library_datum(grid, "sine", {"amplitude": 1.0})
     assert datum.linf_bound == 1.0
-    _, trace = solve_M_schedule(spec, datum, m_schedule=(2.0, 4.0, 8.0))
+    _, trace = solve_M_schedule(spec, datum, (2.0, 4.0, 8.0))
     assert trace.converged
     fields = [rec.field.values for rec in trace.records]
     assert len(fields) == 3
@@ -166,7 +170,8 @@ def test_criterion_5_outer_stage_stabilization():
         grid=grid, integrand=make_integrand("quadratic"),
         b=make_coefficient(grid, "constant", {"value": 1.0}),
         f=make_library_datum(grid, "power-singularity", {"exponent": 0.4}),
-        n_schedule=(1.0, 2.0, 4.0, 8.0, 16.0))
+        n_schedule=(1.0, 2.0, 4.0, 8.0, 16.0),
+        solver_tol=1e-8, max_iter=50_000)
     u, trace = solve_outer(spec)
     assert trace.converged
 
@@ -179,7 +184,7 @@ def test_criterion_5_outer_stage_stabilization():
     family = pairing_fields(1)
     assert len(family) == 10
     for label, phi in family:
-        values = [_damped_pairing(f, spec, phi) for f in fields]
+        values = [damped_pairing(f, spec, phi) for f in fields]
         pair_diffs = [abs(b - a) for a, b in zip(values, values[1:])]
         ptail = pair_diffs[-3:]
         assert ptail[0] > ptail[1] > ptail[2], \
@@ -254,8 +259,8 @@ def test_criterion_7b_w11_strictly_increasing_with_hundredfold_growth(witness):
 
 
 def test_companion_7b_hundredfold_growth_by_level_30():
-    base = w11_seminorm(RadialProfile(3, 0.25, 1.0))
-    high = w11_seminorm(RadialProfile(3, 0.25, 30.0))
+    base = w11_seminorm(RadialProfile(3, 0.25, 1.0), QUAD_POINTS)
+    high = w11_seminorm(RadialProfile(3, 0.25, 30.0), QUAD_POINTS)
     assert high / base == pytest.approx(103.06750962434293, rel=1e-8)
     assert high / base >= 100.0
 
@@ -295,7 +300,8 @@ def test_criterion_8_fd_gradient_agreement_all_integrands():
         spec = ProblemSpec(
             grid=grid, integrand=make_integrand(kind),
             b=make_coefficient(grid, "constant", {"value": 1.0}),
-            f=make_library_datum(grid, "sine"))
+            f=make_library_datum(grid, "sine"),
+            solver_tol=1e-8, max_iter=50_000)
         grad = residual(spec, v, M=clamp)
         for i in nodes:
             h = 1e-6 * (1.0 + abs(vals[i]))

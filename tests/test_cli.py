@@ -600,6 +600,41 @@ def test_sweep_rejects_a_bad_component_before_any_point(tmp_path, capsys):
     assert not (out / "point_000").exists()
 
 
+def test_sweep_with_an_uncertified_integrand_runs_no_point(tmp_path,
+                                                          monkeypatch):
+    import varlab.library as library
+    from varlab.functional import Integrand
+
+    def overgrown(params):
+        # declares beta = 1, but the density is 2|ξ|²: the upper bound fails
+        return Integrand(label="bad", alpha=1.0, beta=1.0, gamma=4.0,
+                         density=lambda x, xi: 2.0 * np.sum(xi * xi, axis=-1),
+                         grad=lambda x, xi: 4.0 * xi)
+
+    monkeypatch.setitem(library.INTEGRANDS, "bad", library.Kind(overgrown))
+    cfg_file = tmp_path / "sweep.yaml"
+    cfg_file.write_text(
+        "subcommand: sweep\n"
+        "domain: {dimension: 1, cells: 16, length: 1.0}\n"
+        "sweep:\n"
+        "  integrands: [{kind: bad}]\n"
+        "  coefficients: [{kind: zero}]\n"
+        "  data: [{kind: sine}]\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) \
+        == EXIT_AUDIT_FAIL
+    report = _read_json(out / "sweep_report.json")
+    assert report["summary"] == {
+        "points": 0, "audit_failures": 0, "non_converged": 0,
+        "certification_failed": True}
+    assert report["points"] == []
+    assert report["exit_status"] == EXIT_AUDIT_FAIL
+    assert [e["passed"] for e in report["certifications"]] == [False]
+    header, rows = _read_csv(out / "sweep_matrix.csv")
+    assert header[0] == "point" and rows == []
+    assert not (out / "point_000").exists()
+
+
 # --------------------------------------------------------------- exit codes
 
 

@@ -19,6 +19,9 @@ from varlab.counterexample import (
     w11_seminorm,
 )
 
+#: the radial quadrature's starting points, as the config default
+QUAD_POINTS = 512
+
 
 # ------------------------------------------------------------- validation
 
@@ -93,30 +96,31 @@ def test_vn_value_vectorized_and_radius_validation():
 def test_zero_level_profile_is_trivial():
     p = RadialProfile(3, 0.25, 0.0)
     assert p.r_n == 1.0
-    assert w11_seminorm(p) == 0.0
+    assert w11_seminorm(p, QUAD_POINTS) == 0.0
     assert log_h1_seminorm(p) == 0.0
-    assert coercive_functional_value(p) == (0.0, 0.0)
+    assert coercive_functional_value(p, QUAD_POINTS) == (0.0, 0.0)
     # amplitude of the zero field is the ball volume
-    assert amplitude_mass(p) == pytest.approx(p.ball_volume, rel=1e-15)
+    assert amplitude_mass(p, QUAD_POINTS) == pytest.approx(p.ball_volume,
+                                                           rel=1e-15)
 
 
 # ------------------------------------------------- frozen quadrature values
 
 
 def test_w11_seminorm_frozen_values():
-    assert w11_seminorm(RadialProfile(3, 0.25, 1.0)) == pytest.approx(
-        2.1167401126946923, rel=1e-10)
-    assert w11_seminorm(RadialProfile(3, 0.25, 12.0)) == pytest.approx(
-        2.1844945553976665, rel=1e-10)
+    assert w11_seminorm(RadialProfile(3, 0.25, 1.0), QUAD_POINTS) == \
+        pytest.approx(2.1167401126946923, rel=1e-10)
+    assert w11_seminorm(RadialProfile(3, 0.25, 12.0), QUAD_POINTS) == \
+        pytest.approx(2.1844945553976665, rel=1e-10)
 
 
 def test_w11_seminorm_requires_enough_points():
     p = RadialProfile(3, 0.25, 1.0)
     with pytest.raises(ValueError):
-        w11_seminorm(p, quad_points=99)
+        w11_seminorm(p, 99)
     # more points changes nothing once the doubling loop settles
-    assert w11_seminorm(p, quad_points=2048) == pytest.approx(
-        w11_seminorm(p, quad_points=512), rel=1e-10)
+    assert w11_seminorm(p, 2048) == pytest.approx(
+        w11_seminorm(p, QUAD_POINTS), rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [1.0, 2.0, 3.0])
@@ -127,7 +131,7 @@ def test_w11_against_independent_trapezoid_oracle(n):
     integrand = (p.rho * r ** (-p.rho - 1.0)
                  * np.exp(r ** (-p.rho) - 1.0) * r ** 2)
     oracle = p.sphere_measure * np.trapezoid(integrand, r)
-    assert w11_seminorm(p) == pytest.approx(oracle, rel=1e-8)
+    assert w11_seminorm(p, QUAD_POINTS) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_square_mass_against_trapezoid_oracle():
@@ -136,7 +140,8 @@ def test_square_mass_against_trapezoid_oracle():
     shell = np.trapezoid(np.expm1(r ** (-0.25) - 1.0) ** 2 * r ** 2, r)
     plateau = (math.e - 1.0) ** 2 * p.r_n ** 3 / 3.0
     oracle = p.sphere_measure * (plateau + shell)
-    assert coercive_functional_value(p)[1] == pytest.approx(oracle, rel=1e-7)
+    assert coercive_functional_value(p, QUAD_POINTS)[1] == pytest.approx(
+        oracle, rel=1e-7)
 
 
 # ------------------------------------------------------ closed-form limits
@@ -160,7 +165,7 @@ def test_log_h1_gap_follows_closed_form():
 ])
 def test_damped_route_matches_log_substitution_closed_form(dim, rho, n):
     p = RadialProfile(dim, rho, n)
-    damped, _ = coercive_functional_value(p)
+    damped, _ = coercive_functional_value(p, QUAD_POINTS)
     assert damped == pytest.approx(log_h1_seminorm(p), rel=1e-8)
 
 
@@ -169,9 +174,9 @@ def test_damped_route_matches_log_substitution_closed_form(dim, rho, n):
 ])
 def test_coercivity_chain_pointwise(dim, rho, n):
     p = RadialProfile(dim, rho, n)
-    w11 = w11_seminorm(p)
-    damped, _ = coercive_functional_value(p)
-    amp = amplitude_mass(p)
+    w11 = w11_seminorm(p, QUAD_POINTS)
+    damped, _ = coercive_functional_value(p, QUAD_POINTS)
+    amp = amplitude_mass(p, QUAD_POINTS)
     assert w11 <= 0.5 * damped + 0.5 * amp
 
 
@@ -179,7 +184,7 @@ def test_coercivity_chain_pointwise(dim, rho, n):
 
 
 def test_divergence_report_reference_parameters():
-    rep = divergence_report(3, 0.25, 12)
+    rep = divergence_report(3, 0.25, 12, QUAD_POINTS)
     assert isinstance(rep, DivergenceReport)
     assert rep.levels == tuple(range(13))
     assert len(rep.w11_values) == 13
@@ -202,26 +207,26 @@ def test_divergence_report_reference_parameters():
 def test_divergence_report_growth_ratio_at_reference_window():
     # within levels 0..12 the growth of the integrable-gradient seminorm
     # is still tiny; the blow-up only shows at much larger levels
-    rep = divergence_report(3, 0.25, 12)
+    rep = divergence_report(3, 0.25, 12, QUAD_POINTS)
     ratio = rep.w11_values[12] / rep.w11_values[1]
     assert ratio == pytest.approx(1.0320088622578802, rel=1e-9)
 
 
 def test_w11_divergence_reaches_two_orders_of_magnitude_by_level_30():
-    base = w11_seminorm(RadialProfile(3, 0.25, 1.0))
-    high = w11_seminorm(RadialProfile(3, 0.25, 30.0))
+    base = w11_seminorm(RadialProfile(3, 0.25, 1.0), QUAD_POINTS)
+    high = w11_seminorm(RadialProfile(3, 0.25, 30.0), QUAD_POINTS)
     assert high / base == pytest.approx(103.06750962434293, rel=1e-8)
     assert high / base >= 100.0
 
 
 def test_divergence_report_higher_dimension():
-    rep = divergence_report(4, 0.9, 6)
+    rep = divergence_report(4, 0.9, 6, QUAD_POINTS)
     assert rep.passed
     assert len(rep.levels) == 7
 
 
 def test_divergence_report_validation():
     with pytest.raises(ValueError):
-        divergence_report(3, 0.25, 0)
+        divergence_report(3, 0.25, 0, QUAD_POINTS)
     with pytest.raises(ValueError):
-        divergence_report(3, 0.6, 12)
+        divergence_report(3, 0.6, 12, QUAD_POINTS)

@@ -45,7 +45,8 @@ def _hat_problem(b_kind="zero", f_value=0.0):
     integrand = make_integrand("quadratic")
     b = make_coefficient(grid, b_kind)
     f = make_datum(grid, lambda x: np.full(x.shape[0], f_value))
-    spec = ProblemSpec(grid=grid, integrand=integrand, b=b, f=f)
+    spec = ProblemSpec(grid=grid, integrand=integrand, b=b, f=f,
+                       solver_tol=1e-8, max_iter=50_000)
     hat = field_from_values(grid, np.array([0.0, 1.0, 0.0]))
     return spec, hat
 
@@ -144,7 +145,8 @@ def test_residual_matches_tridiagonal_oracle():
     spec = ProblemSpec(
         grid=grid, integrand=make_integrand("quadratic"),
         b=make_coefficient(grid, "zero"),
-        f=make_datum(grid, lambda x: np.sin(np.pi * x[:, 0])))
+        f=make_datum(grid, lambda x: np.sin(np.pi * x[:, 0])),
+        solver_tol=1e-8, max_iter=50_000)
     rng = np.random.default_rng(7)
     vals = rng.normal(size=cells + 1)
     vals[0] = vals[-1] = 0.0
@@ -163,7 +165,8 @@ def test_residual_at_zero_is_negative_load():
     spec = ProblemSpec(
         grid=grid, integrand=make_integrand("quadratic"),
         b=make_coefficient(grid, "constant"),
-        f=make_datum(grid, lambda x: np.sin(np.pi * x[:, 0])))
+        f=make_datum(grid, lambda x: np.sin(np.pi * x[:, 0])),
+        solver_tol=1e-8, max_iter=50_000)
     got = residual(spec, zero_field(grid))
     expected = _tridiagonal_residual(cells, np.zeros(cells + 1),
                                      lambda x: math.sin(math.pi * x))
@@ -178,7 +181,8 @@ def test_residual_is_fd_gradient(integrand_kind, clamp):
     spec = ProblemSpec(
         grid=grid, integrand=make_integrand(integrand_kind),
         b=make_coefficient(grid, "constant"),
-        f=make_library_datum(grid, "sine"))
+        f=make_library_datum(grid, "sine"),
+        solver_tol=1e-8, max_iter=50_000)
     rng = np.random.default_rng(11)
     vals = np.where(grid.boundary_mask, 0.0, rng.uniform(-1, 1, grid.n_nodes))
     v = DiscreteField(grid=grid, values=vals)
@@ -204,7 +208,8 @@ def test_residual_kink_convention_at_origin():
     spec = ProblemSpec(
         grid=grid, integrand=make_integrand("quadratic"),
         b=make_coefficient(grid, "constant"),
-        f=make_datum(grid, lambda x: np.zeros(x.shape[0])))
+        f=make_datum(grid, lambda x: np.zeros(x.shape[0])),
+        solver_tol=1e-8, max_iter=50_000)
     r = residual(spec, zero_field(grid), M=1.0)
     np.testing.assert_allclose(r, 0.0, atol=1e-15)
 
@@ -248,7 +253,8 @@ def test_residual_kernel_is_bitwise_the_einsum_formula(dimension, integrand_kind
     spec = ProblemSpec(
         grid=grid, integrand=make_integrand(integrand_kind),
         b=make_coefficient(grid, "step"),
-        f=make_library_datum(grid, "power-singularity"))
+        f=make_library_datum(grid, "power-singularity"),
+        solver_tol=1e-8, max_iter=50_000)
     rng = np.random.default_rng(dimension)
     for _ in range(3):
         vals = rng.uniform(-2.0, 2.0, grid.n_nodes)
@@ -358,15 +364,22 @@ def test_problem_spec_validation():
     f = make_library_datum(grid, "constant")
     with pytest.raises(ValueError):
         ProblemSpec(grid=grid, integrand=integrand, b=b, f=f,
-                    m_schedule=(1.0, 1.0))
+                    m_schedule=(1.0, 1.0),
+                    solver_tol=1e-8, max_iter=50_000)
     with pytest.raises(ValueError):
         ProblemSpec(grid=grid, integrand=integrand, b=b, f=f,
-                    n_schedule=(4.0, 2.0))
+                    n_schedule=(4.0, 2.0),
+                    solver_tol=1e-8, max_iter=50_000)
     with pytest.raises(ValueError):
-        ProblemSpec(grid=grid, integrand=integrand, b=b, f=f, solver_tol=0.0)
+        ProblemSpec(grid=grid, integrand=integrand, b=b, f=f, solver_tol=0.0,
+                    max_iter=50_000)
+    with pytest.raises(ValueError):
+        ProblemSpec(grid=grid, integrand=integrand, b=b, f=f, solver_tol=1e-8,
+                    max_iter=0)
     other = build_interval_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError):
-        ProblemSpec(grid=other, integrand=integrand, b=b, f=f)
+        ProblemSpec(grid=other, integrand=integrand, b=b, f=f,
+                    solver_tol=1e-8, max_iter=50_000)
 
 
 def test_power_singularity_integrability_guard():
@@ -466,7 +479,8 @@ def test_energy_with_interpolated_parabola():
     spec = ProblemSpec(
         grid=grid, integrand=make_integrand("quadratic"),
         b=make_coefficient(grid, "zero"),
-        f=make_library_datum(grid, "constant"))
+        f=make_library_datum(grid, "constant"),
+        solver_tol=1e-8, max_iter=50_000)
     v = interpolate(grid, lambda x: x[:, 0] * (1 - x[:, 0]))
     exact = 1.0 / 3.0 + 0.5 / 30.0 - 1.0 / 6.0
     assert eval_J(spec, v) == pytest.approx(exact, abs=1e-4)

@@ -45,7 +45,7 @@ def test_interval_grid_basic():
 def test_interval_grid_smallest():
     g = build_interval_grid(0.0, 1.0, 1)
     assert g.n_elements == 1
-    assert g.interior_index.size == 0
+    assert np.count_nonzero(~g.boundary_mask) == 0
 
 
 @pytest.mark.parametrize("a,b,cells", [(0.0, 1.0, 0), (1.0, 1.0, 4), (2.0, 1.0, 4)])
@@ -58,12 +58,12 @@ def test_rect_grid_counts():
     g = build_rect_grid(1, 1, 1.0, 1.0)
     assert g.n_nodes == 4
     assert g.n_elements == 2
-    assert g.interior_index.size == 0
+    assert np.count_nonzero(~g.boundary_mask) == 0
 
     g = build_rect_grid(2, 2, 1.0, 1.0)
     assert g.n_nodes == 9
     assert g.n_elements == 8
-    assert g.interior_index.size == 1
+    assert np.count_nonzero(~g.boundary_mask) == 1
     assert g.measure == pytest.approx(1.0, abs=1e-15)
 
 

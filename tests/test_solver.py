@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from varlab.auditor import minimality_check
 from varlab.functional import ProblemSpec, eval_J, eval_JM, make_datum
 from varlab.grid import (
     DiscreteField,
@@ -23,7 +24,6 @@ from varlab.library import make_coefficient, make_integrand, make_library_datum
 from varlab.solver import (
     MScheduleTrace,
     SolveTrace,
-    minimality_check,
     minimize_inner,
     refinement_study,
     solve_M_schedule,
@@ -32,12 +32,13 @@ from varlab.solver import (
 
 
 def _spec(cells=64, integrand="quadratic", coeff=("zero", None),
-          datum=("constant", None), **kw):
+          datum=("constant", None), solver_tol=1e-8, max_iter=50_000, **kw):
     grid = build_interval_grid(0.0, 1.0, cells)
     return ProblemSpec(
         grid=grid, integrand=make_integrand(integrand),
         b=make_coefficient(grid, coeff[0], coeff[1]),
-        f=make_library_datum(grid, datum[0], datum[1]), **kw)
+        f=make_library_datum(grid, datum[0], datum[1]),
+        solver_tol=solver_tol, max_iter=max_iter, **kw)
 
 
 def _tridiagonal_solution(cells):
@@ -139,7 +140,7 @@ def test_warm_start_independence_convex_case():
 def test_m_schedule_fixpoint_coincidence():
     spec = _spec(cells=64, coeff=("constant", {"value": 1.0}),
                  datum=("sine", None))
-    u, trace = solve_M_schedule(spec, spec.f, m_schedule=(2.0, 4.0, 8.0))
+    u, trace = solve_M_schedule(spec, spec.f, (2.0, 4.0, 8.0))
     assert trace.fixpoint_found
     assert trace.m_fixpoint_index == 0
     f0, f1, f2 = (r.field.values for r in trace.records)
@@ -150,7 +151,7 @@ def test_m_schedule_fixpoint_coincidence():
 
 def test_m_schedule_zero_datum():
     spec = _spec(cells=16, datum=("constant", {"value": 0.0}))
-    u, trace = solve_M_schedule(spec, spec.f)
+    u, trace = solve_M_schedule(spec, spec.f, (1.0,))
     assert np.all(u.values == 0.0)
     assert all(np.all(r.field.values == 0.0) for r in trace.records)
     assert trace.converged   # clamp verifiably inactive at the last level
@@ -159,13 +160,13 @@ def test_m_schedule_zero_datum():
 def test_m_schedule_requires_sup_bound():
     spec = _spec(cells=16, datum=("power-singularity", None))
     with pytest.raises(ValueError):
-        solve_M_schedule(spec, spec.f)
+        solve_M_schedule(spec, spec.f, (1.0, 2.0))
 
 
 def test_m_schedule_without_fixpoint_is_flagged():
     # clamp level stuck below the minimizer's amplitude: no fixpoint
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    u, trace = solve_M_schedule(spec, spec.f, m_schedule=(0.02,))
+    u, trace = solve_M_schedule(spec, spec.f, (0.02,))
     assert u.linf() > 0.02
     assert not trace.fixpoint_found
     assert not trace.converged
@@ -173,22 +174,22 @@ def test_m_schedule_without_fixpoint_is_flagged():
 
 def test_warm_start_guard_discards_uphill_starts():
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    cold, _ = solve_M_schedule(spec, spec.f)
+    cold, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0))
     rng = np.random.default_rng(1)
     vals = np.where(spec.grid.boundary_mask, 0.0,
                     rng.uniform(-5, 5, spec.grid.n_nodes))
     wild = DiscreteField(grid=spec.grid, values=vals)
     assert eval_JM(spec, wild, 1.0) > 0
-    warm, _ = solve_M_schedule(spec, spec.f, start=wild)
+    warm, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0), start=wild)
     np.testing.assert_array_equal(warm.values, cold.values)
 
 
 def test_warm_start_kept_when_energy_is_negative():
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    cold, _ = solve_M_schedule(spec, spec.f)
+    cold, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0))
     half = DiscreteField(grid=spec.grid, values=0.5 * cold.values)
     assert eval_JM(spec, half, 1.0) < 0
-    warm, _ = solve_M_schedule(spec, spec.f, start=half)
+    warm, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0), start=half)
     assert np.max(np.abs(warm.values - cold.values)) <= 1e-6
 
 
@@ -250,15 +251,14 @@ def test_trace_iteration_bookkeeping():
             if rec.converged:
                 assert rec.residual_linf <= spec.solver_tol
             assert len(rec.energy_history) == rec.iterations + 1
-    assert len(trace.energy_values) == sum(
-        len(r.energy_history) for s in trace.stages for r in s.inner.records)
 
 
 def test_2d_solve_smoke():
     grid = build_rect_grid(8, 8, 1.0, 1.0)
     spec = ProblemSpec(grid=grid, integrand=make_integrand("quadratic"),
                        b=make_coefficient(grid, "constant"),
-                       f=make_library_datum(grid, "sine"))
+                       f=make_library_datum(grid, "sine"),
+                       solver_tol=1e-8, max_iter=50_000)
     u, trace = solve_outer(spec)
     assert trace.converged
     assert trace.stages[-1].energy < 0
@@ -298,7 +298,8 @@ def test_refinement_2d_path():
         grid = build_rect_grid(cells, cells, 1.0, 1.0)
         return ProblemSpec(grid=grid, integrand=make_integrand("quadratic"),
                            b=make_coefficient(grid, "constant"),
-                           f=make_library_datum(grid, "sine"))
+                           f=make_library_datum(grid, "sine"),
+                           solver_tol=1e-8, max_iter=50_000)
     rep = refinement_study(mk, (4, 8, 16))
     assert all(b < a for a, b in zip(rep.distances, rep.distances[1:]))
     assert rep.orders[0] > 1.5
