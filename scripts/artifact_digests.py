@@ -23,10 +23,18 @@ artifact, sorted by path, so two trees compare with one `diff`:
     diff before.txt after.txt
 
 The script imports varlab and perfbench from the tree it sits in. Each
-run's exit code goes to standard error; it is also in the run's report.
+run's exit code goes to standard error, followed by one line per audited
+report it wrote (each sweep point and each audit run): the report's exit
+code and its `estimates_failed` list. A change that moves bits must keep
+that stream unchanged, so the verdicts of two trees compare with a second
+`diff` of their standard error:
+
+    python scripts/artifact_digests.py > after.txt 2> after.err
+    diff before.err after.err
 """
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -79,6 +87,21 @@ def manifest(directory: str) -> list:
     return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
 
 
+def verdicts(name: str, directory: str) -> list:
+    """`run/dir: exit N failed [...]` for every audited report, by path."""
+    lines = []
+    for base, _, files in os.walk(directory):
+        if "report.json" not in files:
+            continue
+        with open(os.path.join(base, "report.json")) as fh:
+            report = json.load(fh)
+        if "estimates_failed" in report:
+            rel = os.path.relpath(base, directory).replace(os.sep, "/")
+            lines.append(f"{name}/{rel}: exit {report['exit_status']} "
+                         f"failed {report['estimates_failed']}")
+    return sorted(lines)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         inputs, outputs = os.path.join(work, "in"), os.path.join(work, "out")
@@ -91,6 +114,8 @@ def main() -> int:
                     fh.write(text)
                 argv += ["--config", config]
             print(f"{name}: exit {cli_main(argv)}", file=sys.stderr)
+            for line in verdicts(name, os.path.join(outputs, name)):
+                print(line, file=sys.stderr)
         lines = manifest(outputs)
     print("\n".join(lines))
     return 0

@@ -22,13 +22,12 @@ from .functional import (CoefficientField, Datum, ProblemSpec, eval_J,
                          make_Jn_datum)
 from .grid import (
     DiscreteField,
-    Grid,
+    damped_integrals,
     element_gradients,
     norm,
     truncate,
     tail,
     values_at_quadrature,
-    weighted_grad_l2,
 )
 from .solver import SolveTrace
 
@@ -51,9 +50,6 @@ HOLDER_TOL = 1e-10
 #: ratios of successive differences below this scale-relative floor are
 #: treated as converged-to-roundoff rather than compared
 STAB_FLOOR = 1e-13
-#: bytes of the largest (samples, E, Q) temporary in the coercivity chain;
-#: larger blocks were no faster and raised the peak memory of a sweep
-CHAIN_BLOCK_BYTES = 128 << 10
 #: a comparison field undercuts the candidate minimizer when its energy is
 #: lower by more than this, relative to 1 + |its energy|
 MINIMALITY_TOL = 1e-9
@@ -122,11 +118,17 @@ def audit_linf(u: DiscreteField, g: Datum) -> EstimateReport:
                    params={"applicable": True})
 
 
+def _split_integrals(u: DiscreteField, spec: ProblemSpec) -> list:
+    """damped_integrals of one field under the problem's coefficient."""
+    return [float(a[0]) for a in damped_integrals(
+        u.grid, u.values[None], spec.b.quad_values)]
+
+
 def audit_primastima(u: DiscreteField, spec: ProblemSpec,
                      f_used: Datum) -> EstimateReport:
     """Damped-gradient bound: α·∫|∇u|²/(1+b|u|)² ≤ ½∫|f|²."""
     alpha = spec.integrand.alpha
-    lhs = alpha * weighted_grad_l2(u, spec.b.quad_values)
+    lhs = alpha * _split_integrals(u, spec)[1]
     rhs = 0.5 * spec.f.l2_norm_sq
     return _report("PRIMASTIMA", lhs, rhs, params={
         "alpha": alpha, "rhs_tight": 0.5 * f_used.l2_norm_sq})
@@ -154,29 +156,22 @@ def audit_secondastima(u: DiscreteField, spec: ProblemSpec,
                    params={"rhs_tight": 4.0 * f_used.l2_norm_sq})
 
 
-def _amplitude_mass(u: DiscreteField, spec: ProblemSpec) -> float:
-    """Quadrature of (1 + b|u|)²."""
-    uq = np.abs(values_at_quadrature(u))
-    return float(np.sum(u.grid.quad_weights * (1.0 + spec.b.quad_values * uq) ** 2))
-
-
 def audit_terzastima(u: DiscreteField, spec: ProblemSpec,
                      f_used: Datum) -> EstimateReport:
     """Total-variation bound from the two-factor split of ∫|∇u|.
 
     Main check: ∫|∇u| ≤ √(∫|f|²/2α)·(√meas + 2B√∫|f|²). Additionally
     re-derives the middle Cauchy–Schwarz step — ∫|∇u| ≤
-    √(weighted_grad_l2)·√(∫(1+b|u|)²) — which holds for every field at
+    √(∫|∇u|²/(1+b|u|)²)·√(∫(1+b|u|)²) — which holds for every field at
     quadrature level, to HOLDER_TOL relative.
     """
     alpha = spec.integrand.alpha
     B = spec.b.upper_bound
     mass = spec.f.l2_norm_sq
-    lhs = norm(u, "W11_semi")
+    lhs, damped, amplitude = _split_integrals(u, spec)
     rhs = math.sqrt(mass / (2.0 * alpha)) * (
         math.sqrt(u.grid.measure) + 2.0 * B * math.sqrt(mass))
-    holder_rhs = math.sqrt(weighted_grad_l2(
-        u, spec.b.quad_values)) * math.sqrt(_amplitude_mass(u, spec))
+    holder_rhs = math.sqrt(damped) * math.sqrt(amplitude)
     holder_ok = lhs <= holder_rhs * (1.0 + HOLDER_TOL) + ABS_TOL
     tight = math.sqrt(f_used.l2_norm_sq / (2.0 * alpha)) * (
         math.sqrt(u.grid.measure) + 2.0 * B * math.sqrt(f_used.l2_norm_sq))
@@ -205,34 +200,6 @@ def audit_gk(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
     return _report("GK_BOUND", lhs, rhs, params=params)
 
 
-def coercivity_chain_terms(grid: Grid, values: np.ndarray) -> tuple:
-    """Both sides' integrals of the unit-amplitude split for a stack of fields.
-
-    `values` stacks S nodal vectors as an (S, P) array. Returns three (S,)
-    arrays: ∫|∇v|, ∫|∇v|²/(1+|v|)² and ∫(1+|v|)². Each sample's quadrature
-    sum is one contiguous row reduction, so it equals the single-field sum
-    bit for bit. The stack is worked through in blocks whose (B, E, Q)
-    temporaries stay within CHAIN_BLOCK_BYTES.
-    """
-    values = np.asarray(values, dtype=float)
-    w = grid.quad_weights                                     # (E, Q)
-    rows = max(1, CHAIN_BLOCK_BYTES // w.nbytes)
-    lhs, damped, amplitude = (np.empty(values.shape[0]) for _ in range(3))
-
-    def row_sums(a):
-        return a.reshape(a.shape[0], -1).sum(axis=1)
-
-    for lo in range(0, values.shape[0], rows):
-        local = values[lo:lo + rows, grid.elements]           # (B, E, L)
-        grads = np.linalg.norm(np.einsum(
-            "sel,eld->sed", local, grid.basis_gradients), axis=2)[..., None]
-        vq = np.abs(local @ grid.quadrature.points.T)         # (B, E, Q)
-        lhs[lo:lo + rows] = row_sums(w * grads)
-        damped[lo:lo + rows] = row_sums(w * (grads / (1.0 + vq)) ** 2)
-        amplitude[lo:lo + rows] = row_sums(w * (1.0 + vq) ** 2)
-    return lhs, damped, amplitude
-
-
 def audit_coercivity_chain(fields: Sequence[DiscreteField],
                            b: CoefficientField) -> EstimateReport:
     """Two-factor split with unit amplitude: ∫|∇v| ≤ ½∫|∇v|²/(1+|v|)² + ½∫(1+|v|)².
@@ -252,8 +219,8 @@ def audit_coercivity_chain(fields: Sequence[DiscreteField],
     grid = fields[0].grid
     if any(f.grid is not grid for f in fields):
         raise ValueError("coercivity-chain fields must share one grid")
-    lhs, damped, amplitude = coercivity_chain_terms(
-        grid, np.stack([f.values for f in fields]))
+    lhs, damped, amplitude = damped_integrals(grid, np.stack(
+        [f.values for f in fields]), np.ones_like(grid.quad_weights))
     rhs = 0.5 * damped + 0.5 * amplitude
     worst = int(np.argmin(rhs - lhs))
     passed = lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL

@@ -729,8 +729,10 @@ def _run_sweep(config: RunConfig, jobs: int) -> Tuple[int, dict]:
                 datum=dc, output=replace(config.output, directory=os.path.join(
                     directory, f"point_{index:03d}")))
         for index, (ic, cc, dc) in enumerate(points)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts every worker on its first submit
+    workers = min(jobs, len(point_configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_solve, point_configs))
     else:
         results = [_run_solve(c) for c in point_configs]

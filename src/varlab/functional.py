@@ -264,6 +264,9 @@ def residual(spec: ProblemSpec, v: DiscreteField, M: float = math.inf,
 
 # ------------------------------------------------------------ certification
 
+#: (x, ξ) draws per dimension in one certification
+CERTIFY_SAMPLES = 2000
+
 
 @dataclass(frozen=True)
 class CertificationReport:
@@ -277,12 +280,11 @@ class CertificationReport:
     violations: tuple = field(default_factory=tuple)
 
 
-def certify(integrand: Integrand, seed: int,
-            samples: int = 2000) -> CertificationReport:
+def certify(integrand: Integrand, seed: int) -> CertificationReport:
     """Randomized verification of the growth/gradient/convexity contract.
 
-    Samples x uniformly in the unit box of dimensions 1 and 2, in that
-    order, and ξ with log-uniform magnitudes in
+    Draws CERTIFY_SAMPLES points x uniformly in the unit box of dimensions 1
+    and 2, in that order, and ξ with log-uniform magnitudes in
     [1e-3, 1e3], then checks, with roundoff-sized slack:
       lower/upper:  α|ξ|² ≤ j(x,ξ) ≤ β|ξ|²
       gradient:     |j_ξ(x,ξ)| ≤ γ|ξ|
@@ -291,8 +293,6 @@ def certify(integrand: Integrand, seed: int,
       consistency:  directional finite differences of j match j_ξ
     Fails are reported (never raised), with the violating (x, ξ) recorded.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     margins = {k: math.inf for k in
                ("lower", "upper", "gradient", "zero", "midpoint", "fd")}
@@ -307,10 +307,10 @@ def certify(integrand: Integrand, seed: int,
                                "margin": float(margin)})
 
     for dim in (1, 2):
-        x = rng.uniform(0.0, 1.0, size=(samples, dim))
-        direction = rng.normal(size=(samples, dim))
+        x = rng.uniform(0.0, 1.0, size=(CERTIFY_SAMPLES, dim))
+        direction = rng.normal(size=(CERTIFY_SAMPLES, dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        mag = 10.0 ** rng.uniform(-3.0, 3.0, size=(samples, 1))
+        mag = 10.0 ** rng.uniform(-3.0, 3.0, size=(CERTIFY_SAMPLES, 1))
         xi = direction * mag
 
         j = np.asarray(integrand.density(x, xi), dtype=float)
@@ -356,5 +356,5 @@ def certify(integrand: Integrand, seed: int,
 
     passed = all(m >= 0 for m in margins.values())
     return CertificationReport(label=integrand.label, passed=passed,
-                               samples=samples, seed=seed, margins=margins,
-                               violations=tuple(violations))
+                               samples=CERTIFY_SAMPLES, seed=seed,
+                               margins=margins, violations=tuple(violations))

@@ -1,4 +1,4 @@
-"""P1 simplicial grids with zero-trace fields, quadrature, truncation and norms.
+"""P1 simplicial grids with zero-trace fields, quadrature, truncation and integrals.
 
 Two mesh families: uniform segments on an interval and structured right
 triangles on an axis-aligned rectangle (each cell split along its lower-left to
@@ -22,7 +22,10 @@ import numpy as np
 
 Array = np.ndarray
 
-NORM_KINDS = ("L1", "L2", "Linf", "W11_semi", "H1_semi")
+NORM_KINDS = ("L2", "H1_semi")
+#: bytes of the largest (samples, E, Q) temporary in damped_integrals;
+#: larger blocks were no faster and raised the peak memory of a sweep
+CHAIN_BLOCK_BYTES = 128 << 10
 
 
 def _frozen(a: Array) -> Array:
@@ -287,40 +290,52 @@ def integrate_at_quadrature(grid: Grid, samples: Array) -> float:
 
 
 def norm(v: DiscreteField, which: str) -> float:
-    """Quadrature evaluation of a named norm/seminorm of the interpolant.
+    """Quadrature evaluation of the L² norm or the H¹ seminorm of the interpolant.
 
-    which: "L1" | "L2" | "Linf" | "W11_semi" | "H1_semi"
-    Gradient seminorms are exact (elementwise-constant gradients); L1/L2 use
-    the element quadrature on the composed integrand.
+    which: "L2" | "H1_semi"
+    The seminorm is exact (elementwise-constant gradients); L2 uses the
+    element quadrature on the squared interpolant.
     """
     g = v.grid
-    if which == "Linf":
-        return v.linf()
-    if which == "L1":
-        return integrate_at_quadrature(g, np.abs(values_at_quadrature(v)))
     if which == "L2":
         return math.sqrt(integrate_at_quadrature(g, values_at_quadrature(v) ** 2))
-    if which in ("W11_semi", "H1_semi"):
+    if which == "H1_semi":
         mag = np.linalg.norm(element_gradients(v), axis=1)
-        if which == "W11_semi":
-            return float(np.sum(g.element_measures * mag))
         return math.sqrt(float(np.sum(g.element_measures * mag ** 2)))
     raise ValueError(f"unknown norm {which!r}; expected one of {NORM_KINDS}")
 
 
-def weighted_grad_l2(v: DiscreteField, b_q: Array) -> float:
-    """Amplitude-damped gradient energy  ∫ |∇v|² / (1 + b|v|)².
+def damped_integrals(grid: Grid, values: Array, b_q: Array) -> tuple:
+    """The three integrals of the two-factor split of ∫|∇v|, for a stack.
 
-    `b_q` is the (E, Q) array of coefficient samples at the grid's
-    quadrature points. |v| at each quadrature point is the absolute value
-    of the interpolated value.
+    ∫|∇v| ≤ (∫|∇v|²/(1+b|v|)²)^½ · (∫(1+b|v|)²)^½. `values` stacks S nodal
+    vectors as an (S, P) array and `b_q` is the (E, Q) array of coefficient
+    samples at the grid's quadrature points; |v| at each quadrature point
+    is the absolute value of the interpolated value. Returns three (S,)
+    arrays: ∫|∇v|, ∫|∇v|²/(1+b|v|)² and ∫(1+b|v|)². Each sample's
+    quadrature sum is one contiguous row reduction, so it equals the
+    single-field sum bit for bit. The stack is worked through in blocks
+    whose (B, E, Q) temporaries stay within CHAIN_BLOCK_BYTES.
     """
-    g = v.grid
+    w = grid.quad_weights                                     # (E, Q)
     b_q = np.asarray(b_q, dtype=float)
-    if b_q.shape != g.quad_weights.shape:
+    if b_q.shape != w.shape:
         raise ValueError(
             f"coefficient samples {b_q.shape} do not match quadrature layout "
-            f"{g.quad_weights.shape}")
-    mag2 = np.sum(element_gradients(v) ** 2, axis=1)           # (E,)
-    den = (1.0 + b_q * np.abs(values_at_quadrature(v))) ** 2   # (E, Q)
-    return integrate_at_quadrature(g, mag2[:, None] / den)
+            f"{w.shape}")
+    values = np.asarray(values, dtype=float)
+    rows = max(1, CHAIN_BLOCK_BYTES // w.nbytes)
+    w11, damped, amplitude = (np.empty(values.shape[0]) for _ in range(3))
+
+    def row_sums(a):
+        return a.reshape(a.shape[0], -1).sum(axis=1)
+
+    for lo in range(0, values.shape[0], rows):
+        local = values[lo:lo + rows, grid.elements]           # (B, E, L)
+        grads = np.linalg.norm(np.einsum(
+            "sel,eld->sed", local, grid.basis_gradients), axis=2)[..., None]
+        amp = 1.0 + b_q * np.abs(local @ grid.quadrature.points.T)   # (B, E, Q)
+        w11[lo:lo + rows] = row_sums(w * grads)
+        damped[lo:lo + rows] = row_sums(w * (grads / amp) ** 2)
+        amplitude[lo:lo + rows] = row_sums(w * amp ** 2)
+    return w11, damped, amplitude

@@ -98,7 +98,7 @@ class SolveTrace:
 # ----------------------------------------------------------- preconditioner
 
 
-class _Preconditioner:
+class Preconditioner:
     """Mass + amplitude-damped stiffness, reassembled as the field moves."""
 
     def __init__(self, spec: ProblemSpec):
@@ -144,14 +144,16 @@ class _Preconditioner:
 
 
 def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
-                   _precond: Optional[_Preconditioner] = None
-                   ) -> Tuple[DiscreteField, StageRecord]:
-    """Descend eval_JM(., M) from `start` until the residual is below tol."""
+                   precond: Preconditioner) -> Tuple[DiscreteField, StageRecord]:
+    """Descend eval_JM(., M) from `start` until the residual is below tol.
+
+    `precond` is `Preconditioner(spec)`, built once and shared by the stages
+    of one clamp schedule.
+    """
     if start.grid is not spec.grid:
         raise ValueError("start field must live on the spec grid")
     if not start.zero_trace:
         raise ValueError("start field must vanish on the boundary")
-    precond = _precond if _precond is not None else _Preconditioner(spec)
 
     v = start
     pieces = energy_pieces(spec, v, M)
@@ -258,12 +260,12 @@ def solve_M_schedule(spec: ProblemSpec, datum: Datum, schedule: tuple,
     if eval_JM(stage_spec, v, schedule[0]) > 0.0:
         v = zero_field(spec.grid)
 
-    precond = _Preconditioner(stage_spec)
+    precond = Preconditioner(stage_spec)
     records = []
     fields = []
     fixpoint = None
     for i, M in enumerate(schedule):
-        v, rec = minimize_inner(stage_spec, M, v, _precond=precond)
+        v, rec = minimize_inner(stage_spec, M, v, precond)
         records.append(rec)
         fields.append(v)
         if fixpoint is None and i > 0:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlab.auditor import (
-    CHAIN_BLOCK_BYTES,
     ESTIMATE_IDS,
     EstimateReport,
     audit_battery,
@@ -22,16 +21,17 @@ from varlab.auditor import (
     audit_terzastima,
     audit_testclass,
     audit_tk,
-    coercivity_chain_terms,
     default_k_grid,
     pairing_fields,
 )
 from varlab.functional import (CoefficientField, ProblemSpec, eval_J,
                                make_Jn_datum)
 from varlab.grid import (
+    CHAIN_BLOCK_BYTES,
     DiscreteField,
     build_interval_grid,
     build_rect_grid,
+    damped_integrals,
     element_gradients,
     field_from_values,
     values_at_quadrature,
@@ -378,15 +378,15 @@ def test_battery_rejects_zero_coercivity_samples():
         audit_battery(spec, u, trace, seed=0, coercivity_samples=0)
 
 
-def _chain_one_field(v):
-    """The single-field coercivity-chain formula: lhs, rhs, damped, amplitude."""
+def _chain_one_field(v, b_q):
+    """The single-field formula of the split: lhs, rhs, damped, amplitude."""
     g = v.grid
     grads = np.linalg.norm(element_gradients(v), axis=1)
-    vq = np.abs(values_at_quadrature(v))
+    amp = 1.0 + b_q * np.abs(values_at_quadrature(v))
     w = g.quad_weights
     lhs = float(np.sum(w * grads[:, None]))
-    damped = float(np.sum(w * (grads[:, None] / (1.0 + vq)) ** 2))
-    amplitude = float(np.sum(w * (1.0 + vq) ** 2))
+    damped = float(np.sum(w * (grads[:, None] / amp) ** 2))
+    amplitude = float(np.sum(w * amp ** 2))
     return lhs, 0.5 * damped + 0.5 * amplitude, damped, amplitude
 
 
@@ -403,13 +403,15 @@ def test_batched_chain_matches_per_sample_loop(grid, seed):
 
     # the battery's draws, one field at a time, through the one-field formula
     rng = np.random.default_rng(seed)
+    ones = np.ones_like(grid.quad_weights)
     stack, expected = [], []
     for _ in range(samples):
         amp = 10.0 ** rng.uniform(-2.0, 2.0)
         vals = np.where(grid.boundary_mask, 0.0,
                         rng.uniform(-amp, amp, grid.n_nodes))
         stack.append(vals)
-        expected.append(_chain_one_field(DiscreteField(grid=grid, values=vals)))
+        expected.append(_chain_one_field(DiscreteField(grid=grid, values=vals),
+                                         ones))
     worst, failures = 0, 0
     for i, (lhs, rhs, _, _) in enumerate(expected):
         failures += 0 if lhs <= rhs * (1 + coer.rel_tol) + coer.abs_tol else 1
@@ -423,8 +425,18 @@ def test_batched_chain_matches_per_sample_loop(grid, seed):
     assert coer.params["samples"] == samples
     assert coer.params["failures"] == failures
 
-    got = coercivity_chain_terms(grid, np.array(stack))
+    got = damped_integrals(grid, np.array(stack), ones)
     want = np.array(expected)
     for column, values in zip((0, 2, 3), got):
         assert np.array_equal(values, want[:, column])
     assert int(np.argmin(0.5 * got[1] + 0.5 * got[2] - got[0])) == worst
+
+    # a coefficient with a zero and a positive half, as PRIMASTIMA and
+    # TERZASTIMA pass it
+    step = make_coefficient(grid, "step", {"height": 3.0}).quad_values
+    assert 0 < np.count_nonzero(step) < step.size
+    got = damped_integrals(grid, np.array(stack), step)
+    want = np.array([_chain_one_field(DiscreteField(grid=grid, values=v), step)
+                     for v in stack])
+    for column, values in zip((0, 2, 3), got):
+        assert np.array_equal(values, want[:, column])

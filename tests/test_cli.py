@@ -584,6 +584,55 @@ def test_sweep_jobs_do_not_change_artifact_bytes(tmp_path):
         assert trees[2][name] == data, name
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the sweep's process pool by one that records its worker count
+    and maps in this process, so that no test starts a process."""
+    import varlab.cli as cli_mod
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("data, jobs, workers", [
+    ("[{kind: sine}, {kind: step}]", 5000, [2]),
+    ("[{kind: sine}, {kind: step}]", 2, [2]),
+    ("[{kind: sine}]", 5000, []),
+    ("[{kind: sine}, {kind: step}]", 1, []),
+], ids=["2-points-5000-jobs", "2-points-2-jobs", "1-point-5000-jobs",
+        "2-points-1-job"])
+def test_sweep_starts_no_more_workers_than_points(tmp_path, serial_pool,
+                                                  data, jobs, workers):
+    cfg_file = tmp_path / "sweep.yaml"
+    cfg_file.write_text(
+        "subcommand: sweep\n"
+        "domain: {dimension: 1, cells: 16, length: 1.0}\n"
+        "sweep:\n"
+        "  integrands: [{kind: quadratic}]\n"
+        "  coefficients: [{kind: zero}]\n"
+        f"  data: {data}\n" + FAST_AUDIT)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                 "--jobs", str(jobs)]) == EXIT_OK
+    assert serial_pool == workers
+    assert len(_read_json(out / "sweep_report.json")["points"]) == \
+        data.count("kind")
+
+
 def test_sweep_rejects_a_bad_component_before_any_point(tmp_path, capsys):
     cfg_file = tmp_path / "sweep.yaml"
     cfg_file.write_text(
@@ -601,7 +650,8 @@ def test_sweep_rejects_a_bad_component_before_any_point(tmp_path, capsys):
 
 
 def test_sweep_with_an_uncertified_integrand_runs_no_point(tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          serial_pool):
     import varlab.library as library
     from varlab.functional import Integrand
 
@@ -621,8 +671,10 @@ def test_sweep_with_an_uncertified_integrand_runs_no_point(tmp_path,
         "  coefficients: [{kind: zero}]\n"
         "  data: [{kind: sine}]\n")
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) \
-        == EXIT_AUDIT_FAIL
+    # no point, so no pool even when workers are asked for
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                 "--jobs", "4"]) == EXIT_AUDIT_FAIL
+    assert serial_pool == []
     report = _read_json(out / "sweep_report.json")
     assert report["summary"] == {
         "points": 0, "audit_failures": 0, "non_converged": 0,

@@ -17,6 +17,7 @@ from varlab.grid import (
     DiscreteField,
     build_interval_grid,
     build_rect_grid,
+    damped_integrals,
     element_gradients,
     field_from_values,
     integrate_at_quadrature,
@@ -25,9 +26,20 @@ from varlab.grid import (
     tail,
     truncate,
     values_at_quadrature,
-    weighted_grad_l2,
     zero_field,
 )
+
+
+def w11(v):
+    """∫|∇v| from the damped-integral kernel, read with b = 0."""
+    zeros = np.zeros_like(v.grid.quad_weights)
+    return damped_integrals(v.grid, v.values[None], zeros)[0][0]
+
+
+def damped_energy(v, b_q):
+    """∫|∇v|²/(1+b|v|)² from the damped-integral kernel."""
+    return damped_integrals(v.grid, v.values[None], b_q)[1][0]
+
 
 # ---------------------------------------------------------------- builders
 
@@ -115,7 +127,7 @@ def test_interpolate_pins_boundary():
 def test_interpolate_zero():
     g = build_rect_grid(2, 2, 1.0, 1.0)
     v = interpolate(g, lambda p: np.zeros(p.shape[0]))
-    assert norm(v, "Linf") == 0.0
+    assert v.linf() == 0.0
 
 
 def test_field_shape_rejected():
@@ -172,7 +184,7 @@ def test_truncation_algebra(vals, k):
     np.testing.assert_array_equal(t.values, np.clip(v.values, -k, k))
     np.testing.assert_array_equal(r.values, v.values - t.values)
     np.testing.assert_array_max_ulp(t.values + r.values, v.values, maxulp=1)
-    assert norm(t, "Linf") <= k * (1 + 1e-15)
+    assert t.linf() <= k * (1 + 1e-15)
     inside = np.abs(v.values) <= k
     assert np.all(r.values[inside] == 0.0)
 
@@ -196,7 +208,7 @@ def test_norm_monotone_under_truncation_1d(vals, k):
     g = build_interval_grid(0.0, 1.0, 8)
     v = field_from_values(g, vals)
     t = truncate(v, k)
-    assert norm(t, "W11_semi") <= norm(v, "W11_semi") * (1 + 1e-12) + 1e-12
+    assert w11(t) <= w11(v) * (1 + 1e-12) + 1e-12
     assert norm(t, "H1_semi") <= norm(v, "H1_semi") * (1 + 1e-12) + 1e-12
 
 
@@ -210,7 +222,7 @@ def test_norm_monotone_under_truncation_2d(vals, k):
     g = build_rect_grid(3, 3, 1.0, 1.0)
     v = field_from_values(g, vals)
     t = truncate(v, k)
-    assert norm(t, "W11_semi") <= norm(v, "W11_semi") * (1 + 1e-12) + 1e-12
+    assert w11(t) <= w11(v) * (1 + 1e-12) + 1e-12
     assert norm(t, "H1_semi") <= norm(v, "H1_semi") * (1 + 1e-12) + 1e-12
 
 
@@ -248,14 +260,14 @@ def test_triangle_gradients_match_affine_solve():
 def test_norms_of_zero_field():
     g = build_interval_grid(0.0, 1.0, 6)
     z = zero_field(g)
-    for which in ("L1", "L2", "Linf", "W11_semi", "H1_semi"):
+    for which in ("L2", "H1_semi"):
         assert norm(z, which) == 0.0
 
 
 def test_ramp_seminorms_are_one():
     g = build_interval_grid(0.0, 1.0, 7)
     ramp = DiscreteField(g, g.nodes[:, 0].copy())
-    assert norm(ramp, "W11_semi") == pytest.approx(1.0, rel=1e-14)
+    assert w11(ramp) == pytest.approx(1.0, rel=1e-14)
     assert norm(ramp, "H1_semi") == pytest.approx(1.0, rel=1e-14)
 
 
@@ -292,18 +304,18 @@ def test_affine_l2_quadrature_exact_2d():
 def test_holder_consistency(vals):
     g = build_interval_grid(0.0, 2.0, 8)
     v = field_from_values(g, vals)
-    w11 = norm(v, "W11_semi")
+    total_variation = w11(v)
     h1 = norm(v, "H1_semi")
-    assert w11**2 <= g.measure * h1**2 * (1 + 1e-10) + 1e-30
+    assert total_variation**2 <= g.measure * h1**2 * (1 + 1e-10) + 1e-30
 
 
-# ----------------------------------------------------- weighted gradient L2
+# ------------------------------------------ damped gradient energy (kernel)
 
 
 def test_weighted_grad_l2_zero_field():
     g = build_interval_grid(0.0, 1.0, 8)
     ones = np.ones_like(g.quad_weights)
-    assert weighted_grad_l2(zero_field(g), ones) == 0.0
+    assert damped_energy(zero_field(g), ones) == 0.0
 
 
 @given(vals=interval_fields)
@@ -313,7 +325,7 @@ def test_weighted_grad_l2_collapses_without_damping(vals):
     v = field_from_values(g, vals)
     zeros = np.zeros_like(g.quad_weights)
     np.testing.assert_allclose(
-        weighted_grad_l2(v, zeros), norm(v, "H1_semi") ** 2, rtol=1e-12, atol=1e-30)
+        damped_energy(v, zeros), norm(v, "H1_semi") ** 2, rtol=1e-12, atol=1e-30)
 
 
 def test_weighted_grad_l2_ramp_against_closed_form():
@@ -321,10 +333,10 @@ def test_weighted_grad_l2_ramp_against_closed_form():
     g = build_interval_grid(0.0, 1.0, 64)
     ramp = DiscreteField(g, g.nodes[:, 0].copy())
     ones = np.ones_like(g.quad_weights)
-    assert weighted_grad_l2(ramp, ones) == pytest.approx(0.5, abs=1e-6)
+    assert damped_energy(ramp, ones) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_weighted_grad_l2_shape_mismatch():
     g = build_interval_grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
-        weighted_grad_l2(zero_field(g), np.ones((2, 2)))
+        damped_energy(zero_field(g), np.ones((2, 2)))

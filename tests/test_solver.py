@@ -23,6 +23,7 @@ from varlab.grid import (
 from varlab.library import make_coefficient, make_integrand, make_library_datum
 from varlab.solver import (
     MScheduleTrace,
+    Preconditioner,
     SolveTrace,
     minimize_inner,
     refinement_study,
@@ -66,7 +67,8 @@ def _closed_form(x):
 
 def test_zero_datum_zero_iterations():
     spec = _spec(cells=16, datum=("constant", {"value": 0.0}))
-    u, rec = minimize_inner(spec, 1.0, zero_field(spec.grid))
+    u, rec = minimize_inner(spec, 1.0, zero_field(spec.grid),
+                            Preconditioner(spec))
     assert rec.iterations == 0
     assert rec.converged
     assert np.all(u.values == 0.0)
@@ -74,7 +76,8 @@ def test_zero_datum_zero_iterations():
 
 def test_quadratic_matches_tridiagonal_oracle():
     spec = _spec(cells=64)
-    u, rec = minimize_inner(spec, 1.0, zero_field(spec.grid))
+    u, rec = minimize_inner(spec, 1.0, zero_field(spec.grid),
+                            Preconditioner(spec))
     assert rec.converged
     assert np.max(np.abs(u.values - _tridiagonal_solution(64))) <= 1e-8
 
@@ -97,7 +100,8 @@ def test_large_damping_energy_below_zero():
 
 def test_descent_contract_per_stage():
     spec = _spec(cells=32, coeff=("constant", {"value": 2.0}))
-    _, rec = minimize_inner(spec, 4.0, zero_field(spec.grid))
+    _, rec = minimize_inner(spec, 4.0, zero_field(spec.grid),
+                            Preconditioner(spec))
     hist = rec.energy_history
     assert rec.iterations > 0
     assert all(b < a for a, b in zip(hist, hist[1:]))
@@ -107,29 +111,32 @@ def test_start_validation():
     spec = _spec(cells=8)
     other = build_interval_grid(0.0, 1.0, 9)
     with pytest.raises(ValueError):
-        minimize_inner(spec, 1.0, zero_field(other))
+        minimize_inner(spec, 1.0, zero_field(other), Preconditioner(spec))
     bad = DiscreteField(grid=spec.grid, values=np.ones(spec.grid.n_nodes))
     with pytest.raises(ValueError):
-        minimize_inner(spec, 1.0, bad)
+        minimize_inner(spec, 1.0, bad, Preconditioner(spec))
 
 
 def test_non_convergence_is_reported_not_raised():
     spec = _spec(cells=32, integrand="logaug",
                  coeff=("constant", {"value": 1.0}),
                  solver_tol=1e-15, max_iter=2)
-    _, rec = minimize_inner(spec, 1.0, zero_field(spec.grid))
+    _, rec = minimize_inner(spec, 1.0, zero_field(spec.grid),
+                            Preconditioner(spec))
     assert not rec.converged
     assert rec.iterations == 2
 
 
 def test_warm_start_independence_convex_case():
     spec = _spec(cells=64)
-    u_cold, rec_cold = minimize_inner(spec, 1.0, zero_field(spec.grid))
+    u_cold, rec_cold = minimize_inner(spec, 1.0, zero_field(spec.grid),
+                                      Preconditioner(spec))
     rng = np.random.default_rng(5)
     vals = np.where(spec.grid.boundary_mask, 0.0,
                     rng.uniform(-0.5, 0.5, spec.grid.n_nodes))
     u_warm, rec_warm = minimize_inner(
-        spec, 1.0, DiscreteField(grid=spec.grid, values=vals))
+        spec, 1.0, DiscreteField(grid=spec.grid, values=vals),
+        Preconditioner(spec))
     assert rec_cold.converged and rec_warm.converged
     assert np.max(np.abs(u_cold.values - u_warm.values)) <= 1e-6
 
