@@ -9,7 +9,8 @@ must leave unchanged:
     processes (`--jobs 2`);
   - the default `varlab audit`;
   - a 2D 24x24 `varlab audit`;
-  - the default `varlab counterexample`;
+  - the default `varlab counterexample`, and the three deep tables
+    (dimension, rho, n_max) = (3, 1/4, 300), (5, 1/2, 330) and (8, 1, 335);
   - the default `varlab certify`, and one that adds the quadratic
     integrand at scale 2;
   - each `configs/*.yaml`, run as the subcommand it names.
@@ -51,6 +52,7 @@ AUDIT_2D = ("subcommand: audit\n"
             "domain: {dimension: 2, x_cells: 24, y_cells: 24}\n")
 CERTIFY_SCALED = ("subcommand: certify\n"
                   "integrand: {kind: quadratic, params: {scale: 2}}\n")
+DEEP_WITNESSES = ((3, 0.25, 300), (5, 0.5, 330), (8, 1.0, 335))
 
 
 def runs() -> list:
@@ -61,8 +63,12 @@ def runs() -> list:
              ["--jobs", "2", "--seed", "4"]),
             ("audit-default", "audit", None, []),
             ("audit-2d-24", "audit", AUDIT_2D, []),
-            ("counterexample-default", "counterexample", None, []),
-            ("certify-default", "certify", None, []),
+            ("counterexample-default", "counterexample", None, [])]
+    out += [(f"counterexample-d{dim}-rho{rho:g}-n{n_max}", "counterexample",
+             f"subcommand: counterexample\ncounterexample: {{dimension: {dim}, "
+             f"rho: {rho}, n_max: {n_max}}}\n", [])
+            for dim, rho, n_max in DEEP_WITNESSES]
+    out += [("certify-default", "certify", None, []),
             ("certify-scale2", "certify", CERTIFY_SCALED, [])]
     configs = os.path.join(ROOT, "configs")
     for name in sorted(os.listdir(configs)):

@@ -295,10 +295,7 @@ def pairing_fields(dim: int) -> tuple:
     if dim < 1:
         raise ValueError("dimension must be >= 1")
 
-    def constant_ones(x):
-        return np.ones((x.shape[0], dim))
-
-    fields = [("ones", constant_ones)]
+    fields = [("ones", lambda x: np.ones((x.shape[0], dim)))]
 
     def make(i):
         axis = i % dim

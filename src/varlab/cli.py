@@ -42,8 +42,8 @@ import numpy as np
 import yaml
 
 from .auditor import audit_battery, minimality_check
-from .counterexample import (MAX_LEVEL, MIN_QUAD_POINTS, DivergenceReport,
-                             RadialProfile, divergence_report)
+from .counterexample import (MAX_LEVEL, MIN_QUAD_POINTS, RadialProfile,
+                             divergence_report)
 from .functional import ProblemSpec, certify, check_schedule
 from .grid import Grid, build_interval_grid, build_rect_grid
 from .library import (COEFFICIENTS, DATA, INTEGRANDS, make_coefficient,
@@ -514,14 +514,15 @@ def _estimates_json(reports) -> dict:
     return keyed
 
 
-def _counterexample_table(rep: DivergenceReport) -> Tuple[list, list]:
-    header = ["level", "radius", "w11_seminorm", "log_h1_seminorm",
-              "damped_gradient", "square_mass", "amplitude_mass",
-              "identity_rel_error"]
-    columns = (rep.levels, rep.r_values, rep.w11_values, rep.log_h1_values,
-               rep.damped_grad_values, rep.square_mass_values,
-               rep.amplitude_mass_values, rep.identity_rel_errors)
-    return header, [[_csv_column(c) for c in columns]]
+#: (counterexample.csv column, report key or None, DivergenceReport field)
+_WITNESS_COLUMNS = (
+    ("level", "levels", "levels"), ("radius", None, "r_values"),
+    ("w11_seminorm", "w11_seminorms", "w11_values"),
+    ("log_h1_seminorm", "log_h1_seminorms", "log_h1_values"),
+    ("damped_gradient", "damped_gradients", "damped_grad_values"),
+    ("square_mass", "square_masses", "square_mass_values"),
+    ("amplitude_mass", "amplitude_masses", "amplitude_mass_values"),
+    ("identity_rel_error", "identity_rel_errors", "identity_rel_errors"))
 
 
 # ------------------------------------------------------------ run pipeline
@@ -630,21 +631,17 @@ def _run_counterexample(config: RunConfig) -> Tuple[int, dict]:
     code = EXIT_OK if rep.passed else EXIT_AUDIT_FAIL
     report = {
         **_report_head(config),
+        **{key: list(getattr(rep, name))
+           for _, key, name in _WITNESS_COLUMNS if key},
         "dimension": rep.dimension, "rho": rep.rho,
-        "levels": list(rep.levels),
-        "w11_seminorms": list(rep.w11_values),
-        "log_h1_seminorms": list(rep.log_h1_values),
-        "damped_gradients": list(rep.damped_grad_values),
-        "square_masses": list(rep.square_mass_values),
-        "amplitude_masses": list(rep.amplitude_mass_values),
-        "identity_rel_errors": list(rep.identity_rel_errors),
         "log_h1_limit": rep.log_h1_limit,
         "assertions": dict(rep.assertions),
         "passed": rep.passed,
         "exit_status": code,
     }
-    _emit(config, "report", report,
-          {"counterexample.csv": _counterexample_table(rep)})
+    table = ([column for column, _, _ in _WITNESS_COLUMNS],
+             [[_csv_column(getattr(rep, name)) for *_, name in _WITNESS_COLUMNS]])
+    _emit(config, "report", report, {"counterexample.csv": table})
     return code, report
 
 

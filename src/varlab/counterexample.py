@@ -11,10 +11,14 @@ while ∫|∇v_n| blows up. Adding the square mass ∫v_n² restores coercivity:
 the report tabulates all four quantities and checks the chain inequality
 ∫|∇v| ≤ ½∫|∇v|²/(1+v)² + ½∫(1+v)² at every level.
 
-All integrals are radial: 1D quadrature in r with the r^{N-1} Jacobian,
-composite Gauss–Legendre on geometric panels clustered at the plateau
-radius (the integrands are exponentially peaked there), doubled until two
-refinements agree to 1e-8 relative.
+All integrals are radial: Gauss–Legendre in r on geometric panels, which
+cluster where the integrands peak, doubled per shell until two refinements
+agree to 1e-8 relative. Only the plateau radius r_n depends on the level,
+so the table is one pass: ∫|∇v_n|, ∫v_n² and ∫(1+v_n)² are cumulative sums
+over the disjoint shells [r_{n+1}, r_n] plus closed-form plateaus. The
+damped gradient, the second route of the identity check, stays one whole
+interval [r_n, 1] per level (all levels batched): a sum of shells would
+stack roundings into the very number compared with the closed form.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ MAX_PANELS = 1 << 17
 MAX_LEVEL = 350
 #: fewest quadrature points a radial integral may start from
 MIN_QUAD_POINTS = 100
+#: budget of one (shells, panels, 8) array of the batched radial routine
+SHELL_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -44,19 +50,16 @@ class RadialProfile:
 
     def __post_init__(self):
         if int(self.dimension) != self.dimension or self.dimension <= 2:
-            raise ValueError(
-                f"dimension must be an integer > 2, got {self.dimension}")
+            raise ValueError(f"dimension must be an integer > 2, got {self.dimension}")
         hi = (self.dimension - 2) / 2.0
         if not (0 < self.rho < hi):
-            raise ValueError(
-                f"rho must lie in (0, {hi:g}) for dimension {self.dimension}, "
-                f"got {self.rho}")
+            raise ValueError(f"rho must lie in (0, {hi:g}) for dimension "
+                             f"{self.dimension}, got {self.rho}")
         if self.n < 0:
             raise ValueError(f"clamp level must be >= 0, got {self.n}")
         if self.n > MAX_LEVEL:
-            raise ValueError(
-                f"clamp level {self.n} exceeds {MAX_LEVEL}: exp(2n) would "
-                "overflow double precision")
+            raise ValueError(f"clamp level {self.n} exceeds {MAX_LEVEL}: "
+                             "exp(2n) would overflow double precision")
 
     @property
     def r_n(self) -> float:
@@ -64,8 +67,11 @@ class RadialProfile:
         return (1.0 + self.n) ** (-1.0 / self.rho)
 
     @property
-    def plateau_value(self) -> float:
-        return math.expm1(self.n)
+    def plateau_masses(self) -> Tuple[float, float]:
+        """(∫v_n², ∫(1+v_n)²) over the plateau ball r < r_n, without ω."""
+        N = self.dimension
+        return (math.expm1(self.n) ** 2 * self.r_n ** N / N,
+                math.exp(2.0 * self.n) * self.r_n ** N / N)
 
     @property
     def sphere_measure(self) -> float:
@@ -83,55 +89,77 @@ def vn_value(p: RadialProfile, r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0) or np.any(arr > 1):
         raise ValueError("radius must lie in (0, 1]")
-    inner = np.clip(arr ** (-p.rho) - 1.0, 0.0, p.n)
-    out = np.expm1(inner)
+    out = np.expm1(np.clip(arr ** (-p.rho) - 1.0, 0.0, p.n))
     return float(out) if np.isscalar(r) else out
 
 
-# ----------------------------------------------------------- radial routine
+# -------------------------------------------------------- radial quadrature
 
 
-def _shell_quadrature(p: RadialProfile, fn: Callable[[np.ndarray], np.ndarray],
-                      panels: int, points_per_panel: int = 8) -> float:
-    """∫_{r_n}^1 fn(r) dr on geometric panels clustered at the plateau radius."""
-    r_n = p.r_n
-    if r_n >= 1.0:
-        return 0.0
-    edges = r_n * (1.0 / r_n) ** np.linspace(0.0, 1.0, panels + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(points_per_panel)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    r = mids[:, None] + halfs[:, None] * nodes[None, :]
-    w = halfs[:, None] * weights[None, :]
-    return float(np.sum(w * fn(r)))
+def _integrands(p: RadialProfile) -> dict:
+    """The radial integrands, with the r^(N-1) Jacobian. "damped" forms
+    numerator and denominator apart, so its agreement with log_h1_seminorm
+    is a genuine two-route check of the substitution identity."""
+    N, rho = p.dimension, p.rho
+
+    def damped(r):
+        e = np.exp(r ** (-rho) - 1.0)
+        grad = rho * r ** (-rho - 1.0) * e
+        return grad ** 2 / (1.0 + (e - 1.0)) ** 2 * r ** (N - 1)
+
+    return {"damped": damped,
+            "w11": lambda r: (rho * r ** (-rho - 1.0) * np.exp(r ** (-rho) - 1.0)
+                              * r ** (N - 1)),
+            "mass": lambda r: np.expm1(r ** (-rho) - 1.0) ** 2 * r ** (N - 1),
+            "amplitude": lambda r: np.exp(r ** (-rho) - 1.0) ** 2 * r ** (N - 1)}
 
 
-def _converged_shell(p: RadialProfile, fn, quad_points: int) -> float:
-    panels = max(quad_points // 8, 13)
-    value = _shell_quadrature(p, fn, panels)
-    while panels <= MAX_PANELS:
-        panels *= 2
-        refined = _shell_quadrature(p, fn, panels)
-        if abs(refined - value) <= QUAD_REL_TOL * (1.0 + abs(refined)):
-            return refined
-        value = refined
-    raise RuntimeError("radial quadrature did not settle to 1e-8 relative")
+def _converged_shells(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
+                      quad_points: int) -> np.ndarray:
+    """∫_{lo_i}^{hi_i} fn(r) dr for every shell at once (0 where lo_i >= hi_i):
+    8 Gauss–Legendre points on each of max(quad_points // 8, 13) geometric
+    panels, doubled until two refinements agree to QUAD_REL_TOL relative.
+    Settled shells are frozen. Each shell is one contiguous row reduction,
+    so its bits do not depend on the others. A non-finite shell raises."""
+    if quad_points < MIN_QUAD_POINTS:
+        raise ValueError(f"need quad_points >= {MIN_QUAD_POINTS}, got {quad_points}")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+
+    def quadrature(live, panels):
+        sums, grading = np.empty(live.size), np.linspace(0.0, 1.0, panels + 1)
+        rows = max(1, SHELL_BLOCK_BYTES // (panels * nodes.nbytes))
+        for i in range(0, live.size, rows):
+            at = live[i:i + rows]
+            edges = lo[at, None] * (hi[at] / lo[at])[:, None] ** grading
+            mids = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None]
+            halfs = 0.5 * (edges[:, 1:] - edges[:, :-1])[..., None]
+            f = halfs * weights * fn(mids + halfs * nodes)   # (B, panels, 8)
+            sums[i:i + rows] = f.reshape(at.size, -1).sum(axis=1)
+        return sums
+
+    out = np.zeros(lo.shape)
+    panels, live = max(quad_points // 8, 13), np.flatnonzero(lo < hi)
+    value = np.full(live.size, np.nan)          # the first pass settles none
+    while live.size:
+        refined = quadrature(live, panels)
+        done = np.abs(refined - value) <= QUAD_REL_TOL * (1.0 + np.abs(refined))
+        if not np.isfinite(refined).all() or (panels > MAX_PANELS and not done.all()):
+            raise RuntimeError("radial quadrature did not settle to 1e-8 relative")
+        out[live[done]] = refined[done]
+        live, value, panels = live[~done], refined[~done], 2 * panels
+    return out
 
 
-# -------------------------------------------------------------- public ops
+def _ball(p: RadialProfile, name: str, quad_points: int, plateau=0.0) -> float:
+    """ω·(plateau + ∫_{r_n}^1 of one integrand): the one-shell case."""
+    shell = _converged_shells(_integrands(p)[name], [p.r_n], [1.0], quad_points)
+    return p.sphere_measure * (plateau + float(shell[0]))
 
 
 def w11_seminorm(p: RadialProfile, quad_points: int) -> float:
     """∫_ball |∇v_n| = ω·∫_{r_n}^1 rho·r^(-rho-1)·exp(r^(-rho)-1)·r^(N-1) dr."""
-    if quad_points < MIN_QUAD_POINTS:
-        raise ValueError(
-            f"need quad_points >= {MIN_QUAD_POINTS}, got {quad_points}")
-    N, rho = p.dimension, p.rho
-
-    def fn(r):
-        return rho * r ** (-rho - 1.0) * np.exp(r ** (-rho) - 1.0) * r ** (N - 1)
-
-    return p.sphere_measure * _converged_shell(p, fn, quad_points)
+    return _ball(p, "w11", quad_points)
 
 
 def log_h1_seminorm(p: RadialProfile) -> float:
@@ -149,40 +177,15 @@ def log_h1_limit(dimension: int, rho: float) -> float:
 
 def coercive_functional_value(p: RadialProfile,
                               quad_points: int) -> Tuple[float, float]:
-    """(∫|∇v_n|²/(1+v_n)², ∫v_n²) by radial quadrature.
-
-    The first component is evaluated as the raw quotient — numerator and
-    denominator separately — so its agreement with log_h1_seminorm is a
-    genuine two-route check of the substitution identity, not an algebraic
-    tautology.
-    """
-    N, rho = p.dimension, p.rho
-
-    def damped(r):
-        e = np.exp(r ** (-rho) - 1.0)
-        grad = rho * r ** (-rho - 1.0) * e
-        return grad ** 2 / (1.0 + (e - 1.0)) ** 2 * r ** (N - 1)
-
-    def mass(r):
-        return np.expm1(r ** (-rho) - 1.0) ** 2 * r ** (N - 1)
-
-    shell_damped = _converged_shell(p, damped, quad_points)
-    shell_mass = _converged_shell(p, mass, quad_points)
-    plateau = p.plateau_value ** 2 * p.r_n ** N / N
-    omega = p.sphere_measure
-    return omega * shell_damped, omega * (plateau + shell_mass)
+    """(∫|∇v_n|²/(1+v_n)², ∫v_n²) by radial quadrature, the square mass as
+    plateau closed form plus shell quadrature."""
+    return (_ball(p, "damped", quad_points),
+            _ball(p, "mass", quad_points, p.plateau_masses[0]))
 
 
 def amplitude_mass(p: RadialProfile, quad_points: int) -> float:
     """∫_ball (1 + v_n)² (plateau closed form + shell quadrature)."""
-    N, rho = p.dimension, p.rho
-
-    def fn(r):
-        return np.exp(r ** (-rho) - 1.0) ** 2 * r ** (N - 1)
-
-    shell = _converged_shell(p, fn, quad_points)
-    plateau = math.exp(2.0 * p.n) * p.r_n ** N / N
-    return p.sphere_measure * (plateau + shell)
+    return _ball(p, "amplitude", quad_points, p.plateau_masses[1])
 
 
 # ------------------------------------------------------------------- report
@@ -222,32 +225,35 @@ def divergence_report(dimension: int, rho: float, n_max: int,
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     levels = tuple(range(0, int(n_max) + 1))
-    rows = []
-    for n in levels:
-        p = RadialProfile(dimension=dimension, rho=rho, n=float(n))
-        w11 = w11_seminorm(p, quad_points)
-        logh1 = log_h1_seminorm(p)
-        damped, mass = coercive_functional_value(p, quad_points)
-        amp = amplitude_mass(p, quad_points)
-        rel = abs(damped - logh1) / max(logh1, 1e-300) if logh1 > 0 else 0.0
-        rows.append((p.r_n, w11, logh1, damped, mass, amp, rel))
-    r_vals, w11s, log_h1s, dampeds, masses, amps, rels = map(tuple, zip(*rows))
+    profiles = [RadialProfile(dimension, rho, float(n)) for n in levels]
+    fns, omega = _integrands(profiles[0]), profiles[0].sphere_measure
+    r = np.array([p.r_n for p in profiles])
+    plateaus = np.array([p.plateau_masses for p in profiles]).T
 
+    def column(name, plateau=0.0):
+        shells = _converged_shells(fns[name], r[1:], r[:-1], quad_points)
+        cumulative = np.concatenate(([0.0], np.cumsum(shells)))
+        return tuple((omega * (plateau + cumulative)).tolist())
+
+    w11s, masses = column("w11"), column("mass", plateaus[0])
+    amps = column("amplitude", plateaus[1])
+    dampeds = tuple((omega * _converged_shells(
+        fns["damped"], r, np.ones_like(r), quad_points)).tolist())
+    log_h1s = tuple(log_h1_seminorm(p) for p in profiles)
+    rels = tuple(abs(d - h) / max(h, 1e-300) if h > 0 else 0.0
+                 for d, h in zip(dampeds, log_h1s))
     limit = log_h1_limit(dimension, rho)
     assertions = {
-        "log_h1_bounded_by_limit": bool(
-            all(v <= limit * (1.0 + 1e-12) for v in log_h1s)),
-        "w11_strictly_increasing": bool(
-            all(b > a for a, b in zip(w11s, w11s[1:]))),
-        "coercivity_chain_holds": bool(
-            all(w <= 0.5 * d + 0.5 * a + 1e-9 * (1.0 + abs(w))
-                for w, d, a in zip(w11s, dampeds, amps))),
-        "identity_two_routes_agree": bool(
-            all(r <= IDENTITY_REL_TOL for r in rels)),
+        "log_h1_bounded_by_limit": all(v <= limit * (1.0 + 1e-12) for v in log_h1s),
+        "w11_strictly_increasing": all(b > a for a, b in zip(w11s, w11s[1:])),
+        "coercivity_chain_holds": all(
+            w <= 0.5 * d + 0.5 * a + 1e-9 * (1.0 + abs(w))
+            for w, d, a in zip(w11s, dampeds, amps)),
+        "identity_two_routes_agree": all(e <= IDENTITY_REL_TOL for e in rels),
     }
     return DivergenceReport(
         dimension=int(dimension), rho=float(rho), levels=levels,
-        r_values=r_vals, w11_values=w11s, log_h1_values=log_h1s,
+        r_values=tuple(r.tolist()), w11_values=w11s, log_h1_values=log_h1s,
         damped_grad_values=dampeds, square_mass_values=masses,
         amplitude_mass_values=amps, identity_rel_errors=rels,
         log_h1_limit=limit, assertions=assertions)

@@ -189,12 +189,8 @@ def build_rect_grid(x_cells: int, y_cells: int, lx: float, ly: float) -> Grid:
     tris = []
     for i in range(x_cells):
         for j in range(y_cells):
-            a = nid(i, j)
-            b = nid(i + 1, j)
-            c = nid(i + 1, j + 1)
-            d = nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
+            a, b, c, d = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
     elements = np.array(tris, dtype=np.int64)
     ii = np.arange(x_cells + 1)[:, None]
     jj = np.arange(y_cells + 1)[None, :]
@@ -253,9 +249,7 @@ def interpolate(grid: Grid, fn: Callable[[Array], Array]) -> DiscreteField:
     vals = np.asarray(fn(grid.nodes), dtype=float)
     if vals.shape != (grid.n_nodes,):
         raise ValueError("interpolated callable must return one value per node")
-    v = vals.copy()
-    v[grid.boundary_mask] = 0.0
-    return DiscreteField(grid, v)
+    return field_from_values(grid, vals)
 
 
 def truncate(v: DiscreteField, k: float) -> DiscreteField:
@@ -273,9 +267,15 @@ def tail(v: DiscreteField, k: float) -> DiscreteField:
 
 
 def element_gradients(v: DiscreteField) -> Array:
-    """Constant gradient per element, shape (E, dim)."""
+    """Constant gradient per element, shape (E, dim): each component summed
+    from zero over the local nodes, bit for bit the einsum "el,eld->ed"."""
     g = v.grid
-    return np.einsum("el,eld->ed", v.values[g.elements], g.basis_gradients)
+    local = v.values[g.elements.T]                            # (L, E)
+    out = np.zeros((g.n_elements, g.dimension))
+    for d in range(g.dimension):
+        for l in range(local.shape[0]):
+            out[:, d] += local[l] * g.basis_gradients[:, l, d]
+    return out
 
 
 def values_at_quadrature(v: DiscreteField) -> Array:

@@ -120,10 +120,8 @@ class Preconditioner:
         self._mass = mass.ravel()[keep]
         self._stiff = stiff.ravel()[keep]
         self._stiff_owner = np.repeat(np.arange(g.n_elements), L * L)[keep]
-        eye = np.flatnonzero(g.boundary_mask)
-        self._eye_rows = eye
+        self._eye_rows = np.flatnonzero(g.boundary_mask)
         self._n = g.n_nodes
-        self._spec = spec
         self._scale = spec.integrand.alpha + spec.integrand.beta
         self._b_bar = spec.b.quad_values.mean(axis=1)     # (E,)
 

@@ -10,6 +10,7 @@ from varlab.counterexample import (
     MAX_LEVEL,
     DivergenceReport,
     RadialProfile,
+    _converged_shells,
     amplitude_mass,
     coercive_functional_value,
     divergence_report,
@@ -223,6 +224,66 @@ def test_divergence_report_higher_dimension():
     rep = divergence_report(4, 0.9, 6, QUAD_POINTS)
     assert rep.passed
     assert len(rep.levels) == 7
+
+
+TABLES = [(3, 0.25, 30), (4, 0.9, 6)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("dim,rho,n_max", TABLES)
+def test_damped_column_is_bitwise_the_per_level_route(dim, rho, n_max):
+    """The batched whole-interval route keeps the bits of one call per level."""
+    rep = divergence_report(dim, rho, n_max, QUAD_POINTS)
+    damped, rels = [], []
+    for n in range(n_max + 1):
+        p = RadialProfile(dim, rho, float(n))
+        d = coercive_functional_value(p, QUAD_POINTS)[0]
+        h = log_h1_seminorm(p)
+        damped.append(d)
+        rels.append(abs(d - h) / max(h, 1e-300) if h > 0 else 0.0)
+    assert _bits(rep.damped_grad_values) == _bits(damped)
+    assert _bits(rep.identity_rel_errors) == _bits(rels)
+
+
+@pytest.mark.parametrize("dim,rho,n_max", TABLES)
+def test_cumulative_columns_match_single_level_values(dim, rho, n_max):
+    """Summed shells agree with one whole-interval integral per level."""
+    rep = divergence_report(dim, rho, n_max, QUAD_POINTS)
+    for n in rep.levels:
+        p = RadialProfile(dim, rho, float(n))
+        assert rep.w11_values[n] == pytest.approx(
+            w11_seminorm(p, QUAD_POINTS), rel=1e-12, abs=0.0)
+        assert rep.square_mass_values[n] == pytest.approx(
+            coercive_functional_value(p, QUAD_POINTS)[1], rel=1e-12, abs=0.0)
+        assert rep.amplitude_mass_values[n] == pytest.approx(
+            amplitude_mass(p, QUAD_POINTS), rel=1e-12, abs=0.0)
+
+
+def test_non_finite_shell_raises_after_one_evaluation():
+    calls = []
+
+    def overflowing(r):
+        calls.append(r.shape)
+        return np.full(r.shape, np.inf)
+
+    with pytest.raises(RuntimeError, match="did not settle"):
+        _converged_shells(overflowing, [0.25, 0.5], [0.5, 1.0], QUAD_POINTS)
+    assert len(calls) == 1
+
+    # finite on the first pass, infinite on the refinement: |inf - x| is
+    # within any relative tolerance of inf, yet the shell must not settle
+    refined_calls = []
+
+    def overflowing_when_refined(r):
+        refined_calls.append(r.shape)
+        return np.full(r.shape, 1.0 if len(refined_calls) == 1 else np.inf)
+
+    with pytest.raises(RuntimeError, match="did not settle"):
+        _converged_shells(overflowing_when_refined, [0.5], [1.0], QUAD_POINTS)
+    assert len(refined_calls) == 2
 
 
 def test_divergence_report_validation():

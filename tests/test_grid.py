@@ -254,6 +254,27 @@ def test_triangle_gradients_match_affine_solve():
         np.testing.assert_allclose(grads[e], coef[:2], atol=1e-13)
 
 
+@pytest.mark.parametrize("grid", [build_interval_grid(0.0, 1.0, 37),
+                                  build_rect_grid(7, 5, 1.0, 2.0)],
+                         ids=["1d", "2d"])
+def test_element_gradients_are_bitwise_the_einsum_formula(grid):
+    rng = np.random.default_rng(11)
+    P = grid.n_nodes
+    fields = [
+        rng.standard_normal(P),
+        rng.choice([0.0, -0.0], P),                       # signed zeros only
+        np.where(rng.random(P) < 0.5, -0.0, rng.standard_normal(P)),
+        rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324], P),
+        rng.standard_normal(P) * 10.0 ** rng.integers(-300, 300, P),
+    ]
+    for values in fields:
+        want = np.einsum("el,eld->ed", values[grid.elements],
+                         grid.basis_gradients)
+        got = element_gradients(DiscreteField(grid, values))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- norms
 
 
