@@ -241,10 +241,9 @@ def _spike_field(u: DiscreteField) -> DiscreteField:
     return DiscreteField(grid=g, values=vals)
 
 
-def audit_testclass(u: DiscreteField, spec: ProblemSpec,
-                    w_family: Optional[Sequence[Tuple[str, DiscreteField]]] = None
-                    ) -> EstimateReport:
-    """Competitor comparison: eval_J(u) ≤ eval_J(T_k(w)) over a test family.
+def audit_testclass(u: DiscreteField, spec: ProblemSpec) -> EstimateReport:
+    """Competitor comparison: eval_J(u) ≤ eval_J(T_k(w)) for w in u, 2u and
+    a spike, at k = (¼, ½, 1, 2)·‖u‖∞, so that the low levels cut u and 2u.
 
     Requires a strictly positive lower amplitude bound. Each candidate's
     membership surrogates (finite truncate energies, finite seminorm of the
@@ -254,17 +253,14 @@ def audit_testclass(u: DiscreteField, spec: ProblemSpec,
     A = spec.b.lower_bound
     if A <= 0:
         raise ValueError("test-class audit needs a positive lower amplitude bound")
-    if w_family is None:
-        two_u = DiscreteField(grid=u.grid, values=2.0 * u.values)
-        w_family = [("u", u), ("2u", two_u), ("spike", _spike_field(u))]
-    base = max(max(w.linf() for _, w in w_family), 1e-12)
-    k_grid = tuple(m * base for m in (0.25, 0.5, 1.0, 2.0))
+    two_u = DiscreteField(grid=u.grid, values=2.0 * u.values)
+    k_grid = tuple(m * max(u.linf(), 1e-12) for m in (0.25, 0.5, 1.0, 2.0))
 
     lhs = eval_J(spec, u)
     candidates = []
     surrogates_ok = True
     rhs = math.inf
-    for label, w in w_family:
+    for label, w in (("u", u), ("2u", two_u), ("spike", _spike_field(u))):
         log_interp = DiscreteField(
             grid=w.grid, values=np.log1p(A * np.abs(w.values)))
         finite = (math.isfinite(norm(w, "L2"))

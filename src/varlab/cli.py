@@ -15,8 +15,8 @@ Determinism contract: a config document plus a seed fully determines every
 artifact byte.  JSON is emitted by a deterministic writer (sorted keys,
 floats at 17 significant digits, non-finite values as the strings "inf",
 "-inf", "nan"); no timestamps or absolute paths appear in any artifact.
-The artifact directory itself is a command-line concern (``--out``), never
-part of the config document.
+The artifact directory is not part of the config document: ``run(config,
+directory)`` takes it as an argument, and the command line passes ``--out``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class ConfigError(ValueError):
 #   choices     the allowed values
 #   registry    the library registry of a component's kinds and params
 #   rule        a domain function that checks (and may normalize) the value
-#   document    False for a field that is not part of the document
 # Rules across fields of one section live in its __post_init__.
 
 
@@ -144,7 +143,6 @@ class AuditConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = _key(".", document=False)
     csv: bool = True
     json: bool = True
 
@@ -265,8 +263,7 @@ def _as_component(value, registry: dict, where: str) -> ComponentConfig:
 def _document_fields(cls) -> dict:
     """name -> (field, resolved type) for each document key of a section."""
     types = get_type_hints(cls)
-    return {f.name: (f, types[f.name]) for f in fields(cls)
-            if f.metadata.get("document", True)}
+    return {f.name: (f, types[f.name]) for f in fields(cls)}
 
 
 def _as_type(tp, value, registry, where: str):
@@ -568,8 +565,8 @@ def _report_head(config: RunConfig) -> dict:
             "seed": config.seed, "config": config_to_mapping(config)}
 
 
-def _emit(config: RunConfig, basename: str, report: dict, csv_files: dict):
-    directory = config.output.directory
+def _emit(config: RunConfig, directory: str, basename: str, report: dict,
+          csv_files: dict):
     os.makedirs(directory, exist_ok=True)
     _write_text(os.path.join(directory, "config_echo.yaml"),
                 render_config(config))
@@ -581,7 +578,7 @@ def _emit(config: RunConfig, basename: str, report: dict, csv_files: dict):
             _write_csv(os.path.join(directory, name), header, blocks)
 
 
-def _run_solve(config: RunConfig) -> Tuple[int, dict]:
+def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
     """`solve`, or `audit` when the config names it."""
     spec = _build_spec(config)
     u, trace = solve_outer(spec)
@@ -621,11 +618,11 @@ def _run_solve(config: RunConfig) -> Tuple[int, dict]:
                                       _row_blocks(_estimate_rows(reports)))
 
     report["exit_status"] = code
-    _emit(config, "report", report, csv_files)
+    _emit(config, directory, "report", report, csv_files)
     return code, report
 
 
-def _run_counterexample(config: RunConfig) -> Tuple[int, dict]:
+def _run_counterexample(config: RunConfig, directory: str) -> Tuple[int, dict]:
     ce = config.counterexample
     rep = divergence_report(ce.dimension, ce.rho, ce.n_max, ce.quad_points)
     code = EXIT_OK if rep.passed else EXIT_AUDIT_FAIL
@@ -641,7 +638,7 @@ def _run_counterexample(config: RunConfig) -> Tuple[int, dict]:
     }
     table = ([column for column, _, _ in _WITNESS_COLUMNS],
              [[_csv_column(getattr(rep, name)) for *_, name in _WITNESS_COLUMNS]])
-    _emit(config, "report", report, {"counterexample.csv": table})
+    _emit(config, directory, "report", report, {"counterexample.csv": table})
     return code, report
 
 
@@ -677,7 +674,7 @@ def _certify_entries(components, seed: int) -> list:
     return entries
 
 
-def _run_certify(config: RunConfig) -> Tuple[int, dict]:
+def _run_certify(config: RunConfig, directory: str) -> Tuple[int, dict]:
     components = [(kind, ComponentConfig(kind)) for kind in sorted(INTEGRANDS)]
     if config.integrand.params:
         components.append(("integrand", config.integrand))
@@ -691,7 +688,7 @@ def _run_certify(config: RunConfig) -> Tuple[int, dict]:
     }
     header = ["kind", "passed", "samples", "seed"]
     rows = [[e["kind"], e["passed"], e["samples"], e["seed"]] for e in entries]
-    _emit(config, "report", report,
+    _emit(config, directory, "report", report,
           {"certification.csv": (header, _row_blocks(rows))})
     return code, report
 
@@ -703,10 +700,10 @@ def _component_label(comp: ComponentConfig) -> str:
     return f"{comp.kind}({inner})"
 
 
-def _run_sweep(config: RunConfig, jobs: int) -> Tuple[int, dict]:
-    """Audit every point of the sweep product; when an integrand fails its
-    certification, the sweep has no point."""
-    directory = config.output.directory
+def _run_sweep(config: RunConfig, directory: str,
+               jobs: int) -> Tuple[int, dict]:
+    """Audit every point of the sweep product into `directory`/point_NNN;
+    when an integrand fails its certification, the sweep has no point."""
     # build each distinct coefficient and datum once, so that a range error
     # names its sweep entry before any point is written
     grid = _build_grid(config.domain)
@@ -721,18 +718,17 @@ def _run_sweep(config: RunConfig, jobs: int) -> Tuple[int, dict]:
     points = (list(product(sweep.integrands, sweep.coefficients, sweep.data))
               if certified else [])
 
-    point_configs = [
-        replace(config, subcommand="audit", integrand=ic, coefficient=cc,
-                datum=dc, output=replace(config.output, directory=os.path.join(
-                    directory, f"point_{index:03d}")))
-        for index, (ic, cc, dc) in enumerate(points)]
+    point_configs = [replace(config, subcommand="audit", integrand=ic,
+                             coefficient=cc, datum=dc) for ic, cc, dc in points]
+    point_dirs = [os.path.join(directory, f"point_{index:03d}")
+                  for index in range(len(points))]
     # a fork pool starts every worker on its first submit
-    workers = min(jobs, len(point_configs))
+    workers = min(jobs, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_solve, point_configs))
+            results = list(pool.map(_run_solve, point_configs, point_dirs))
     else:
-        results = [_run_solve(c) for c in point_configs]
+        results = list(map(_run_solve, point_configs, point_dirs))
 
     matrix_rows, point_entries = [], []
     non_converged = audit_failures = 0
@@ -770,20 +766,21 @@ def _run_sweep(config: RunConfig, jobs: int) -> Tuple[int, dict]:
     header = ["point", "integrand", "coefficient", "datum", "converged",
               "estimates_total", "estimates_failed", "failed_ids",
               "linf_passed", "minimality_passed", "exit_status"]
-    _emit(config, "sweep_report", report,
+    _emit(config, directory, "sweep_report", report,
           {"sweep_matrix.csv": (header, _row_blocks(matrix_rows))})
     return code, report
 
 
-def run(config: RunConfig, jobs: int = 1) -> int:
-    """Execute one subcommand, write its artifacts, return the exit code."""
+def run(config: RunConfig, directory: str = ".", jobs: int = 1) -> int:
+    """Execute one subcommand, write its artifacts into `directory`, return
+    the exit code."""
     runners = {"solve": _run_solve, "audit": _run_solve,
                "counterexample": _run_counterexample,
                "sweep": partial(_run_sweep, jobs=jobs),
                "certify": _run_certify}
     if config.subcommand not in runners:
         raise ConfigError(f"unknown subcommand '{config.subcommand}'")
-    return runners[config.subcommand](config)[0]
+    return runners[config.subcommand](config, directory)[0]
 
 
 # -------------------------------------------------------------- entry point
@@ -799,7 +796,7 @@ def main(argv: Optional[list] = None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None,
                         help="YAML config document (defaults apply if omitted)")
-        sp.add_argument("--out", default=None,
+        sp.add_argument("--out", default=".",
                         help="artifact directory (default: current directory)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
@@ -826,13 +823,10 @@ def main(argv: Optional[list] = None) -> int:
         if args.seed is not None:
             config = replace(config, seed=_parse_field(
                 *_document_fields(RunConfig)["seed"], args.seed, "--seed"))
-        if args.out is not None:
-            config = replace(config,
-                             output=replace(config.output, directory=args.out))
         jobs = getattr(args, "jobs", 1)
         if jobs < 1:
             raise ConfigError(f"'--jobs' must be >= 1, got {jobs}")
-        return run(config, jobs=jobs)
+        return run(config, args.out, jobs=jobs)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"varlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -79,10 +79,6 @@ class RadialProfile:
         N = self.dimension
         return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
-    @property
-    def ball_volume(self) -> float:
-        return self.sphere_measure / self.dimension
-
 
 def vn_value(p: RadialProfile, r):
     """Profile value exp(T_n(r^(-rho) - 1)) - 1 at radius r (scalar or array)."""
@@ -151,15 +147,12 @@ def _converged_shells(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
     return out
 
 
-def _ball(p: RadialProfile, name: str, quad_points: int, plateau=0.0) -> float:
-    """ω·(plateau + ∫_{r_n}^1 of one integrand): the one-shell case."""
+def ball_integral(p: RadialProfile, name: str, quad_points: int) -> float:
+    """ω·(plateau + ∫_{r_n}^1) of ∫|∇v_n| ("w11"), ∫|∇v_n|²/(1+v_n)² ("damped"),
+    ∫v_n² ("mass") or ∫(1+v_n)² ("amplitude"); only the masses have a plateau."""
+    plateau = dict(zip(("mass", "amplitude"), p.plateau_masses)).get(name, 0.0)
     shell = _converged_shells(_integrands(p)[name], [p.r_n], [1.0], quad_points)
     return p.sphere_measure * (plateau + float(shell[0]))
-
-
-def w11_seminorm(p: RadialProfile, quad_points: int) -> float:
-    """∫_ball |∇v_n| = ω·∫_{r_n}^1 rho·r^(-rho-1)·exp(r^(-rho)-1)·r^(N-1) dr."""
-    return _ball(p, "w11", quad_points)
 
 
 def log_h1_seminorm(p: RadialProfile) -> float:
@@ -173,19 +166,6 @@ def log_h1_limit(dimension: int, rho: float) -> float:
     """Supremum of log_h1_seminorm over all clamp levels."""
     probe = RadialProfile(dimension=dimension, rho=rho, n=1.0)
     return probe.sphere_measure * rho ** 2 / (dimension - 2.0 - 2.0 * rho)
-
-
-def coercive_functional_value(p: RadialProfile,
-                              quad_points: int) -> Tuple[float, float]:
-    """(∫|∇v_n|²/(1+v_n)², ∫v_n²) by radial quadrature, the square mass as
-    plateau closed form plus shell quadrature."""
-    return (_ball(p, "damped", quad_points),
-            _ball(p, "mass", quad_points, p.plateau_masses[0]))
-
-
-def amplitude_mass(p: RadialProfile, quad_points: int) -> float:
-    """∫_ball (1 + v_n)² (plateau closed form + shell quadrature)."""
-    return _ball(p, "amplitude", quad_points, p.plateau_masses[1])
 
 
 # ------------------------------------------------------------------- report

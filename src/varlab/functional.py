@@ -93,7 +93,6 @@ class Datum:
 
     label: str
     grid: Grid
-    fn: Callable[[Array], Array]
     quad_values: Array        # (E, Q)
     l2_norm_sq: float
     linf_bound: Optional[float]   # None when no sup bound is known
@@ -115,21 +114,19 @@ def make_datum(grid: Grid, fn: Callable[[Array], Array],
     flat = grid.quad_coords.reshape(-1, grid.dimension)
     q = np.asarray(fn(flat), dtype=float).reshape(grid.quad_weights.shape)
     l2sq = float(np.sum(grid.quad_weights * q * q))
-    return Datum(label=label, grid=grid, fn=fn, quad_values=q,
-                 l2_norm_sq=l2sq, linf_bound=linf_bound)
+    return Datum(label=label, grid=grid, quad_values=q, l2_norm_sq=l2sq,
+                 linf_bound=linf_bound)
 
 
 def make_Jn_datum(f: Datum, n: float) -> Datum:
     """Two-sided clamp of the datum at level n (the outer truncation stage)."""
     if n <= 0:
         raise ValueError(f"truncation level must be positive, got {n}")
-    fn = f.fn
-    clipped = lambda x: np.clip(np.asarray(fn(x), dtype=float), -n, n)
     q = np.clip(f.quad_values, -n, n)
     l2sq = float(np.sum(f.grid.quad_weights * q * q))
     bound = float(n) if f.linf_bound is None else min(float(n), f.linf_bound)
-    return Datum(label=f"{f.label}|clip{n:g}", grid=f.grid, fn=clipped,
-                 quad_values=q, l2_norm_sq=l2sq, linf_bound=bound)
+    return Datum(label=f"{f.label}|clip{n:g}", grid=f.grid, quad_values=q,
+                 l2_norm_sq=l2sq, linf_bound=bound)
 
 
 def check_schedule(levels, name: str = "schedule") -> tuple:

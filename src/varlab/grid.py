@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 Array = np.ndarray
 
-NORM_KINDS = ("L2", "H1_semi")
 #: bytes of the largest (samples, E, Q) temporary in damped_integrals;
 #: larger blocks were no faster and raised the peak memory of a sweep
 CHAIN_BLOCK_BYTES = 128 << 10
@@ -202,12 +200,12 @@ def build_rect_grid(x_cells: int, y_cells: int, lx: float, ly: float) -> Grid:
 class DiscreteField:
     """Nodal values of a continuous piecewise-linear function.
 
-    Every constructor used by the minimization pipeline (`interpolate`,
-    `zero_field`, `field_from_values`, the solver's updates) pins boundary
-    entries to exact zero, so pipeline fields are always admissible
-    (zero trace). Direct construction skips the pinning on purpose: analytic
-    probes such as ramps with nonzero boundary values are legitimate inputs
-    for the norm and inequality audits.
+    Every constructor used by the minimization pipeline (`zero_field`,
+    `field_from_values`, the solver's updates) pins boundary entries to
+    exact zero, so pipeline fields are always admissible (zero trace).
+    Direct construction skips the pinning on purpose: analytic probes such
+    as ramps with nonzero boundary values are legitimate inputs for the
+    norm and inequality audits.
     """
 
     grid: Grid
@@ -239,17 +237,6 @@ def field_from_values(grid: Grid, values: Array) -> DiscreteField:
     v = np.array(values, dtype=float)
     v[grid.boundary_mask] = 0.0
     return DiscreteField(grid, v)
-
-
-def interpolate(grid: Grid, fn: Callable[[Array], Array]) -> DiscreteField:
-    """Sample `fn` at the nodes; boundary nodes are pinned to zero.
-
-    `fn` receives an (n, dim) coordinate array and must return (n,) values.
-    """
-    vals = np.asarray(fn(grid.nodes), dtype=float)
-    if vals.shape != (grid.n_nodes,):
-        raise ValueError("interpolated callable must return one value per node")
-    return field_from_values(grid, vals)
 
 
 def truncate(v: DiscreteField, k: float) -> DiscreteField:
@@ -284,11 +271,6 @@ def values_at_quadrature(v: DiscreteField) -> Array:
     return v.values[g.elements] @ g.quadrature.points.T
 
 
-def integrate_at_quadrature(grid: Grid, samples: Array) -> float:
-    """Quadrature sum of per-point samples with shape (E, Q)."""
-    return float(np.sum(grid.quad_weights * samples))
-
-
 def norm(v: DiscreteField, which: str) -> float:
     """Quadrature evaluation of the L² norm or the H¹ seminorm of the interpolant.
 
@@ -298,11 +280,12 @@ def norm(v: DiscreteField, which: str) -> float:
     """
     g = v.grid
     if which == "L2":
-        return math.sqrt(integrate_at_quadrature(g, values_at_quadrature(v) ** 2))
+        vq = values_at_quadrature(v)
+        return math.sqrt(float(np.sum(g.quad_weights * vq ** 2)))
     if which == "H1_semi":
         mag = np.linalg.norm(element_gradients(v), axis=1)
         return math.sqrt(float(np.sum(g.element_measures * mag ** 2)))
-    raise ValueError(f"unknown norm {which!r}; expected one of {NORM_KINDS}")
+    raise ValueError(f"unknown norm {which!r}; expected 'L2' or 'H1_semi'")
 
 
 def damped_integrals(grid: Grid, values: Array, b_q: Array) -> tuple:

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .functional import (Datum, ProblemSpec, energy_pieces, eval_JM,
                          make_Jn_datum, residual)
-from .grid import DiscreteField, Grid, norm, values_at_quadrature, zero_field
+from .grid import DiscreteField, norm, values_at_quadrature, zero_field
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -65,12 +65,9 @@ class MScheduleTrace:
     m_fixpoint_index: Optional[int]     # first index whose field the rest repeat
 
     @property
-    def fixpoint_found(self) -> bool:
-        return self.m_fixpoint_index is not None
-
-    @property
     def converged(self) -> bool:
-        return self.fixpoint_found and all(r.converged for r in self.records)
+        return (self.m_fixpoint_index is not None
+                and all(r.converged for r in self.records))
 
 
 @dataclass(frozen=True)

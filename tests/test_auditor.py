@@ -258,12 +258,27 @@ def test_testclass_family_and_equality():
 
 
 def test_testclass_spike_energies_saturate():
+    # a truncate at or above a candidate's sup norm is the candidate itself;
+    # the spike stands above every level, so each of its truncates is cut
     spec, u, _ = _solved()
     report = audit_testclass(u, spec)
-    spike = next(c for c in report.params["candidates"] if c["label"] == "spike")
     ks = report.params["k_grid"]
-    sat = [e for k, e in zip(ks, spike["energies"]) if k >= spike["linf"]]
-    assert all(e == sat[0] for e in sat)
+    saturated = {}
+    for cand in report.params["candidates"]:
+        sat = [e for k, e in zip(ks, cand["energies"]) if k >= cand["linf"]]
+        assert all(e == sat[0] for e in sat)
+        saturated[cand["label"]] = len(sat)
+    assert saturated == {"u": 2, "2u": 1, "spike": 0}
+
+
+def test_testclass_truncates_u_below_its_sup_norm():
+    spec, u, _ = _solved()
+    report = audit_testclass(u, spec)
+    ks = report.params["k_grid"]
+    assert ks[0] < u.linf()
+    u_energies = report.params["candidates"][0]["energies"]
+    assert u_energies[0] != eval_J(spec, u)
+    assert u_energies[2:] == [eval_J(spec, u)] * 2
 
 
 def test_testclass_requires_positive_lower_bound():
@@ -278,7 +293,7 @@ def test_testclass_requires_positive_lower_bound():
 def test_testclass_flags_non_minimizer():
     spec, u, _ = _solved()
     fake = DiscreteField(grid=spec.grid, values=3.0 * u.values)
-    report = audit_testclass(fake, spec, w_family=[("u", u)])
+    report = audit_testclass(fake, spec)
     assert not report.passed
 
 

@@ -325,18 +325,15 @@ def test_solution_table_matches_the_row_writer(tmp_path, dimension):
 # ---------------------------------------------------------------- artifacts
 
 
-def _small_audit_config(tmp_path, extra=""):
-    text = ("subcommand: audit\n"
-            "domain: {dimension: 1, cells: 32, length: 1.0}\n"
-            + FAST_AUDIT + extra)
-    cfg = parse_config(text)
-    from dataclasses import replace
-    return replace(cfg, output=replace(cfg.output, directory=str(tmp_path)))
+def _small_audit_config(extra=""):
+    return parse_config("subcommand: audit\n"
+                        "domain: {dimension: 1, cells: 32, length: 1.0}\n"
+                        + FAST_AUDIT + extra)
 
 
 def test_audit_run_writes_all_artifacts(tmp_path):
-    cfg = _small_audit_config(tmp_path)
-    assert run(cfg) == EXIT_OK
+    cfg = _small_audit_config()
+    assert run(cfg, str(tmp_path)) == EXIT_OK
     names = sorted(os.listdir(tmp_path))
     assert names == ["config_echo.yaml", "energies.csv", "estimates.csv",
                      "report.json", "solution.csv"]
@@ -362,8 +359,8 @@ def test_audit_run_writes_all_artifacts(tmp_path):
 
 
 def test_solution_csv_reproduces_solver_field_exactly(tmp_path):
-    cfg = _small_audit_config(tmp_path)
-    run(cfg)
+    cfg = _small_audit_config()
+    run(cfg, str(tmp_path))
     header, rows = _read_csv(tmp_path / "solution.csv")
     assert header == ["stage_index", "n_level", "node_index", "x", "value"]
 
@@ -381,8 +378,8 @@ def test_solution_csv_reproduces_solver_field_exactly(tmp_path):
 
 
 def test_energies_csv_is_monotone_per_stage(tmp_path):
-    cfg = _small_audit_config(tmp_path)
-    run(cfg)
+    cfg = _small_audit_config()
+    run(cfg, str(tmp_path))
     header, rows = _read_csv(tmp_path / "energies.csv")
     assert header == ["stage_index", "n_level", "m_level", "iteration",
                       "energy"]
@@ -394,10 +391,8 @@ def test_energies_csv_is_monotone_per_stage(tmp_path):
 
 
 def test_counterexample_run_artifacts(tmp_path):
-    from dataclasses import replace
     cfg = parse_config("subcommand: counterexample\n")
-    cfg = replace(cfg, output=replace(cfg.output, directory=str(tmp_path)))
-    assert run(cfg) == EXIT_OK
+    assert run(cfg, str(tmp_path)) == EXIT_OK
     header, rows = _read_csv(tmp_path / "counterexample.csv")
     assert header[0] == "level" and len(rows) == 13
     w11 = [float(r[2]) for r in rows]
@@ -409,10 +404,8 @@ def test_counterexample_run_artifacts(tmp_path):
 
 
 def test_certify_run(tmp_path):
-    from dataclasses import replace
     cfg = parse_config("subcommand: certify\n")
-    cfg = replace(cfg, output=replace(cfg.output, directory=str(tmp_path)))
-    assert run(cfg) == EXIT_OK
+    assert run(cfg, str(tmp_path)) == EXIT_OK
     report = _read_json(tmp_path / "report.json")
     assert report["passed"] is True
     kinds = [e["kind"] for e in report["certifications"]]
@@ -422,10 +415,8 @@ def test_certify_run(tmp_path):
 
 
 def test_output_format_flags_suppress_artifacts(tmp_path):
-    from dataclasses import replace
-    cfg = _small_audit_config(tmp_path, extra="output: {csv: false}\n")
-    cfg = replace(cfg, output=replace(cfg.output, directory=str(tmp_path)))
-    run(cfg)
+    cfg = _small_audit_config(extra="output: {csv: false}\n")
+    run(cfg, str(tmp_path))
     names = sorted(os.listdir(tmp_path))
     assert names == ["config_echo.yaml", "report.json"]
 
@@ -434,10 +425,9 @@ def test_output_format_flags_suppress_artifacts(tmp_path):
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):
-    cfg_a = _small_audit_config(tmp_path / "a")
-    cfg_b = _small_audit_config(tmp_path / "b")
-    run(cfg_a)
-    run(cfg_b)
+    cfg = _small_audit_config()
+    run(cfg, str(tmp_path / "a"))
+    run(cfg, str(tmp_path / "b"))
     for name in ("report.json", "estimates.csv", "solution.csv",
                  "energies.csv", "config_echo.yaml"):
         assert (tmp_path / "a" / name).read_bytes() == \
@@ -445,10 +435,8 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
 
 
 def test_different_seed_changes_randomized_audits(tmp_path):
-    cfg_a = _small_audit_config(tmp_path / "a")
-    cfg_b = _small_audit_config(tmp_path / "b", extra="seed: 99\n")
-    run(cfg_a)
-    run(cfg_b)
+    run(_small_audit_config(), str(tmp_path / "a"))
+    run(_small_audit_config(extra="seed: 99\n"), str(tmp_path / "b"))
     rep_a = _read_json(tmp_path / "a" / "report.json")
     rep_b = _read_json(tmp_path / "b" / "report.json")
     assert rep_a["seed"] == 0 and rep_b["seed"] == 99
@@ -469,9 +457,8 @@ def test_json_writer_emits_valid_json_for_nonfinite_floats():
 def test_unbounded_datum_audit_reports_final_truncation_bound(tmp_path):
     # the sup-norm audit runs against the final-stage truncated datum,
     # whose bound is the last clamp level of the automatic schedule
-    cfg = _small_audit_config(
-        tmp_path, extra="datum: {kind: power-singularity}\n")
-    assert run(cfg) == EXIT_OK
+    cfg = _small_audit_config(extra="datum: {kind: power-singularity}\n")
+    assert run(cfg, str(tmp_path)) == EXIT_OK
     report = _read_json(tmp_path / "report.json")    # json.load must succeed
     linf = report["estimates"]["LINF_BOUND"][0]
     assert linf["rhs"] == 16.0
@@ -492,8 +479,7 @@ def test_sweep_singleton_grid_matches_standalone_audit(tmp_path):
             "  data: [{kind: sine}]\n" + FAST_AUDIT)
     from dataclasses import replace
     cfg = parse_config(text)
-    cfg = replace(cfg, output=replace(cfg.output, directory=str(tmp_path / "s")))
-    assert run(cfg) == EXIT_OK
+    assert run(cfg, str(tmp_path / "s")) == EXIT_OK
 
     header, rows = _read_csv(tmp_path / "s" / "sweep_matrix.csv")
     assert len(rows) == 1
@@ -502,10 +488,7 @@ def test_sweep_singleton_grid_matches_standalone_audit(tmp_path):
 
     # the single point's artifacts coincide byte-for-byte with a standalone
     # audit run of the same problem (sweep of grid size one ≡ plain run)
-    audit_cfg = replace(cfg, subcommand="audit",
-                        output=replace(cfg.output,
-                                       directory=str(tmp_path / "solo")))
-    run(audit_cfg)
+    run(replace(cfg, subcommand="audit"), str(tmp_path / "solo"))
     point = tmp_path / "s" / "point_000"
     for name in ("report.json", "estimates.csv", "solution.csv"):
         assert (point / name).read_bytes() == \
@@ -519,10 +502,8 @@ def test_sweep_report_aggregates_and_certifies(tmp_path):
             "  integrands: [{kind: quadratic}, {kind: logaug}]\n"
             "  coefficients: [{kind: zero}]\n"
             "  data: [{kind: sine}, {kind: step}]\n" + FAST_AUDIT)
-    from dataclasses import replace
     cfg = parse_config(text)
-    cfg = replace(cfg, output=replace(cfg.output, directory=str(tmp_path)))
-    assert run(cfg) == EXIT_OK
+    assert run(cfg, str(tmp_path)) == EXIT_OK
     report = _read_json(tmp_path / "sweep_report.json")
     assert report["summary"] == {
         "points": 4, "audit_failures": 0, "non_converged": 0,
@@ -546,10 +527,8 @@ def test_sweep_terzastima_slack_grows_with_damping_amplitude(tmp_path):
             "    - {kind: constant, params: {value: 1.0}}\n"
             "    - {kind: constant, params: {value: 10.0}}\n"
             "  data: [{kind: sine}]\n" + FAST_AUDIT)
-    from dataclasses import replace
     cfg = parse_config(text)
-    cfg = replace(cfg, output=replace(cfg.output, directory=str(tmp_path)))
-    assert run(cfg) == EXIT_OK
+    assert run(cfg, str(tmp_path)) == EXIT_OK
     report = _read_json(tmp_path / "sweep_report.json")
     slacks = [p["report"]["estimates"]["TERZASTIMA"][0]["slack"]
               for p in report["points"]]
@@ -601,8 +580,8 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
     return sizes
@@ -692,9 +671,9 @@ def test_sweep_with_an_uncertified_integrand_runs_no_point(tmp_path,
 
 def test_non_convergence_exit_takes_precedence(tmp_path):
     cfg = _small_audit_config(
-        tmp_path, extra="solver: {tol: 1e-15, max_iter: 1}\n"
-                        "coefficient: {kind: constant, params: {value: 5.0}}\n")
-    code = run(cfg)
+        extra="solver: {tol: 1e-15, max_iter: 1}\n"
+              "coefficient: {kind: constant, params: {value: 5.0}}\n")
+    code = run(cfg, str(tmp_path))
     assert code == EXIT_NOT_CONVERGED
     report = _read_json(tmp_path / "report.json")
     assert report["converged"] is False
@@ -716,10 +695,8 @@ def test_counterexample_assertion_failure_maps_to_audit_exit(
             assertions={"w11_strictly_increasing": False})
 
     monkeypatch.setattr(cli_mod, "divergence_report", fake_report)
-    from dataclasses import replace
     cfg = parse_config("subcommand: counterexample\n")
-    cfg = replace(cfg, output=replace(cfg.output, directory=str(tmp_path)))
-    assert run(cfg) == EXIT_AUDIT_FAIL
+    assert run(cfg, str(tmp_path)) == EXIT_AUDIT_FAIL
 
 
 def test_main_usage_errors_exit_one(tmp_path):
@@ -733,6 +710,7 @@ def test_main_usage_errors_exit_one(tmp_path):
     assert main(["bogus"]) == EXIT_USAGE
     assert main(["sweep", "--jobs", "0"]) == EXIT_USAGE
     assert main(["solve", "--seed", "-1", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert main(["counterexample", "--out", ""]) == EXIT_USAGE
 
 
 def test_main_overrides_seed_and_out(tmp_path):

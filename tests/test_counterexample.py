@@ -11,13 +11,11 @@ from varlab.counterexample import (
     DivergenceReport,
     RadialProfile,
     _converged_shells,
-    amplitude_mass,
-    coercive_functional_value,
+    ball_integral,
     divergence_report,
     log_h1_limit,
     log_h1_seminorm,
     vn_value,
-    w11_seminorm,
 )
 
 #: the radial quadrature's starting points, as the config default
@@ -62,8 +60,6 @@ def test_sphere_measure_closed_forms():
         4.0 * math.pi, rel=1e-15)
     assert RadialProfile(4, 0.9, 1.0).sphere_measure == pytest.approx(
         2.0 * math.pi ** 2, rel=1e-15)
-    assert RadialProfile(3, 0.25, 1.0).ball_volume == pytest.approx(
-        4.0 * math.pi / 3.0, rel=1e-15)
 
 
 # ---------------------------------------------------------- profile values
@@ -97,31 +93,32 @@ def test_vn_value_vectorized_and_radius_validation():
 def test_zero_level_profile_is_trivial():
     p = RadialProfile(3, 0.25, 0.0)
     assert p.r_n == 1.0
-    assert w11_seminorm(p, QUAD_POINTS) == 0.0
+    assert ball_integral(p, "w11", QUAD_POINTS) == 0.0
     assert log_h1_seminorm(p) == 0.0
-    assert coercive_functional_value(p, QUAD_POINTS) == (0.0, 0.0)
+    assert ball_integral(p, "damped", QUAD_POINTS) == 0.0
+    assert ball_integral(p, "mass", QUAD_POINTS) == 0.0
     # amplitude of the zero field is the ball volume
-    assert amplitude_mass(p, QUAD_POINTS) == pytest.approx(p.ball_volume,
-                                                           rel=1e-15)
+    assert ball_integral(p, "amplitude", QUAD_POINTS) == pytest.approx(
+        4.0 * math.pi / 3.0, rel=1e-15)
 
 
 # ------------------------------------------------- frozen quadrature values
 
 
 def test_w11_seminorm_frozen_values():
-    assert w11_seminorm(RadialProfile(3, 0.25, 1.0), QUAD_POINTS) == \
+    assert ball_integral(RadialProfile(3, 0.25, 1.0), "w11", QUAD_POINTS) == \
         pytest.approx(2.1167401126946923, rel=1e-10)
-    assert w11_seminorm(RadialProfile(3, 0.25, 12.0), QUAD_POINTS) == \
+    assert ball_integral(RadialProfile(3, 0.25, 12.0), "w11", QUAD_POINTS) == \
         pytest.approx(2.1844945553976665, rel=1e-10)
 
 
 def test_w11_seminorm_requires_enough_points():
     p = RadialProfile(3, 0.25, 1.0)
     with pytest.raises(ValueError):
-        w11_seminorm(p, 99)
+        ball_integral(p, "w11", 99)
     # more points changes nothing once the doubling loop settles
-    assert w11_seminorm(p, 2048) == pytest.approx(
-        w11_seminorm(p, QUAD_POINTS), rel=1e-10)
+    assert ball_integral(p, "w11", 2048) == pytest.approx(
+        ball_integral(p, "w11", QUAD_POINTS), rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [1.0, 2.0, 3.0])
@@ -132,7 +129,7 @@ def test_w11_against_independent_trapezoid_oracle(n):
     integrand = (p.rho * r ** (-p.rho - 1.0)
                  * np.exp(r ** (-p.rho) - 1.0) * r ** 2)
     oracle = p.sphere_measure * np.trapezoid(integrand, r)
-    assert w11_seminorm(p, QUAD_POINTS) == pytest.approx(oracle, rel=1e-8)
+    assert ball_integral(p, "w11", QUAD_POINTS) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_square_mass_against_trapezoid_oracle():
@@ -141,7 +138,7 @@ def test_square_mass_against_trapezoid_oracle():
     shell = np.trapezoid(np.expm1(r ** (-0.25) - 1.0) ** 2 * r ** 2, r)
     plateau = (math.e - 1.0) ** 2 * p.r_n ** 3 / 3.0
     oracle = p.sphere_measure * (plateau + shell)
-    assert coercive_functional_value(p, QUAD_POINTS)[1] == pytest.approx(
+    assert ball_integral(p, "mass", QUAD_POINTS) == pytest.approx(
         oracle, rel=1e-7)
 
 
@@ -166,7 +163,7 @@ def test_log_h1_gap_follows_closed_form():
 ])
 def test_damped_route_matches_log_substitution_closed_form(dim, rho, n):
     p = RadialProfile(dim, rho, n)
-    damped, _ = coercive_functional_value(p, QUAD_POINTS)
+    damped = ball_integral(p, "damped", QUAD_POINTS)
     assert damped == pytest.approx(log_h1_seminorm(p), rel=1e-8)
 
 
@@ -175,9 +172,9 @@ def test_damped_route_matches_log_substitution_closed_form(dim, rho, n):
 ])
 def test_coercivity_chain_pointwise(dim, rho, n):
     p = RadialProfile(dim, rho, n)
-    w11 = w11_seminorm(p, QUAD_POINTS)
-    damped, _ = coercive_functional_value(p, QUAD_POINTS)
-    amp = amplitude_mass(p, QUAD_POINTS)
+    w11 = ball_integral(p, "w11", QUAD_POINTS)
+    damped = ball_integral(p, "damped", QUAD_POINTS)
+    amp = ball_integral(p, "amplitude", QUAD_POINTS)
     assert w11 <= 0.5 * damped + 0.5 * amp
 
 
@@ -214,8 +211,8 @@ def test_divergence_report_growth_ratio_at_reference_window():
 
 
 def test_w11_divergence_reaches_two_orders_of_magnitude_by_level_30():
-    base = w11_seminorm(RadialProfile(3, 0.25, 1.0), QUAD_POINTS)
-    high = w11_seminorm(RadialProfile(3, 0.25, 30.0), QUAD_POINTS)
+    base = ball_integral(RadialProfile(3, 0.25, 1.0), "w11", QUAD_POINTS)
+    high = ball_integral(RadialProfile(3, 0.25, 30.0), "w11", QUAD_POINTS)
     assert high / base == pytest.approx(103.06750962434293, rel=1e-8)
     assert high / base >= 100.0
 
@@ -240,7 +237,7 @@ def test_damped_column_is_bitwise_the_per_level_route(dim, rho, n_max):
     damped, rels = [], []
     for n in range(n_max + 1):
         p = RadialProfile(dim, rho, float(n))
-        d = coercive_functional_value(p, QUAD_POINTS)[0]
+        d = ball_integral(p, "damped", QUAD_POINTS)
         h = log_h1_seminorm(p)
         damped.append(d)
         rels.append(abs(d - h) / max(h, 1e-300) if h > 0 else 0.0)
@@ -255,11 +252,11 @@ def test_cumulative_columns_match_single_level_values(dim, rho, n_max):
     for n in rep.levels:
         p = RadialProfile(dim, rho, float(n))
         assert rep.w11_values[n] == pytest.approx(
-            w11_seminorm(p, QUAD_POINTS), rel=1e-12, abs=0.0)
+            ball_integral(p, "w11", QUAD_POINTS), rel=1e-12, abs=0.0)
         assert rep.square_mass_values[n] == pytest.approx(
-            coercive_functional_value(p, QUAD_POINTS)[1], rel=1e-12, abs=0.0)
+            ball_integral(p, "mass", QUAD_POINTS), rel=1e-12, abs=0.0)
         assert rep.amplitude_mass_values[n] == pytest.approx(
-            amplitude_mass(p, QUAD_POINTS), rel=1e-12, abs=0.0)
+            ball_integral(p, "amplitude", QUAD_POINTS), rel=1e-12, abs=0.0)
 
 
 def test_non_finite_shell_raises_after_one_evaluation():

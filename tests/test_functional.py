@@ -30,7 +30,6 @@ from varlab.grid import (
     build_interval_grid,
     build_rect_grid,
     field_from_values,
-    interpolate,
     zero_field,
 )
 from varlab.library import (
@@ -316,14 +315,6 @@ def test_clipped_datum_linf_bookkeeping():
         make_Jn_datum(f, 0.0)
 
 
-def test_clipped_datum_clips_callable_too():
-    grid = build_interval_grid(0.0, 1.0, 8)
-    f = make_library_datum(grid, "constant", {"value": 3.0})
-    fn = make_Jn_datum(f, 2.0)
-    probe = fn.fn(np.array([[0.5]]))
-    assert probe[0] == 2.0
-
-
 # ------------------------------------------------- coefficient/spec contracts
 
 
@@ -481,6 +472,7 @@ def test_energy_with_interpolated_parabola():
         b=make_coefficient(grid, "zero"),
         f=make_library_datum(grid, "constant"),
         solver_tol=1e-8, max_iter=50_000)
-    v = interpolate(grid, lambda x: x[:, 0] * (1 - x[:, 0]))
+    x = grid.nodes[:, 0]
+    v = field_from_values(grid, x * (1 - x))
     exact = 1.0 / 3.0 + 0.5 / 30.0 - 1.0 / 6.0
     assert eval_J(spec, v) == pytest.approx(exact, abs=1e-4)

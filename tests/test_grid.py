@@ -20,8 +20,6 @@ from varlab.grid import (
     damped_integrals,
     element_gradients,
     field_from_values,
-    integrate_at_quadrature,
-    interpolate,
     norm,
     tail,
     truncate,
@@ -106,12 +104,12 @@ def test_quadrature_degree2_exact_on_coordinates():
     # int_0^1 x^2 dx = 1/3 on segments; int over unit square of x^2 and x*y.
     g1 = build_interval_grid(0.0, 1.0, 1)
     x = g1.quad_coords[..., 0]
-    assert integrate_at_quadrature(g1, x**2) == pytest.approx(1 / 3, rel=1e-15)
+    assert np.sum(g1.quad_weights * x**2) == pytest.approx(1 / 3, rel=1e-15)
 
     g2 = build_rect_grid(1, 1, 1.0, 1.0)
     x, y = g2.quad_coords[..., 0], g2.quad_coords[..., 1]
-    assert integrate_at_quadrature(g2, x**2) == pytest.approx(1 / 3, rel=1e-14)
-    assert integrate_at_quadrature(g2, x * y) == pytest.approx(1 / 4, rel=1e-14)
+    assert np.sum(g2.quad_weights * x**2) == pytest.approx(1 / 3, rel=1e-14)
+    assert np.sum(g2.quad_weights * x * y) == pytest.approx(1 / 4, rel=1e-14)
 
 
 # ---------------------------------------------------------------- fields
@@ -119,14 +117,14 @@ def test_quadrature_degree2_exact_on_coordinates():
 
 def test_interpolate_pins_boundary():
     g = build_interval_grid(0.0, 1.0, 4)
-    v = interpolate(g, lambda p: p[:, 0])
+    v = field_from_values(g, g.nodes[:, 0])
     np.testing.assert_allclose(v.values, [0.0, 0.25, 0.5, 0.75, 0.0])
     assert v.zero_trace
 
 
 def test_interpolate_zero():
     g = build_rect_grid(2, 2, 1.0, 1.0)
-    v = interpolate(g, lambda p: np.zeros(p.shape[0]))
+    v = field_from_values(g, np.zeros(g.n_nodes))
     assert v.linf() == 0.0
 
 
@@ -146,7 +144,7 @@ def test_field_from_values_pins():
 
 def test_interpolated_sine_l2_matches_half():
     g = build_interval_grid(0.0, 1.0, 64)
-    v = interpolate(g, lambda p: np.sin(np.pi * p[:, 0]))
+    v = field_from_values(g, np.sin(np.pi * g.nodes[:, 0]))
     assert norm(v, "L2") == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-3)
 
 
@@ -300,7 +298,7 @@ def test_unknown_norm_rejected():
 
 def test_sine_h1_seminorm_squared():
     g = build_interval_grid(0.0, 1.0, 128)
-    v = interpolate(g, lambda p: np.sin(np.pi * p[:, 0]))
+    v = field_from_values(g, np.sin(np.pi * g.nodes[:, 0]))
     assert norm(v, "H1_semi") ** 2 == pytest.approx(np.pi**2 / 2, abs=1e-3)
 
 

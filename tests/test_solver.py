@@ -148,7 +148,7 @@ def test_m_schedule_fixpoint_coincidence():
     spec = _spec(cells=64, coeff=("constant", {"value": 1.0}),
                  datum=("sine", None))
     u, trace = solve_M_schedule(spec, spec.f, (2.0, 4.0, 8.0))
-    assert trace.fixpoint_found
+    assert trace.m_fixpoint_index is not None
     assert trace.m_fixpoint_index == 0
     f0, f1, f2 = (r.field.values for r in trace.records)
     assert np.max(np.abs(f1 - f0)) <= 1e-8
@@ -175,7 +175,7 @@ def test_m_schedule_without_fixpoint_is_flagged():
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
     u, trace = solve_M_schedule(spec, spec.f, (0.02,))
     assert u.linf() > 0.02
-    assert not trace.fixpoint_found
+    assert trace.m_fixpoint_index is None
     assert not trace.converged
 
 
