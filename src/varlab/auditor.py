@@ -24,7 +24,9 @@ from .grid import (
     DiscreteField,
     damped_integrals,
     element_gradients,
+    field_from_values,
     norm,
+    sample_at_quadrature,
     truncate,
     tail,
     values_at_quadrature,
@@ -315,10 +317,7 @@ def damped_pairing(u: DiscreteField, spec: ProblemSpec,
     g = u.grid
     grads = element_gradients(u)                              # (E, d)
     den = 1.0 + spec.b.quad_values * np.abs(values_at_quadrature(u))
-    phi_q = np.asarray(
-        phi(g.quad_coords.reshape(-1, g.dimension))).reshape(
-            g.quad_coords.shape)
-    dot = np.einsum("eqd,ed->eq", phi_q, grads)
+    dot = np.einsum("eqd,ed->eq", sample_at_quadrature(g, phi), grads)
     return float(np.sum(g.quad_weights * dot / den))
 
 
@@ -401,8 +400,8 @@ def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
     samples = []
     for _ in range(coercivity_samples):
         amp = 10.0 ** rng.uniform(-2.0, 2.0)
-        samples.append(DiscreteField(grid=grid, values=np.where(
-            grid.boundary_mask, 0.0, rng.uniform(-amp, amp, grid.n_nodes))))
+        samples.append(field_from_values(
+            grid, rng.uniform(-amp, amp, grid.n_nodes)))
     reports.append(audit_coercivity_chain(samples, spec.b))
 
     if spec.b.lower_bound > 0:
@@ -453,10 +452,8 @@ def minimality_check(spec: ProblemSpec, u: DiscreteField, n_samples: int,
     k = 0
     while len(comparisons) < n_samples:
         a = base * (0.5, 1.0, 2.0)[k % 3]
-        vals = np.where(u.grid.boundary_mask, 0.0,
-                        rng.uniform(-a, a, u.grid.n_nodes))
-        comparisons.append((f"random(amp={a:g},#{k})",
-                            DiscreteField(grid=u.grid, values=vals)))
+        comparisons.append((f"random(amp={a:g},#{k})", field_from_values(
+            u.grid, rng.uniform(-a, a, u.grid.n_nodes))))
         k += 1
     comparisons = comparisons[:n_samples]
 

@@ -80,15 +80,6 @@ class RadialProfile:
         return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def vn_value(p: RadialProfile, r):
-    """Profile value exp(T_n(r^(-rho) - 1)) - 1 at radius r (scalar or array)."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0) or np.any(arr > 1):
-        raise ValueError("radius must lie in (0, 1]")
-    out = np.expm1(np.clip(arr ** (-p.rho) - 1.0, 0.0, p.n))
-    return float(out) if np.isscalar(r) else out
-
-
 # -------------------------------------------------------- radial quadrature
 
 

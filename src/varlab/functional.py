@@ -30,6 +30,7 @@ from .grid import (
     DiscreteField,
     Grid,
     element_gradients,
+    sample_at_quadrature,
     values_at_quadrature,
 )
 
@@ -91,7 +92,6 @@ class CoefficientField:
 class Datum:
     """Source datum f sampled at quadrature points, with cached ∫|f|²."""
 
-    label: str
     grid: Grid
     quad_values: Array        # (E, Q)
     l2_norm_sq: float
@@ -109,12 +109,11 @@ class Datum:
 
 
 def make_datum(grid: Grid, fn: Callable[[Array], Array],
-               linf_bound: Optional[float] = None, label: str = "datum") -> Datum:
+               linf_bound: Optional[float] = None) -> Datum:
     """Sample `fn` at the quadrature points and cache its quadrature L² mass."""
-    flat = grid.quad_coords.reshape(-1, grid.dimension)
-    q = np.asarray(fn(flat), dtype=float).reshape(grid.quad_weights.shape)
+    q = sample_at_quadrature(grid, fn)
     l2sq = float(np.sum(grid.quad_weights * q * q))
-    return Datum(label=label, grid=grid, quad_values=q, l2_norm_sq=l2sq,
+    return Datum(grid=grid, quad_values=q, l2_norm_sq=l2sq,
                  linf_bound=linf_bound)
 
 
@@ -125,8 +124,8 @@ def make_Jn_datum(f: Datum, n: float) -> Datum:
     q = np.clip(f.quad_values, -n, n)
     l2sq = float(np.sum(f.grid.quad_weights * q * q))
     bound = float(n) if f.linf_bound is None else min(float(n), f.linf_bound)
-    return Datum(label=f"{f.label}|clip{n:g}", grid=f.grid, quad_values=q,
-                 l2_norm_sq=l2sq, linf_bound=bound)
+    return Datum(grid=f.grid, quad_values=q, l2_norm_sq=l2sq,
+                 linf_bound=bound)
 
 
 def check_schedule(levels, name: str = "schedule") -> tuple:
@@ -147,9 +146,10 @@ class ProblemSpec:
     """Full minimization instance: grid, integrand, damping b, datum f.
 
     Schedules may be None, in which case the solver derives them: the
-    amplitude schedule climbs in powers of two until it clears twice the
-    datum's sup bound, and the datum schedule is (1, 2, 4, 8, 16) for
-    unbounded data or a single sufficient level for bounded data.
+    datum schedule is (1, 2, 4, 8, 16) for unbounded data, or for bounded
+    data the single level n that is the first power of two at or above the
+    sup bound; each stage's amplitude schedule climbs in powers of two
+    from 1 until it reaches twice that stage's clamp level n.
     """
 
     grid: Grid
@@ -231,7 +231,7 @@ def residual(spec: ProblemSpec, v: DiscreteField, M: float = math.inf,
     g = spec.grid
     vq, den, j, xi = pieces if pieces is not None else energy_pieces(spec, v, M)
     w = g.quad_weights                                    # (E, Q)
-    bary = g.quadrature.points                            # (Q, L)
+    bary = g.quad_points                                  # (Q, L)
     grad_basis = g.basis_gradients                        # (E, L, d)
 
     # Element contributions, held as (L, E).  Each of the three terms is

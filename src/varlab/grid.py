@@ -6,16 +6,18 @@ upper-right diagonal). Fields are piecewise-linear nodal vectors whose boundary
 entries are pinned to zero, so the zero-trace constraint is structural rather
 than penalized.
 
-Quadrature is degree-2 exact per element: a 2-point Gauss rule on segments and
-the 3-point edge-midpoint rule on triangles. Nonlinear compositions (absolute
-values, amplitude denominators) are evaluated at the quadrature points of the
-interpolated field, so composition order matches the continuous expressions.
+Quadrature uses equal weights per element: the 2-point Gauss rule on segments
+(exact to degree 3) and the 3-point edge-midpoint rule on triangles (exact to
+degree 2). Nonlinear compositions (absolute values, amplitude denominators)
+are evaluated at the quadrature points of the interpolated field, so
+composition order matches the continuous expressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,39 +34,12 @@ def _frozen(a: Array) -> Array:
     return a
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Per-element rule in barycentric coordinates; weights sum to one."""
-
-    points: Array   # (Q, d+1) barycentric coordinates
-    weights: Array  # (Q,) positive, summing to 1
-
-    def __post_init__(self):
-        pts = _frozen(np.asarray(self.points, dtype=float))
-        wts = _frozen(np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        if pts.ndim != 2 or wts.ndim != 1 or pts.shape[0] != wts.shape[0]:
-            raise ValueError("quadrature points/weights shape mismatch")
-        if np.any(wts <= 0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(wts.sum() - 1.0) > 1e-14:
-            raise ValueError("quadrature weights must sum to 1")
-        if np.any(pts < -1e-14) or np.max(np.abs(pts.sum(axis=1) - 1.0)) > 1e-14:
-            raise ValueError("barycentric coordinates must be a convex combination")
-
-
-def _interval_rule() -> QuadratureRule:
-    # 2-point Gauss-Legendre per segment, degree-3 exact.
-    t = 1.0 / (2.0 * math.sqrt(3.0))
-    pts = np.array([[0.5 + t, 0.5 - t], [0.5 - t, 0.5 + t]])
-    return QuadratureRule(points=pts, weights=np.array([0.5, 0.5]))
-
-
-def _triangle_rule() -> QuadratureRule:
-    # Edge-midpoint rule, degree-2 exact on triangles.
-    pts = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    return QuadratureRule(points=pts, weights=np.array([1.0, 1.0, 1.0]) / 3.0)
+#: barycentric quadrature points, (Q, d+1); each carries the weight 1/Q
+_GAUSS = 1.0 / (2.0 * math.sqrt(3.0))
+_INTERVAL_POINTS = _frozen(np.array([[0.5 + _GAUSS, 0.5 - _GAUSS],
+                                     [0.5 - _GAUSS, 0.5 + _GAUSS]]))
+_TRIANGLE_POINTS = _frozen(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
+                                     [0.5, 0.0, 0.5]]))
 
 
 @dataclass(frozen=True)
@@ -77,7 +52,7 @@ class Grid:
     nodes : (P, dim) coordinates
     elements : (E, dim+1) node indices, positively oriented
     boundary_mask : (P,) True exactly at topological-boundary nodes
-    quadrature : per-element rule (barycentric)
+    quad_points : (Q, dim+1) barycentric quadrature points, weight 1/Q each
     element_measures : (E,) lengths / areas
     basis_gradients : (E, dim+1, dim), gradient of each nodal hat per element
     quad_coords : (E, Q, dim) physical quadrature points
@@ -88,7 +63,7 @@ class Grid:
     nodes: Array
     elements: Array
     boundary_mask: Array
-    quadrature: QuadratureRule
+    quad_points: Array
     element_measures: Array
     basis_gradients: Array
     quad_coords: Array
@@ -108,7 +83,7 @@ class Grid:
 
 
 def _finish_grid(dimension: int, nodes: Array, elements: Array,
-                 boundary: Array, rule: QuadratureRule) -> Grid:
+                 boundary: Array, points: Array) -> Grid:
     nodes = np.asarray(nodes, dtype=float)
     elements = np.asarray(elements, dtype=np.int64)
     if dimension == 1:
@@ -137,14 +112,14 @@ def _finish_grid(dimension: int, nodes: Array, elements: Array,
         grads[:, 0, :] = -inv[:, 0, :] - inv[:, 1, :]
     # physical quadrature points: sum_l bary_l * node_l
     corner = nodes[elements]                    # (E, d+1, dim)
-    qc = np.einsum("ql,eld->eqd", rule.points, corner)
-    qw = measures[:, None] * rule.weights[None, :]
+    qc = np.einsum("ql,eld->eqd", points, corner)
+    qw = measures[:, None] * np.full(points.shape[0], 1.0 / points.shape[0])
     return Grid(
         dimension=dimension,
         nodes=_frozen(nodes),
         elements=_frozen(elements),
         boundary_mask=_frozen(np.asarray(boundary, dtype=bool)),
-        quadrature=rule,
+        quad_points=points,
         element_measures=_frozen(measures),
         basis_gradients=_frozen(grads),
         quad_coords=_frozen(qc),
@@ -163,7 +138,7 @@ def build_interval_grid(a: float, b: float, cells: int) -> Grid:
     elements = np.stack([np.arange(cells), np.arange(1, cells + 1)], axis=1)
     boundary = np.zeros(cells + 1, dtype=bool)
     boundary[0] = boundary[-1] = True
-    return _finish_grid(1, nodes, elements, boundary, _interval_rule())
+    return _finish_grid(1, nodes, elements, boundary, _INTERVAL_POINTS)
 
 
 def build_rect_grid(x_cells: int, y_cells: int, lx: float, ly: float) -> Grid:
@@ -193,19 +168,20 @@ def build_rect_grid(x_cells: int, y_cells: int, lx: float, ly: float) -> Grid:
     ii = np.arange(x_cells + 1)[:, None]
     jj = np.arange(y_cells + 1)[None, :]
     boundary = ((ii == 0) | (ii == x_cells) | (jj == 0) | (jj == y_cells)).ravel()
-    return _finish_grid(2, nodes, elements, boundary, _triangle_rule())
+    return _finish_grid(2, nodes, elements, boundary, _TRIANGLE_POINTS)
 
 
 @dataclass(frozen=True)
 class DiscreteField:
     """Nodal values of a continuous piecewise-linear function.
 
-    Every constructor used by the minimization pipeline (`zero_field`,
-    `field_from_values`, the solver's updates) pins boundary entries to
-    exact zero, so pipeline fields are always admissible (zero trace).
-    Direct construction skips the pinning on purpose: analytic probes such
-    as ramps with nonzero boundary values are legitimate inputs for the
-    norm and inequality audits.
+    `zero_field` and `field_from_values` (the audits' random fields among
+    its callers) pin boundary entries to exact zero. `truncate`, `tail`
+    and the solver's updates keep zero boundary entries at zero, so
+    pipeline fields are always admissible (zero trace). Direct
+    construction skips the pinning on purpose: analytic probes such as
+    ramps with nonzero boundary values are legitimate inputs for the norm
+    and inequality audits.
     """
 
     grid: Grid
@@ -268,7 +244,15 @@ def element_gradients(v: DiscreteField) -> Array:
 def values_at_quadrature(v: DiscreteField) -> Array:
     """Interpolated field values at all quadrature points, shape (E, Q)."""
     g = v.grid
-    return v.values[g.elements] @ g.quadrature.points.T
+    return v.values[g.elements] @ g.quad_points.T
+
+
+def sample_at_quadrature(grid: Grid, fn: Callable[[Array], Array]) -> Array:
+    """`fn` of the (E·Q, dim) physical quadrature points, as (E, Q), or as
+    (E, Q, k) for a function with k components per point."""
+    out = np.asarray(fn(grid.quad_coords.reshape(-1, grid.dimension)),
+                     dtype=float)
+    return out.reshape(grid.quad_weights.shape + out.shape[1:])
 
 
 def norm(v: DiscreteField, which: str) -> float:
@@ -317,7 +301,7 @@ def damped_integrals(grid: Grid, values: Array, b_q: Array) -> tuple:
         local = values[lo:lo + rows, grid.elements]           # (B, E, L)
         grads = np.linalg.norm(np.einsum(
             "sel,eld->sed", local, grid.basis_gradients), axis=2)[..., None]
-        amp = 1.0 + b_q * np.abs(local @ grid.quadrature.points.T)   # (B, E, Q)
+        amp = 1.0 + b_q * np.abs(local @ grid.quad_points.T)   # (B, E, Q)
         w11[lo:lo + rows] = row_sums(w * grads)
         damped[lo:lo + rows] = row_sums(w * (grads / amp) ** 2)
         amplitude[lo:lo + rows] = row_sums(w * amp ** 2)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .functional import CoefficientField, Datum, Integrand, make_datum
-from .grid import Array, Grid
+from .grid import Grid, sample_at_quadrature
 
 
 class Kind(NamedTuple):
@@ -115,11 +115,6 @@ def _unit_box(grid: Grid):
     return lambda x: (x - lo) / span
 
 
-def _sample_coefficient(grid: Grid, fn: Callable[[Array], Array]) -> Array:
-    flat = grid.quad_coords.reshape(-1, grid.dimension)
-    return np.asarray(fn(flat), dtype=float).reshape(grid.quad_weights.shape)
-
-
 def _const_coeff(grid: Grid, params: dict) -> CoefficientField:
     value = float(params.get("value", 1.0))
     if value < 0:
@@ -140,7 +135,7 @@ def _step_coeff(grid: Grid, params: dict) -> CoefficientField:
     if height <= 0:
         raise ValueError(f"step coefficient needs height > 0, got {height}")
     unit = _unit_box(grid)
-    q = _sample_coefficient(grid, lambda x: height * (unit(x)[:, 0] >= 0.5))
+    q = sample_at_quadrature(grid, lambda x: height * (unit(x)[:, 0] >= 0.5))
     return CoefficientField(label=f"step(height={height:g})", grid=grid,
                             quad_values=q, lower_bound=0.0, upper_bound=height)
 
@@ -158,7 +153,7 @@ def _bump_coeff(grid: Grid, params: dict) -> CoefficientField:
             out = out * np.sin(math.pi * u[:, axis]) ** 2
         return out
 
-    q = _sample_coefficient(grid, fn)
+    q = sample_at_quadrature(grid, fn)
     return CoefficientField(label=f"smooth-bump(height={height:g})", grid=grid,
                             quad_values=q, lower_bound=0.0, upper_bound=height)
 
@@ -182,7 +177,7 @@ def make_coefficient(grid: Grid, kind: str,
 def _const_datum(grid: Grid, params: dict) -> Datum:
     value = float(params.get("value", 1.0))
     return make_datum(grid, lambda x: np.full(x.shape[0], value),
-                      linf_bound=abs(value), label=f"constant({value:g})")
+                      linf_bound=abs(value))
 
 
 def _sine_datum(grid: Grid, params: dict) -> Datum:
@@ -196,8 +191,7 @@ def _sine_datum(grid: Grid, params: dict) -> Datum:
             out = out * np.sin(math.pi * u[:, axis])
         return out
 
-    return make_datum(grid, fn, linf_bound=abs(amplitude),
-                      label=f"sine(amplitude={amplitude:g})")
+    return make_datum(grid, fn, linf_bound=abs(amplitude))
 
 
 def _power_datum(grid: Grid, params: dict) -> Datum:
@@ -214,8 +208,7 @@ def _power_datum(grid: Grid, params: dict) -> Datum:
         r = np.linalg.norm(x - corner, axis=1)
         return np.where(r > 0, r, np.finfo(float).tiny) ** (-exponent)
 
-    return make_datum(grid, fn, linf_bound=None,
-                      label=f"power-singularity(exponent={exponent:g})")
+    return make_datum(grid, fn, linf_bound=None)
 
 
 def _step_datum(grid: Grid, params: dict) -> Datum:
@@ -226,8 +219,7 @@ def _step_datum(grid: Grid, params: dict) -> Datum:
     def fn(x):
         return np.where(unit(x)[:, 0] < 0.5, high, low)
 
-    return make_datum(grid, fn, linf_bound=max(abs(high), abs(low)),
-                      label=f"step(high={high:g},low={low:g})")
+    return make_datum(grid, fn, linf_bound=max(abs(high), abs(low)))
 
 
 DATA: dict = {

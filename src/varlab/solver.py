@@ -53,8 +53,8 @@ class StageRecord:
     iterations: int
     converged: bool
     residual_linf: float
-    energy: float
-    energy_history: tuple   # accepted energies, starting value first
+    energy_history: tuple   # accepted energies, starting value first; the
+                            # last is the stage's final energy
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class Preconditioner:
     def __init__(self, spec: ProblemSpec):
         g = spec.grid
         L = g.elements.shape[1]
-        bary = g.quadrature.points                       # (Q, L)
+        bary = g.quad_points                             # (Q, L)
         # local mass blocks: sum_q w_eq * lam_l(q) * lam_m(q)
         mass = np.einsum("eq,ql,qm->elm", g.quad_weights, bary, bary)
         # local stiffness geometry: |e| * grad(lam_l) . grad(lam_m)
@@ -109,15 +109,17 @@ class Preconditioner:
                           g.basis_gradients, g.basis_gradients)
         rows = np.repeat(g.elements, L, axis=1).ravel()
         cols = np.tile(g.elements, (1, L)).ravel()
-        # boundary rows/cols dropped; identity added for those nodes
+        owner = np.repeat(np.arange(g.n_elements), L * L)
+        # boundary rows/cols dropped; the identity for those nodes is appended
+        # as mass 1 and stiffness 0, so every factor assembles the same triplets
         interior = ~g.boundary_mask
         keep = interior[rows] & interior[cols]
-        self._rows = rows[keep]
-        self._cols = cols[keep]
-        self._mass = mass.ravel()[keep]
-        self._stiff = stiff.ravel()[keep]
-        self._stiff_owner = np.repeat(np.arange(g.n_elements), L * L)[keep]
-        self._eye_rows = np.flatnonzero(g.boundary_mask)
+        eye = np.flatnonzero(g.boundary_mask)
+        self._rows = np.concatenate([rows[keep], eye])
+        self._cols = np.concatenate([cols[keep], eye])
+        self._mass = np.concatenate([mass.ravel()[keep], np.ones(eye.size)])
+        self._stiff = np.concatenate([stiff.ravel()[keep], np.zeros(eye.size)])
+        self._stiff_owner = np.concatenate([owner[keep], np.zeros_like(eye)])
         self._n = g.n_nodes
         self._scale = spec.integrand.alpha + spec.integrand.beta
         self._b_bar = spec.b.quad_values.mean(axis=1)     # (E,)
@@ -126,12 +128,9 @@ class Preconditioner:
         """Return a solve callable for the current damped matrix."""
         v_bar = np.abs(values_at_quadrature(v)).mean(axis=1)
         damp = self._scale / (1.0 + self._b_bar * np.minimum(v_bar, M)) ** 2
-        data = self._mass + damp[self._stiff_owner] * self._stiff
         P = sp.csc_matrix(
-            (np.concatenate([data, np.ones(self._eye_rows.size)]),
-             (np.concatenate([self._rows, self._eye_rows]),
-              np.concatenate([self._cols, self._eye_rows]))),
-            shape=(self._n, self._n))
+            (self._mass + damp[self._stiff_owner] * self._stiff,
+             (self._rows, self._cols)), shape=(self._n, self._n))
         return spla.splu(P).solve
 
 
@@ -226,7 +225,7 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
 
     record = StageRecord(m_level=float(M), field=v, iterations=iterations,
                          converged=converged, residual_linf=res_linf,
-                         energy=energy, energy_history=tuple(history))
+                         energy_history=tuple(history))
     return v, record
 
 
@@ -294,8 +293,9 @@ def solve_outer(spec: ProblemSpec) -> Tuple[DiscreteField, SolveTrace]:
         datum = make_Jn_datum(spec.f, n)
         m_schedule = spec.m_schedule or _powers_up_to(2.0 * n)
         v, inner = solve_M_schedule(spec, datum, m_schedule, start=current)
-        stages.append(OuterStageResult(n_level=float(n), field=v, inner=inner,
-                                       energy=inner.records[-1].energy))
+        stages.append(OuterStageResult(
+            n_level=float(n), field=v, inner=inner,
+            energy=inner.records[-1].energy_history[-1]))
         if current is not None:
             diff = DiscreteField(grid=spec.grid, values=v.values - current.values)
             stabilization.append(norm(diff, "L2"))

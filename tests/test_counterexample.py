@@ -15,7 +15,6 @@ from varlab.counterexample import (
     divergence_report,
     log_h1_limit,
     log_h1_seminorm,
-    vn_value,
 )
 
 #: the radial quadrature's starting points, as the config default
@@ -63,31 +62,6 @@ def test_sphere_measure_closed_forms():
 
 
 # ---------------------------------------------------------- profile values
-
-
-def test_vn_value_boundary_plateau_and_interior():
-    p = RadialProfile(3, 0.25, 1.0)
-    assert vn_value(p, 1.0) == 0.0
-    # on the plateau the clamp saturates at the level
-    assert vn_value(p, p.r_n / 2.0) == pytest.approx(math.e - 1.0, rel=1e-15)
-    assert vn_value(p, p.r_n) == pytest.approx(math.e - 1.0, rel=1e-12)
-    # interior: clamp inactive, value below the plateau
-    expected = math.exp(0.5 ** (-0.25) - 1.0) - 1.0
-    assert vn_value(p, 0.5) == pytest.approx(expected, rel=1e-15)
-    assert vn_value(p, 0.5) < math.e - 1.0
-
-
-def test_vn_value_vectorized_and_radius_validation():
-    p = RadialProfile(3, 0.25, 2.0)
-    r = np.array([0.25, 0.5, 1.0])
-    out = vn_value(p, r)
-    assert out.shape == (3,)
-    assert out[2] == 0.0
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            vn_value(p, bad)
-    with pytest.raises(ValueError):
-        vn_value(p, np.array([0.5, -1.0]))
 
 
 def test_zero_level_profile_is_trivial():

@@ -225,7 +225,7 @@ def _einsum_residual(spec, v, M):
     xi = np.broadcast_to(grads[:, None, :], g.quad_coords.shape)
     j = spec.integrand.density(g.quad_coords, xi)
     w = g.quad_weights
-    bary = g.quadrature.points
+    bary = g.quad_points
     dj = spec.integrand.grad(g.quad_coords, xi)
     local = np.einsum("eq,eqd,eld->el", w / den, dj, g.basis_gradients)
     den_chain = -2.0 * j / den ** 1.5 * spec.b.quad_values \

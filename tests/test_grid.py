@@ -94,9 +94,11 @@ def test_rect_grid_rejects(args):
 
 def test_quadrature_rule_contract():
     for g in (build_interval_grid(0, 1, 3), build_rect_grid(2, 2, 1, 1)):
-        w = g.quadrature.weights
-        assert np.all(w > 0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        bary = g.quad_points
+        assert bary.shape == (g.quad_weights.shape[1], g.dimension + 1)
+        assert np.all(bary >= 0)
+        np.testing.assert_allclose(bary.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.all(g.quad_weights > 0)
         np.testing.assert_allclose(g.quad_weights.sum(axis=1), g.element_measures)
 
 

@@ -18,6 +18,7 @@ from varlab.grid import (
     build_interval_grid,
     build_rect_grid,
     field_from_values,
+    norm,
     zero_field,
 )
 from varlab.library import make_coefficient, make_integrand, make_library_datum
@@ -317,6 +318,49 @@ def test_refinement_validation():
         refinement_study(lambda c: _spec(cells=c), (16,))
     with pytest.raises(ValueError):
         refinement_study(lambda c: _spec(cells=c), (32, 16))
+
+
+# ---------------------------------------------------- manufactured solutions
+
+#: sup of the manufactured datum, reached where |∇u*|² = 9π² on the boundary
+MANUFACTURED_SUP = 18.0 * math.pi ** 2
+
+
+def _manufactured(x):
+    """u* = 3·∏ sin(πx_i) and the datum f = −2Δu/(1+u)² + 2|∇u|²/(1+u)³ + u
+    for which u* solves the Euler–Lagrange equation of j = |ξ|², b ≡ 1
+    (u* > 0 inside, so |u| = u there)."""
+    s, c = np.sin(math.pi * x), np.cos(math.pi * x)
+    u = 3.0 * np.prod(s, axis=1)
+    grad_sq = sum((3.0 * math.pi * c[:, i]
+                   * np.prod(np.delete(s, i, axis=1), axis=1)) ** 2
+                  for i in range(x.shape[1]))
+    laplacian = -x.shape[1] * math.pi ** 2 * u
+    return u, -2.0 * laplacian / (1.0 + u) ** 2 + 2.0 * grad_sq / (1.0 + u) ** 3 + u
+
+
+@pytest.mark.parametrize("dimension,cell_counts", [
+    (1, (64, 128, 256, 512, 1024)), (2, (16, 32, 64))])
+def test_manufactured_solution_second_order(dimension, cell_counts):
+    # both clamp levels lie above sup u* = 3, so no stage sits on the kink
+    # of the clamp at |v| = M (the default schedule starts at M = 1)
+    errors = []
+    for cells in cell_counts:
+        grid = (build_interval_grid(0.0, 1.0, cells) if dimension == 1
+                else build_rect_grid(cells, cells, 1.0, 1.0))
+        f = make_datum(grid, lambda x: _manufactured(x)[1],
+                       linf_bound=MANUFACTURED_SUP)
+        assert np.max(np.abs(f.quad_values)) <= MANUFACTURED_SUP
+        spec = ProblemSpec(grid=grid, integrand=make_integrand("quadratic"),
+                           b=make_coefficient(grid, "constant", {"value": 1.0}),
+                           f=f, solver_tol=1e-10, max_iter=1000,
+                           m_schedule=(4.0, 8.0))
+        u, trace = solve_outer(spec)
+        assert trace.converged
+        exact = _manufactured(grid.nodes)[0]
+        errors.append(norm(DiscreteField(grid, u.values - exact), "L2"))
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(o >= 1.9 for o in orders), (errors, orders)
 
 
 # --------------------------------------------------------------- minimality
