@@ -8,6 +8,8 @@ must leave unchanged:
   - the default 48-point `varlab sweep` at seed 4 with two worker
     processes (`--jobs 2`);
   - the default `varlab audit`;
+  - a `varlab audit` of the constant datum 20, whose solution rises to
+    about 19.5, far above the clamp levels of the other runs;
   - a 2D 24x24 `varlab audit`;
   - the default `varlab counterexample`, and the three deep tables
     (dimension, rho, n_max) = (3, 1/4, 300), (5, 1/2, 330) and (8, 1, 335);
@@ -50,6 +52,8 @@ from varlab.cli import main as cli_main  # noqa: E402
 
 AUDIT_2D = ("subcommand: audit\n"
             "domain: {dimension: 2, x_cells: 24, y_cells: 24}\n")
+AUDIT_CONSTANT20 = ("subcommand: audit\n"
+                    "datum: {kind: constant, params: {value: 20}}\n")
 CERTIFY_SCALED = ("subcommand: certify\n"
                   "integrand: {kind: quadratic, params: {scale: 2}}\n")
 DEEP_WITNESSES = ((3, 0.25, 300), (5, 0.5, 330), (8, 1.0, 335))
@@ -62,6 +66,7 @@ def runs() -> list:
     out += [("sweep-default-jobs2", "sweep", None,
              ["--jobs", "2", "--seed", "4"]),
             ("audit-default", "audit", None, []),
+            ("audit-constant20", "audit", AUDIT_CONSTANT20, []),
             ("audit-2d-24", "audit", AUDIT_2D, []),
             ("counterexample-default", "counterexample", None, [])]
     out += [(f"counterexample-d{dim}-rho{rho:g}-n{n_max}", "counterexample",

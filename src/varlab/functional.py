@@ -148,8 +148,8 @@ class ProblemSpec:
     Schedules may be None, in which case the solver derives them: the
     datum schedule is (1, 2, 4, 8, 16) for unbounded data, or for bounded
     data the single level n that is the first power of two at or above the
-    sup bound; each stage's amplitude schedule climbs in powers of two
-    from 1 until it reaches twice that stage's clamp level n.
+    sup bound; each stage's amplitude schedule is the one level M = 2n,
+    twice that stage's clamp level n.
     """
 
     grid: Grid

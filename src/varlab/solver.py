@@ -14,11 +14,12 @@ per element the stiffness block is scaled by (α+β)/(1+b̄·min(|v̄|,M))², wh
 for the plain quadratic integrand with b ≡ 0 reproduces the exact Hessian,
 so that regime converges in a handful of steps.
 
-The amplitude schedule walks M upward, warm-starting each stage from the
-previous one; once the clamp is inactive the residual carries over unchanged
-and subsequent stages cost zero iterations — that coincidence (infinity-norm
-distance ≤ 10·solver_tol between consecutive stages) is the fixpoint
-detector. The outer schedule does the same over clamped data f_n.
+Each outer stage n minimizes J_M once, at M = 2n, warm-started from the
+previous stage. The clamp is certified inactive when the iterate has
+‖v‖∞ < M: quadrature values are convex combinations of nodal values, so
+|v| < M at every point and J_M coincides with J near v. An explicit
+schedule runs every level; its fixpoint is the first level so certified.
+The outer schedule warm-starts the same way over clamped data f_n.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .grid import DiscreteField, norm, values_at_quadrature, zero_field
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
-FIXPOINT_FACTOR = 10.0
 
 
 # ----------------------------------------------------------------- records
@@ -62,7 +62,7 @@ class MScheduleTrace:
     """All clamp stages for one datum, plus the fixpoint bookkeeping."""
 
     records: tuple                      # of StageRecord
-    m_fixpoint_index: Optional[int]     # first index whose field the rest repeat
+    m_fixpoint_index: Optional[int]     # first index with ‖v‖∞ < its level M
 
     @property
     def converged(self) -> bool:
@@ -232,12 +232,12 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
 # -------------------------------------------------------------- M schedule
 
 
-def _powers_up_to(target: float) -> tuple:
-    """(1, 2, 4, …) until the first level ≥ max(target, 1)."""
-    levels = [1.0]
-    while levels[-1] < target:
-        levels.append(levels[-1] * 2.0)
-    return tuple(levels)
+def _power_at_least(target: float) -> float:
+    """The first of 1, 2, 4, … that is ≥ target."""
+    level = 1.0
+    while level < target:
+        level *= 2.0
+    return level
 
 
 def solve_M_schedule(spec: ProblemSpec, datum: Datum, schedule: tuple,
@@ -256,21 +256,12 @@ def solve_M_schedule(spec: ProblemSpec, datum: Datum, schedule: tuple,
 
     precond = Preconditioner(stage_spec)
     records = []
-    fields = []
     fixpoint = None
     for i, M in enumerate(schedule):
         v, rec = minimize_inner(stage_spec, M, v, precond)
         records.append(rec)
-        fields.append(v)
-        if fixpoint is None and i > 0:
-            dist = float(np.max(np.abs(fields[i].values - fields[i - 1].values)))
-            if dist <= FIXPOINT_FACTOR * spec.solver_tol:
-                fixpoint = i - 1
-    if fixpoint is None and v.linf() < schedule[-1]:
-        # consecutive-stage coincidence never fired (e.g. a one-level
-        # schedule), but the clamp is verifiably inactive at the last level,
-        # which is the fixpoint property itself
-        fixpoint = len(schedule) - 1
+        if fixpoint is None and v.linf() < M:
+            fixpoint = i
     return v, MScheduleTrace(records=tuple(records), m_fixpoint_index=fixpoint)
 
 
@@ -284,14 +275,14 @@ def solve_outer(spec: ProblemSpec) -> Tuple[DiscreteField, SolveTrace]:
     elif spec.f.linf_bound is None:
         n_schedule = (1.0, 2.0, 4.0, 8.0, 16.0)
     else:
-        n_schedule = (_powers_up_to(spec.f.linf_bound)[-1],)
+        n_schedule = (_power_at_least(spec.f.linf_bound),)
 
     stages = []
     stabilization = []
     current: Optional[DiscreteField] = None
     for n in n_schedule:
         datum = make_Jn_datum(spec.f, n)
-        m_schedule = spec.m_schedule or _powers_up_to(2.0 * n)
+        m_schedule = spec.m_schedule or (2.0 * n,)
         v, inner = solve_M_schedule(spec, datum, m_schedule, start=current)
         stages.append(OuterStageResult(
             n_level=float(n), field=v, inner=inner,

@@ -680,6 +680,21 @@ def test_non_convergence_exit_takes_precedence(tmp_path):
     assert report["exit_status"] == EXIT_NOT_CONVERGED
 
 
+def test_large_constant_datum_audit_converges(tmp_path):
+    # sup u ≈ 19.5: a clamp level below it puts quadrature points on the
+    # kink |v| = M, where a stage cannot reach tol and spends max_iter
+    cfg_file = tmp_path / "constant20.yaml"
+    cfg_file.write_text("subcommand: audit\n"
+                        "datum: {kind: constant, params: {value: 20}}\n"
+                        "solver: {max_iter: 2000}\n")
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(cfg_file), "--out", str(out)]) \
+        == EXIT_OK
+    report = _read_json(out / "report.json")
+    assert report["converged"] is True
+    assert report["stages"] and all(s["converged"] for s in report["stages"])
+
+
 def test_counterexample_assertion_failure_maps_to_audit_exit(
         tmp_path, monkeypatch):
     import varlab.cli as cli_mod
