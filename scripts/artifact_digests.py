@@ -11,6 +11,9 @@ must leave unchanged:
   - a `varlab audit` of the constant datum 20, whose solution rises to
     about 19.5, far above the clamp levels of the other runs;
   - a 2D 24x24 `varlab audit`;
+  - a linear 1D `varlab solve` (quadratic integrand, zero coefficient,
+    constant datum) at 2·10⁵ cells without the solution CSV, where a
+    decrease test that shrinks with the mesh stops converging in one step;
   - the default `varlab counterexample`, and the three deep tables
     (dimension, rho, n_max) = (3, 1/4, 300), (5, 1/2, 330) and (8, 1, 335);
   - the default `varlab certify`, and one that adds the quadratic
@@ -54,6 +57,12 @@ AUDIT_2D = ("subcommand: audit\n"
             "domain: {dimension: 2, x_cells: 24, y_cells: 24}\n")
 AUDIT_CONSTANT20 = ("subcommand: audit\n"
                     "datum: {kind: constant, params: {value: 20}}\n")
+SOLVE_LINEAR_200K = ("subcommand: solve\n"
+                     "domain: {dimension: 1, cells: 200000}\n"
+                     "integrand: {kind: quadratic}\n"
+                     "coefficient: {kind: zero}\n"
+                     "datum: {kind: constant}\n"
+                     "output: {csv: false}\n")
 CERTIFY_SCALED = ("subcommand: certify\n"
                   "integrand: {kind: quadratic, params: {scale: 2}}\n")
 DEEP_WITNESSES = ((3, 0.25, 300), (5, 0.5, 330), (8, 1.0, 335))
@@ -68,6 +77,7 @@ def runs() -> list:
             ("audit-default", "audit", None, []),
             ("audit-constant20", "audit", AUDIT_CONSTANT20, []),
             ("audit-2d-24", "audit", AUDIT_2D, []),
+            ("solve-linear-200k", "solve", SOLVE_LINEAR_200K, []),
             ("counterexample-default", "counterexample", None, [])]
     out += [(f"counterexample-d{dim}-rho{rho:g}-n{n_max}", "counterexample",
              f"subcommand: counterexample\ncounterexample: {{dimension: {dim}, "

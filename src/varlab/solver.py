@@ -3,16 +3,22 @@
 The inner loop minimizes the clamped energy eval_JM for one amplitude level
 M by preconditioned limited-memory quasi-Newton (the L-BFGS two-loop
 recursion over the last ten curvature pairs, around the preconditioner
-below) with Armijo backtracking; when the memory stops yielding a descent
-direction it is cleared and the step falls back to the preconditioned
-gradient. The accepted step always satisfies the literal decrease contract
+below) with Armijo backtracking from the unit step; when the memory stops
+yielding a descent direction it is cleared and the step falls back to the
+preconditioned gradient. With r the residual (the exact nodal gradient of
+E) and d a descent direction (rᵀd < 0), the accepted step always satisfies
+the Armijo decrease contract (Nocedal & Wright, 2nd ed., §3.1)
 
-    E(v + s·d) <= E(v) - c·s·‖d‖²,   c = 1e-4.
+    E(v + s·d) <= E(v) + c·s·rᵀd,   c = 1e-4,
+
+which does not depend on the mesh.
 
 The preconditioner is the SPD matrix (quadrature mass) + (damped stiffness):
 per element the stiffness block is scaled by (α+β)/(1+b̄·min(|v̄|,M))², which
 for the plain quadratic integrand with b ≡ 0 reproduces the exact Hessian,
-so that regime converges in a handful of steps.
+so that regime converges in a handful of steps. It is tridiagonal in 1D and
+factored there by banded Cholesky; in 2D SuperLU factors it in symmetric
+mode (minimum degree on AᵀA + A, diagonal pivots).
 
 Each outer stage n minimizes J_M once, at M = 2n, warm-started from the
 previous stage. The clamp is certified inactive when the iterate has
@@ -29,6 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -96,7 +103,10 @@ class SolveTrace:
 
 
 class Preconditioner:
-    """Mass + amplitude-damped stiffness, reassembled as the field moves."""
+    """Mass + amplitude-damped stiffness, reassembled as the field moves.
+
+    Boundary nodes get the identity: mass 1, stiffness 0, no couplings.
+    """
 
     def __init__(self, spec: ProblemSpec):
         g = spec.grid
@@ -107,12 +117,24 @@ class Preconditioner:
         # local stiffness geometry: |e| * grad(lam_l) . grad(lam_m)
         stiff = np.einsum("e,eld,emd->elm", g.element_measures,
                           g.basis_gradients, g.basis_gradients)
+        self._scale = spec.integrand.alpha + spec.integrand.beta
+        self._b_bar = spec.b.quad_values.mean(axis=1)     # (E,)
+        interior = ~g.boundary_mask
+        if g.dimension == 1:
+            # element e joins nodes e and e+1, so P is tridiagonal; its
+            # upper band holds the diagonal in row 1 and the coupling of
+            # nodes e, e+1 in row 0, column e+1
+            self._band_keep = np.zeros((2, g.n_nodes), dtype=bool)
+            self._band_keep[0, 1:] = interior[:-1] & interior[1:]
+            self._band_keep[1] = interior
+            self._boundary = g.boundary_mask
+            self._mass_blocks, self._stiff_blocks = mass, stiff
+            return
         rows = np.repeat(g.elements, L, axis=1).ravel()
         cols = np.tile(g.elements, (1, L)).ravel()
         owner = np.repeat(np.arange(g.n_elements), L * L)
         # boundary rows/cols dropped; the identity for those nodes is appended
         # as mass 1 and stiffness 0, so every factor assembles the same triplets
-        interior = ~g.boundary_mask
         keep = interior[rows] & interior[cols]
         eye = np.flatnonzero(g.boundary_mask)
         self._rows = np.concatenate([rows[keep], eye])
@@ -121,17 +143,31 @@ class Preconditioner:
         self._stiff = np.concatenate([stiff.ravel()[keep], np.zeros(eye.size)])
         self._stiff_owner = np.concatenate([owner[keep], np.zeros_like(eye)])
         self._n = g.n_nodes
-        self._scale = spec.integrand.alpha + spec.integrand.beta
-        self._b_bar = spec.b.quad_values.mean(axis=1)     # (E,)
 
     def factor(self, v: DiscreteField, M: float):
         """Return a solve callable for the current damped matrix."""
         v_bar = np.abs(values_at_quadrature(v)).mean(axis=1)
         damp = self._scale / (1.0 + self._b_bar * np.minimum(v_bar, M)) ** 2
+        if v.grid.dimension == 1:
+            band = self._band_keep * _upper_band(
+                self._mass_blocks + damp[:, None, None] * self._stiff_blocks)
+            band[1, self._boundary] = 1.0
+            chol = (sla.cholesky_banded(band), False)
+            return lambda rhs: sla.cho_solve_banded(chol, rhs)
         P = sp.csc_matrix(
             (self._mass + damp[self._stiff_owner] * self._stiff,
              (self._rows, self._cols)), shape=(self._n, self._n))
-        return spla.splu(P).solve
+        return spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).solve
+
+
+def _upper_band(blocks: np.ndarray) -> np.ndarray:
+    """(2, E+1) upper band of the sum of 1D element blocks (E, 2, 2)."""
+    band = np.zeros((2, blocks.shape[0] + 1))
+    band[0, 1:] = blocks[:, 0, 1]
+    band[1, :-1] = blocks[:, 0, 0]
+    band[1, 1:] += blocks[:, 1, 1]
+    return band
 
 
 # ------------------------------------------------------------- inner solver
@@ -155,7 +191,6 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
     history = [energy]
     r = residual(spec, v, M, pieces=pieces)
     res_linf = float(np.max(np.abs(r)))
-    step = 1.0
     iterations = 0
     converged = res_linf <= spec.solver_tol
     # curvature memory (limited-memory quasi-Newton on top of the damped
@@ -192,19 +227,20 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
             if curv > 1e-12 * float(np.linalg.norm(s_vec) * np.linalg.norm(y_vec)):
                 mem_pairs.append((s_vec, y_vec, 1.0 / curv))
         d = -two_loop(r)
-        if float(r @ d) >= 0.0:        # memory turned sour: fall back
+        slope = float(r @ d)
+        if slope >= 0.0:               # memory turned sour: fall back
             mem_s.clear()
             mem_y.clear()
             d = -apply_P(r)
-        d_sq = float(d @ d)
+            slope = float(r @ d)
         accepted = False
-        s = step
+        s = 1.0
         for bt in range(MAX_BACKTRACKS + 1):
             trial_vals = v.values + s * d
             trial = DiscreteField(grid=spec.grid, values=trial_vals)
             pieces = energy_pieces(spec, trial, M)
             trial_energy = eval_JM(spec, trial, M, pieces=pieces)
-            if trial_energy <= energy - ARMIJO_C * s * d_sq:
+            if trial_energy <= energy + ARMIJO_C * s * slope:
                 accepted = True
                 break
             s *= BACKTRACK
@@ -219,7 +255,6 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
         v, energy, r = trial, trial_energy, r_new
         history.append(energy)
         iterations += 1
-        step = min(s * 2.0, 1024.0) if s == step else 1.0
         res_linf = float(np.max(np.abs(r)))
         converged = res_linf <= spec.solver_tol
 

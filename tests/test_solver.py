@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from varlab.auditor import minimality_check
 from varlab.functional import ProblemSpec, eval_J, eval_JM, make_datum
@@ -19,6 +21,7 @@ from varlab.grid import (
     build_rect_grid,
     field_from_values,
     norm,
+    values_at_quadrature,
     zero_field,
 )
 from varlab.library import make_coefficient, make_integrand, make_library_datum
@@ -140,6 +143,60 @@ def test_warm_start_independence_convex_case():
         Preconditioner(spec))
     assert rec_cold.converged and rec_warm.converged
     assert np.max(np.abs(u_cold.values - u_warm.values)) <= 1e-6
+
+
+def test_linear_solve_iterations_do_not_grow_with_the_mesh():
+    # the preconditioner is the exact Hessian here, so the first Newton step
+    # is the minimizer; a decrease test on ‖d‖² rejected it from about 2·10⁵
+    # cells on, which the directional-derivative test does not
+    spec = _spec(cells=200_000)
+    _, trace = solve_outer(spec)
+    assert trace.converged
+    assert sum(r.iterations for r in trace.stages[-1].inner.records) <= 2
+
+
+def _csc_preconditioner(spec, v, M):
+    """The preconditioner as a general sparse matrix: triplets of the element
+    mass and damped stiffness blocks, identity rows at the boundary."""
+    g = spec.grid
+    L = g.elements.shape[1]
+    bary = g.quad_points
+    v_bar = np.abs(values_at_quadrature(v)).mean(axis=1)
+    b_bar = spec.b.quad_values.mean(axis=1)
+    damp = ((spec.integrand.alpha + spec.integrand.beta)
+            / (1.0 + b_bar * np.minimum(v_bar, M)) ** 2)
+    blocks = (np.einsum("eq,ql,qm->elm", g.quad_weights, bary, bary)
+              + damp[:, None, None] * np.einsum(
+                  "e,eld,emd->elm", g.element_measures, g.basis_gradients,
+                  g.basis_gradients))
+    rows = np.repeat(g.elements, L, axis=1).ravel()
+    cols = np.tile(g.elements, (1, L)).ravel()
+    interior = ~g.boundary_mask
+    keep = interior[rows] & interior[cols]
+    eye = np.flatnonzero(g.boundary_mask)
+    return sp.csc_matrix(
+        (np.concatenate([blocks.ravel()[keep], np.ones(eye.size)]),
+         (np.concatenate([rows[keep], eye]), np.concatenate([cols[keep], eye]))),
+        shape=(g.n_nodes, g.n_nodes))
+
+
+@pytest.mark.parametrize("dimension,cells", [(1, 1), (1, 2), (1, 64), (2, 6)])
+def test_preconditioner_solve_matches_sparse_assembly(dimension, cells):
+    grid = (build_interval_grid(0.0, 1.0, cells) if dimension == 1
+            else build_rect_grid(cells, cells, 1.0, 1.0))
+    spec = ProblemSpec(grid=grid, integrand=make_integrand("quadratic"),
+                       b=make_coefficient(grid, "constant", {"value": 2.0}),
+                       f=make_library_datum(grid, "constant", None),
+                       solver_tol=1e-8, max_iter=1)
+    # a ramp up to 4 against M = 1.5: the clamp binds on part of the domain
+    # (all of it at one cell); built directly so it need not vanish at x = 1
+    v = DiscreteField(grid=grid, values=4.0 * grid.nodes[:, 0])
+    M = 1.5
+    assert np.any(np.abs(values_at_quadrature(v)).mean(axis=1) > M)
+    rhs = np.random.default_rng(cells).standard_normal(grid.n_nodes)
+    got = Preconditioner(spec).factor(v, M)(rhs)
+    want = spla.spsolve(_csc_preconditioner(spec, v, M), rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # --------------------------------------------------------------- M schedule
@@ -406,11 +463,8 @@ def test_manufactured_solution_second_order(dimension, cell_counts):
 @pytest.mark.parametrize("dimension,cell_counts", MANUFACTURED_CASES)
 def test_manufactured_solution_second_order_bump_coefficient(dimension,
                                                              cell_counts):
-    # the default tol: at 1e-10 the 1D 256-cell stage stalls at a residual
-    # of 7.7e-10, where 988 of its 1000 accepted steps lower the energy by
-    # exactly 0 (the energy decrease test cannot resolve a smaller residual)
     _assert_manufactured_second_order(dimension, cell_counts, bump=True,
-                                      tol=1e-8)
+                                      tol=1e-10)
 
 
 # --------------------------------------------------------------- minimality
