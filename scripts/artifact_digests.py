@@ -14,6 +14,9 @@ must leave unchanged:
   - a linear 1D `varlab solve` (quadratic integrand, zero coefficient,
     constant datum) at 2·10⁵ cells without the solution CSV, where a
     decrease test that shrinks with the mesh stops converging in one step;
+  - a damped 2D 64x64 `varlab solve` (logaug integrand, constant
+    coefficient 1, constant datum 20), whose stage refactors the
+    preconditioner as its damping weights fall;
   - the default `varlab counterexample`, and the three deep tables
     (dimension, rho, n_max) = (3, 1/4, 300), (5, 1/2, 330) and (8, 1, 335);
   - the default `varlab certify`, and one that adds the quadratic
@@ -63,6 +66,11 @@ SOLVE_LINEAR_200K = ("subcommand: solve\n"
                      "coefficient: {kind: zero}\n"
                      "datum: {kind: constant}\n"
                      "output: {csv: false}\n")
+SOLVE_2D_CONSTANT20 = ("subcommand: solve\n"
+                       "domain: {dimension: 2, x_cells: 64, y_cells: 64}\n"
+                       "integrand: {kind: logaug}\n"
+                       "coefficient: {kind: constant, params: {value: 1}}\n"
+                       "datum: {kind: constant, params: {value: 20}}\n")
 CERTIFY_SCALED = ("subcommand: certify\n"
                   "integrand: {kind: quadratic, params: {scale: 2}}\n")
 DEEP_WITNESSES = ((3, 0.25, 300), (5, 0.5, 330), (8, 1.0, 335))
@@ -78,6 +86,7 @@ def runs() -> list:
             ("audit-constant20", "audit", AUDIT_CONSTANT20, []),
             ("audit-2d-24", "audit", AUDIT_2D, []),
             ("solve-linear-200k", "solve", SOLVE_LINEAR_200K, []),
+            ("solve-2d-64-constant20", "solve", SOLVE_2D_CONSTANT20, []),
             ("counterexample-default", "counterexample", None, [])]
     out += [(f"counterexample-d{dim}-rho{rho:g}-n{n_max}", "counterexample",
              f"subcommand: counterexample\ncounterexample: {{dimension: {dim}, "

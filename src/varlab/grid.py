@@ -156,15 +156,13 @@ def build_rect_grid(x_cells: int, y_cells: int, lx: float, ly: float) -> Grid:
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    def nid(i, j):
-        return i * (y_cells + 1) + j
-
-    tris = []
-    for i in range(x_cells):
-        for j in range(y_cells):
-            a, b, c, d = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
-            tris += [(a, b, c), (a, c, d)]
-    elements = np.array(tris, dtype=np.int64)
+    # cell (i, j), in row-major order, has corners a = (i, j), b = (i+1, j),
+    # c = (i+1, j+1), d = (i, j+1) and the triangles (a, b, c), (a, c, d)
+    a = (np.arange(x_cells, dtype=np.int64)[:, None] * (y_cells + 1)
+         + np.arange(y_cells, dtype=np.int64)[None, :]).ravel()
+    b = a + (y_cells + 1)
+    c, d = b + 1, a + 1
+    elements = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     ii = np.arange(x_cells + 1)[:, None]
     jj = np.arange(y_cells + 1)[None, :]
     boundary = ((ii == 0) | (ii == x_cells) | (jj == 0) | (jj == y_cells)).ravel()

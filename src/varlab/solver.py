@@ -18,7 +18,17 @@ per element the stiffness block is scaled by (α+β)/(1+b̄·min(|v̄|,M))², wh
 for the plain quadratic integrand with b ≡ 0 reproduces the exact Hessian,
 so that regime converges in a handful of steps. It is tridiagonal in 1D and
 factored there by banded Cholesky; in 2D SuperLU factors it in symmetric
-mode (minimum degree on AᵀA + A, diagonal pivots).
+mode (minimum degree on AᵀA + A, diagonal pivots), summed into a CSC
+pattern that each Preconditioner builds once.
+
+Each stage factors the preconditioner at its start iterate and reuses the
+factor (the chord/Shamanskii scheme, Kelley, *Iterative Methods for Linear
+and Nonlinear Equations*, SIAM 1995, ch. 5) until some element weight has
+drifted by more than REFACTOR_DRIFT = 1/4 from its factored value, when it
+factors again. The element stiffness blocks are PSD and the mass part is
+fixed, so weights within ±1/4 give 0.75·P_f ≤ P ≤ 1.25·P_f: the stale
+factor costs at most a factor 5/3 in condition number, and the L-BFGS
+memory corrects for the rest. A linear problem factors once.
 
 Each outer stage n minimizes J_M once, at M = 2n, warm-started from the
 previous stage. The clamp is certified inactive when the iterate has
@@ -41,11 +51,12 @@ import scipy.sparse.linalg as spla
 
 from .functional import (Datum, ProblemSpec, energy_pieces, eval_JM,
                          make_Jn_datum, residual)
-from .grid import DiscreteField, norm, values_at_quadrature, zero_field
+from .grid import DiscreteField, norm, zero_field
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
+REFACTOR_DRIFT = 0.25
 
 
 # ----------------------------------------------------------------- records
@@ -103,7 +114,8 @@ class SolveTrace:
 
 
 class Preconditioner:
-    """Mass + amplitude-damped stiffness, reassembled as the field moves.
+    """Mass + amplitude-damped stiffness; the per-element damping weights are
+    the only part that changes from one factor to the next.
 
     Boundary nodes get the identity: mass 1, stiffness 0, no couplings.
     """
@@ -120,6 +132,7 @@ class Preconditioner:
         self._scale = spec.integrand.alpha + spec.integrand.beta
         self._b_bar = spec.b.quad_values.mean(axis=1)     # (E,)
         interior = ~g.boundary_mask
+        self._dimension = g.dimension
         if g.dimension == 1:
             # element e joins nodes e and e+1, so P is tridiagonal; its
             # upper band holds the diagonal in row 1 and the coupling of
@@ -134,29 +147,43 @@ class Preconditioner:
         cols = np.tile(g.elements, (1, L)).ravel()
         owner = np.repeat(np.arange(g.n_elements), L * L)
         # boundary rows/cols dropped; the identity for those nodes is appended
-        # as mass 1 and stiffness 0, so every factor assembles the same triplets
+        # as mass 1 and stiffness 0, so every factor sums the same triplets
         keep = interior[rows] & interior[cols]
         eye = np.flatnonzero(g.boundary_mask)
-        self._rows = np.concatenate([rows[keep], eye])
-        self._cols = np.concatenate([cols[keep], eye])
+        n = g.n_nodes
+        # the CSC pattern: triplet t adds into data[slot[t]]; keys sort by
+        # column, then row
+        keys, self._slot = np.unique(
+            np.concatenate([cols[keep], eye]) * n
+            + np.concatenate([rows[keep], eye]), return_inverse=True)
+        self._indices = (keys % n).astype(np.int32)
+        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(
+            np.int32)
         self._mass = np.concatenate([mass.ravel()[keep], np.ones(eye.size)])
         self._stiff = np.concatenate([stiff.ravel()[keep], np.zeros(eye.size)])
         self._stiff_owner = np.concatenate([owner[keep], np.zeros_like(eye)])
-        self._n = g.n_nodes
+        self._n = n
 
-    def factor(self, v: DiscreteField, M: float):
-        """Return a solve callable for the current damped matrix."""
-        v_bar = np.abs(values_at_quadrature(v)).mean(axis=1)
-        damp = self._scale / (1.0 + self._b_bar * np.minimum(v_bar, M)) ** 2
-        if v.grid.dimension == 1:
+    def damping(self, vq: np.ndarray, M: float) -> np.ndarray:
+        """(E,) stiffness weights (α+β)/(1+b̄·min(v̄, M))² of the field whose
+        quadrature values are `vq` (E, Q), with v̄ the element mean of |vq|."""
+        v_bar = np.abs(vq).mean(axis=1)
+        return self._scale / (1.0 + self._b_bar * np.minimum(v_bar, M)) ** 2
+
+    def factor(self, damp: np.ndarray):
+        """Return a solve callable for the matrix with stiffness weights
+        `damp`."""
+        if self._dimension == 1:
             band = self._band_keep * _upper_band(
                 self._mass_blocks + damp[:, None, None] * self._stiff_blocks)
             band[1, self._boundary] = 1.0
             chol = (sla.cholesky_banded(band), False)
             return lambda rhs: sla.cho_solve_banded(chol, rhs)
-        P = sp.csc_matrix(
-            (self._mass + damp[self._stiff_owner] * self._stiff,
-             (self._rows, self._cols)), shape=(self._n, self._n))
+        data = np.bincount(
+            self._slot, weights=self._mass + damp[self._stiff_owner] * self._stiff,
+            minlength=self._indices.size)
+        P = sp.csc_matrix((data, self._indices, self._indptr),
+                          shape=(self._n, self._n))
         return spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True}).solve
 
@@ -177,8 +204,8 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
                    precond: Preconditioner) -> Tuple[DiscreteField, StageRecord]:
     """Descend eval_JM(., M) from `start` until the residual is below tol.
 
-    `precond` is `Preconditioner(spec)`, built once and shared by the stages
-    of one clamp schedule.
+    `precond` is `Preconditioner(spec)`, shared by the stages of one outer
+    solve. Its factor lives only in this call, so every stage starts fresh.
     """
     if start.grid is not spec.grid:
         raise ValueError("start field must live on the spec grid")
@@ -197,9 +224,14 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
     # preconditioner; kept only while it yields genuine descent directions)
     mem_s: list = []
     mem_y: list = []
+    factored = None     # the weights of the live factor apply_P
 
     while not converged and iterations < spec.max_iter:
-        apply_P = precond.factor(v, M)
+        damp = precond.damping(pieces.vq, M)
+        if (factored is None
+                or np.max(np.abs(damp / factored - 1.0)) > REFACTOR_DRIFT):
+            apply_P = precond.factor(damp)
+            factored = damp
 
         def two_loop(g):
             q = g.copy()
@@ -276,9 +308,12 @@ def _power_at_least(target: float) -> float:
 
 
 def solve_M_schedule(spec: ProblemSpec, datum: Datum, schedule: tuple,
+                     precond: Preconditioner,
                      start: Optional[DiscreteField] = None
                      ) -> Tuple[DiscreteField, MScheduleTrace]:
-    """Run the clamp schedule for one datum, warm-starting stage to stage."""
+    """Run the clamp schedule for one datum, warm-starting stage to stage.
+
+    `precond` is `Preconditioner(spec)`; it does not depend on the datum."""
     if datum.linf_bound is None:
         raise ValueError("amplitude schedule needs a datum with a finite "
                          "sup bound; clamp the datum first")
@@ -289,7 +324,6 @@ def solve_M_schedule(spec: ProblemSpec, datum: Datum, schedule: tuple,
     if eval_JM(stage_spec, v, schedule[0]) > 0.0:
         v = zero_field(spec.grid)
 
-    precond = Preconditioner(stage_spec)
     records = []
     fixpoint = None
     for i, M in enumerate(schedule):
@@ -312,13 +346,15 @@ def solve_outer(spec: ProblemSpec) -> Tuple[DiscreteField, SolveTrace]:
     else:
         n_schedule = (_power_at_least(spec.f.linf_bound),)
 
+    precond = Preconditioner(spec)
     stages = []
     stabilization = []
     current: Optional[DiscreteField] = None
     for n in n_schedule:
         datum = make_Jn_datum(spec.f, n)
         m_schedule = spec.m_schedule or (2.0 * n,)
-        v, inner = solve_M_schedule(spec, datum, m_schedule, start=current)
+        v, inner = solve_M_schedule(spec, datum, m_schedule, precond,
+                                    start=current)
         stages.append(OuterStageResult(
             n_level=float(n), field=v, inner=inner,
             energy=inner.records[-1].energy_history[-1]))

@@ -24,7 +24,7 @@ from varlab.functional import ProblemSpec, eval_JM, residual
 from varlab.grid import (build_interval_grid, field_from_values,
                          values_at_quadrature)
 from varlab.library import make_coefficient, make_integrand, make_library_datum
-from varlab.solver import solve_M_schedule, solve_outer
+from varlab.solver import Preconditioner, solve_M_schedule, solve_outer
 
 #: the radial quadrature's starting points, as the config default
 QUAD_POINTS = 512
@@ -148,7 +148,8 @@ def test_criterion_4_clamp_stage_outputs_coincide():
         solver_tol=1e-8, max_iter=50_000)
     datum = make_library_datum(grid, "sine", {"amplitude": 1.0})
     assert datum.linf_bound == 1.0
-    _, trace = solve_M_schedule(spec, datum, (2.0, 4.0, 8.0))
+    _, trace = solve_M_schedule(spec, datum, (2.0, 4.0, 8.0),
+                                Preconditioner(spec))
     assert trace.converged
     fields = [rec.field.values for rec in trace.records]
     assert len(fields) == 3

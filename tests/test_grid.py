@@ -86,6 +86,27 @@ def test_rect_grid_boundary_mask_is_topological():
     np.testing.assert_array_equal(g.boundary_mask, on_edge)
 
 
+def _rect_elements_by_loop(x_cells, y_cells):
+    """The triangle list cell by cell: (a, b, c), (a, c, d) per cell."""
+    def nid(i, j):
+        return i * (y_cells + 1) + j
+
+    tris = []
+    for i in range(x_cells):
+        for j in range(y_cells):
+            a, b, c, d = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+    return np.array(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("x_cells,y_cells", [(1, 1), (3, 5), (7, 2)])
+def test_rect_grid_elements_match_the_cell_loop(x_cells, y_cells):
+    got = build_rect_grid(x_cells, y_cells, 1.0, 1.0).elements
+    want = _rect_elements_by_loop(x_cells, y_cells)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("args", [(0, 2, 1.0, 1.0), (2, 2, -1.0, 1.0), (2, 2, 1.0, 0.0)])
 def test_rect_grid_rejects(args):
     with pytest.raises(ValueError):

@@ -194,9 +194,69 @@ def test_preconditioner_solve_matches_sparse_assembly(dimension, cells):
     M = 1.5
     assert np.any(np.abs(values_at_quadrature(v)).mean(axis=1) > M)
     rhs = np.random.default_rng(cells).standard_normal(grid.n_nodes)
-    got = Preconditioner(spec).factor(v, M)(rhs)
+    precond = Preconditioner(spec)
+    got = precond.factor(precond.damping(values_at_quadrature(v), M))(rhs)
     want = spla.spsolve(_csc_preconditioner(spec, v, M), rhs)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 6, 16])
+def test_preconditioner_csc_pattern_matches_triplet_assembly(monkeypatch,
+                                                              cells):
+    # the pattern is built once; every factor only sums values into it
+    grid = build_rect_grid(cells, cells, 1.0, 1.0)
+    spec = ProblemSpec(grid=grid, integrand=make_integrand("logaug"),
+                       b=make_coefficient(grid, "constant", {"value": 2.0}),
+                       f=make_library_datum(grid, "constant", None),
+                       solver_tol=1e-8, max_iter=1)
+    precond = Preconditioner(spec)
+    handed = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda A, **kw: handed.append(A) or splu(A, **kw))
+    for scale in (4.0, 0.5):
+        v = DiscreteField(grid=grid, values=scale * grid.nodes[:, 0])
+        precond.factor(precond.damping(values_at_quadrature(v), 1.5))
+        want = _csc_preconditioner(spec, v, 1.5)
+        want.sort_indices()
+        got = handed[-1]
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert np.all(np.abs(got.data - want.data)
+                      <= 1e-15 * np.abs(want.data))
+
+
+def _count_factors(monkeypatch) -> list:
+    """Record the weights of every Preconditioner.factor call."""
+    calls = []
+    factor = Preconditioner.factor
+    monkeypatch.setattr(Preconditioner, "factor",
+                        lambda self, damp: calls.append(damp)
+                        or factor(self, damp))
+    return calls
+
+
+def test_damped_2d_solve_factors_fewer_times_than_it_iterates(monkeypatch):
+    grid = build_rect_grid(32, 32, 1.0, 1.0)
+    spec = ProblemSpec(grid=grid, integrand=make_integrand("logaug"),
+                       b=make_coefficient(grid, "constant", {"value": 1.0}),
+                       f=make_library_datum(grid, "power-singularity", None),
+                       solver_tol=1e-8, max_iter=50_000)
+    calls = _count_factors(monkeypatch)
+    _, trace = solve_outer(spec)
+    assert trace.converged
+    iterations = sum(r.iterations for s in trace.stages
+                     for r in s.inner.records)
+    assert 0 < len(calls) < iterations
+
+
+def test_linear_solve_takes_one_iteration_and_one_factor(monkeypatch):
+    calls = _count_factors(monkeypatch)
+    _, trace = solve_outer(_spec(cells=64))
+    assert trace.converged
+    assert [r.iterations for s in trace.stages
+            for r in s.inner.records] == [1]
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------- M schedule
@@ -205,7 +265,8 @@ def test_preconditioner_solve_matches_sparse_assembly(dimension, cells):
 def test_m_schedule_fixpoint_coincidence():
     spec = _spec(cells=64, coeff=("constant", {"value": 1.0}),
                  datum=("sine", None))
-    u, trace = solve_M_schedule(spec, spec.f, (2.0, 4.0, 8.0))
+    u, trace = solve_M_schedule(spec, spec.f, (2.0, 4.0, 8.0),
+                                Preconditioner(spec))
     assert trace.m_fixpoint_index is not None
     assert trace.m_fixpoint_index == 0
     f0, f1, f2 = (r.field.values for r in trace.records)
@@ -216,7 +277,7 @@ def test_m_schedule_fixpoint_coincidence():
 
 def test_m_schedule_zero_datum():
     spec = _spec(cells=16, datum=("constant", {"value": 0.0}))
-    u, trace = solve_M_schedule(spec, spec.f, (1.0,))
+    u, trace = solve_M_schedule(spec, spec.f, (1.0,), Preconditioner(spec))
     assert np.all(u.values == 0.0)
     assert all(np.all(r.field.values == 0.0) for r in trace.records)
     assert trace.converged   # clamp verifiably inactive at the last level
@@ -225,13 +286,14 @@ def test_m_schedule_zero_datum():
 def test_m_schedule_requires_sup_bound():
     spec = _spec(cells=16, datum=("power-singularity", None))
     with pytest.raises(ValueError):
-        solve_M_schedule(spec, spec.f, (1.0, 2.0))
+        solve_M_schedule(spec, spec.f, (1.0, 2.0), Preconditioner(spec))
 
 
 def test_m_schedule_without_fixpoint_is_flagged():
     # clamp level stuck below the minimizer's amplitude: no fixpoint
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    u, trace = solve_M_schedule(spec, spec.f, (0.02,))
+    u, trace = solve_M_schedule(spec, spec.f, (0.02,),
+                                Preconditioner(spec))
     assert u.linf() > 0.02
     assert trace.m_fixpoint_index is None
     assert not trace.converged
@@ -240,7 +302,8 @@ def test_m_schedule_without_fixpoint_is_flagged():
 def test_m_schedule_fixpoint_after_a_clamped_level():
     # the first level clamps the minimizer; the second certifies itself
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    u, trace = solve_M_schedule(spec, spec.f, (0.02, 2.0))
+    u, trace = solve_M_schedule(spec, spec.f, (0.02, 2.0),
+                                Preconditioner(spec))
     assert trace.records[0].field.linf() > 0.02
     assert u.linf() < 2.0
     assert trace.m_fixpoint_index == 1
@@ -263,22 +326,26 @@ def test_default_clamp_schedule_is_one_level_at_twice_n():
 
 def test_warm_start_guard_discards_uphill_starts():
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    cold, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0))
+    cold, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0),
+                               Preconditioner(spec))
     rng = np.random.default_rng(1)
     vals = np.where(spec.grid.boundary_mask, 0.0,
                     rng.uniform(-5, 5, spec.grid.n_nodes))
     wild = DiscreteField(grid=spec.grid, values=vals)
     assert eval_JM(spec, wild, 1.0) > 0
-    warm, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0), start=wild)
+    warm, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0),
+                               Preconditioner(spec), start=wild)
     np.testing.assert_array_equal(warm.values, cold.values)
 
 
 def test_warm_start_kept_when_energy_is_negative():
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    cold, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0))
+    cold, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0),
+                               Preconditioner(spec))
     half = DiscreteField(grid=spec.grid, values=0.5 * cold.values)
     assert eval_JM(spec, half, 1.0) < 0
-    warm, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0), start=half)
+    warm, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0),
+                               Preconditioner(spec), start=half)
     assert np.max(np.abs(warm.values - cold.values)) <= 1e-6
 
 
@@ -465,6 +532,24 @@ def test_manufactured_solution_second_order_bump_coefficient(dimension,
                                                              cell_counts):
     _assert_manufactured_second_order(dimension, cell_counts, bump=True,
                                       tol=1e-10)
+
+
+def test_manufactured_stage_refactors_as_its_damping_falls(monkeypatch):
+    # from zero to u* = 3·sin(πx) the weight 1/(1+|v|)² falls by about 16×,
+    # far beyond what one factor may serve
+    grid = build_interval_grid(0.0, 1.0, 64)
+    spec = ProblemSpec(
+        grid=grid, integrand=make_integrand("quadratic"),
+        b=make_coefficient(grid, "constant", {"value": 1.0}),
+        f=make_datum(grid, lambda x: _manufactured(x, False)[1],
+                     linf_bound=MANUFACTURED_SUP),
+        solver_tol=1e-10, max_iter=1000)
+    calls = _count_factors(monkeypatch)
+    _, rec = minimize_inner(spec, 2.0 * MANUFACTURED_SUP, zero_field(grid),
+                            Preconditioner(spec))
+    assert rec.converged
+    assert len(calls) >= 3
+    assert np.min(calls[-1]) < np.min(calls[0]) / 10
 
 
 # --------------------------------------------------------------- minimality
