@@ -567,6 +567,9 @@ def _report_head(config: RunConfig) -> dict:
 
 def _emit(config: RunConfig, directory: str, basename: str, report: dict,
           csv_files: dict):
+    """Write the config echo, the report and the CSV files.  `csv_files`
+    maps each file name to a function that builds its (header, blocks), so
+    that no table is formatted when the config writes no CSV."""
     os.makedirs(directory, exist_ok=True)
     _write_text(os.path.join(directory, "config_echo.yaml"),
                 render_config(config))
@@ -574,8 +577,8 @@ def _emit(config: RunConfig, directory: str, basename: str, report: dict,
         _write_text(os.path.join(directory, basename + ".json"),
                     _json_text(report))
     if config.output.csv:
-        for name, (header, blocks) in csv_files.items():
-            _write_csv(os.path.join(directory, name), header, blocks)
+        for name, table in csv_files.items():
+            _write_csv(os.path.join(directory, name), *table())
 
 
 def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
@@ -591,8 +594,8 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
         "stabilization_l2": list(trace.stabilization_history),
     }
     csv_files = {
-        "solution.csv": _solution_table(spec.grid, trace),
-        "energies.csv": _energy_table(trace),
+        "solution.csv": lambda: _solution_table(spec.grid, trace),
+        "energies.csv": lambda: _energy_table(trace),
     }
 
     if config.subcommand == "audit":
@@ -614,8 +617,8 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
             "energy": minim.energy, "min_slack": minim.min_slack,
             "tolerance": minim.tolerance, "passed": minim.passed,
             "entries": len(minim.entries)}
-        csv_files["estimates.csv"] = (_ESTIMATE_HEADER,
-                                      _row_blocks(_estimate_rows(reports)))
+        csv_files["estimates.csv"] = lambda: (
+            _ESTIMATE_HEADER, _row_blocks(_estimate_rows(reports)))
 
     report["exit_status"] = code
     _emit(config, directory, "report", report, csv_files)
@@ -636,9 +639,9 @@ def _run_counterexample(config: RunConfig, directory: str) -> Tuple[int, dict]:
         "passed": rep.passed,
         "exit_status": code,
     }
-    table = ([column for column, _, _ in _WITNESS_COLUMNS],
-             [[_csv_column(getattr(rep, name)) for *_, name in _WITNESS_COLUMNS]])
-    _emit(config, directory, "report", report, {"counterexample.csv": table})
+    _emit(config, directory, "report", report, {"counterexample.csv": lambda: (
+        [column for column, _, _ in _WITNESS_COLUMNS],
+        [[_csv_column(getattr(rep, name)) for *_, name in _WITNESS_COLUMNS]])})
     return code, report
 
 
@@ -689,7 +692,7 @@ def _run_certify(config: RunConfig, directory: str) -> Tuple[int, dict]:
     header = ["kind", "passed", "samples", "seed"]
     rows = [[e["kind"], e["passed"], e["samples"], e["seed"]] for e in entries]
     _emit(config, directory, "report", report,
-          {"certification.csv": (header, _row_blocks(rows))})
+          {"certification.csv": lambda: (header, _row_blocks(rows))})
     return code, report
 
 
@@ -767,7 +770,7 @@ def _run_sweep(config: RunConfig, directory: str,
               "estimates_total", "estimates_failed", "failed_ids",
               "linf_passed", "minimality_passed", "exit_status"]
     _emit(config, directory, "sweep_report", report,
-          {"sweep_matrix.csv": (header, _row_blocks(matrix_rows))})
+          {"sweep_matrix.csv": lambda: (header, _row_blocks(matrix_rows))})
     return code, report
 
 

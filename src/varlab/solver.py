@@ -40,9 +40,8 @@ The outer schedule warm-starts the same way over clamped data f_n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -364,85 +363,3 @@ def solve_outer(spec: ProblemSpec) -> Tuple[DiscreteField, SolveTrace]:
         current = v
     return current, SolveTrace(stages=tuple(stages),
                                stabilization_history=tuple(stabilization))
-
-
-# --------------------------------------------------------- refinement study
-
-
-def _evaluate_p1(v: DiscreteField, points: np.ndarray) -> np.ndarray:
-    """Evaluate a P1 field at arbitrary points (chunked element search)."""
-    g = v.grid
-    pts = np.asarray(points, dtype=float)
-    if g.dimension == 1:
-        order = np.argsort(g.nodes[:, 0])
-        return np.interp(pts[:, 0], g.nodes[order, 0], v.values[order])
-    corners = g.nodes[g.elements]                      # (E, 3, 2)
-    T = np.stack([corners[:, 1] - corners[:, 0],
-                  corners[:, 2] - corners[:, 0]], axis=-1)   # (E, 2, 2)
-    Tinv = np.linalg.inv(T)
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], 256):
-        chunk = pts[lo:lo + 256]
-        rel = chunk[:, None, :] - corners[None, :, 0, :]        # (C, E, 2)
-        loc = np.einsum("edr,cer->ced", Tinv, rel)              # (C, E, 2)
-        lam0 = 1.0 - loc.sum(axis=-1)
-        bary = np.concatenate([lam0[..., None], loc], axis=-1)  # (C, E, 3)
-        best = np.argmax(bary.min(axis=-1), axis=1)
-        rows = np.arange(chunk.shape[0])
-        if np.any(bary[rows, best].min(axis=-1) < -1e-10):
-            raise ValueError("point outside the triangulation")
-        out[lo:lo + 256] = np.einsum(
-            "cl,cl->c", bary[rows, best], v.values[g.elements[best]])
-    return out
-
-
-@dataclass(frozen=True)
-class RefinementReport:
-    """Grid-convergence diagnostics for one problem family."""
-
-    cell_counts: tuple
-    distances: tuple        # L2 gap between consecutive-grid solutions
-    orders: tuple           # log2 rate from consecutive distance pairs
-    reference_errors: tuple # L2 error against the supplied exact profile
-    reference_orders: tuple
-
-
-def refinement_study(make_spec: Callable[[int], ProblemSpec],
-                     cell_counts: Sequence[int],
-                     exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                     ) -> RefinementReport:
-    """Solve the same problem over a grid hierarchy and report decay rates."""
-    counts = tuple(int(c) for c in cell_counts)
-    if len(counts) < 2 or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValueError("need at least two strictly increasing cell counts")
-    solutions = []
-    for c in counts:
-        spec = make_spec(c)
-        u, _ = solve_outer(spec)
-        solutions.append(u)
-
-    distances = []
-    for coarse, fine in zip(solutions, solutions[1:]):
-        lifted = _evaluate_p1(coarse, fine.grid.nodes)
-        diff = DiscreteField(grid=fine.grid, values=fine.values - lifted)
-        distances.append(norm(diff, "L2"))
-
-    ref_errors: tuple = ()
-    if exact is not None:
-        ref_errors = tuple(
-            norm(DiscreteField(grid=u.grid, values=u.values - np.asarray(
-                exact(u.grid.nodes))), "L2")
-            for u in solutions)
-    return RefinementReport(cell_counts=counts, distances=tuple(distances),
-                            orders=_rates(distances, counts),
-                            reference_errors=ref_errors,
-                            reference_orders=_rates(ref_errors, counts))
-
-
-def _rates(values: Sequence[float], counts: tuple) -> tuple:
-    """log(v_i/v_{i+1}) / log(c_{i+1}/c_i) over consecutive pairs; inf where
-    either value is 0."""
-    return tuple(
-        math.log(v0 / v1) / math.log(c1 / c0) if v0 > 0 and v1 > 0 else math.inf
-        for (v0, v1), (c0, c1) in zip(zip(values, values[1:]),
-                                      zip(counts, counts[1:])))

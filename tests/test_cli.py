@@ -421,6 +421,20 @@ def test_output_format_flags_suppress_artifacts(tmp_path):
     assert names == ["config_echo.yaml", "report.json"]
 
 
+@pytest.mark.parametrize("document", [
+    "subcommand: audit\ndomain: {dimension: 1, cells: 32, length: 1.0}\n"
+    + FAST_AUDIT,
+    "subcommand: counterexample\ncounterexample: {n_max: 5}\n",
+], ids=["audit", "counterexample"])
+def test_csv_off_formats_no_table(tmp_path, monkeypatch, document):
+    calls = []
+    monkeypatch.setattr("varlab.cli._csv_column",
+                        lambda values: calls.append(values) or [])
+    run(parse_config(document + "output: {csv: false}\n"), str(tmp_path))
+    assert calls == []
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # -------------------------------------------------------------- determinism
 
 

@@ -1,4 +1,4 @@
-"""Descent solver, schedule, refinement, and minimality tests.
+"""Descent solver, schedule, manufactured-solution and minimality tests.
 
 The tridiagonal linear-solve oracle is assembled inline with dense closed
 forms; the transcendental profile for the constant-datum benchmark is the
@@ -30,7 +30,6 @@ from varlab.solver import (
     Preconditioner,
     SolveTrace,
     minimize_inner,
-    refinement_study,
     solve_M_schedule,
     solve_outer,
 )
@@ -419,53 +418,6 @@ def test_2d_solve_smoke():
     assert trace.converged
     assert trace.stages[-1].energy < 0
     assert u.linf() <= 1.0 * (1 + 1e-6)
-
-
-# --------------------------------------------------------------- refinement
-
-
-def test_refinement_order_against_closed_form():
-    def mk(cells):
-        return _spec(cells=cells)
-    rep = refinement_study(mk, (16, 32, 64),
-                           exact=lambda p: _closed_form(p[:, 0]))
-    assert all(o >= 1.9 for o in rep.reference_orders)
-    assert all(b < a for a, b in zip(rep.distances, rep.distances[1:]))
-
-
-def test_refinement_zero_datum_all_zero():
-    def mk(cells):
-        return _spec(cells=cells, datum=("constant", {"value": 0.0}))
-    rep = refinement_study(mk, (8, 16, 32))
-    assert all(d == 0.0 for d in rep.distances)
-    assert all(math.isinf(o) for o in rep.orders)
-
-
-def test_refinement_nonquadratic_cauchy_decay():
-    def mk(cells):
-        return _spec(cells=cells, integrand="logaug",
-                     coeff=("constant", {"value": 1.0}), datum=("sine", None))
-    rep = refinement_study(mk, (8, 16, 32))
-    assert all(b < a for a, b in zip(rep.distances, rep.distances[1:]))
-
-
-def test_refinement_2d_path():
-    def mk(cells):
-        grid = build_rect_grid(cells, cells, 1.0, 1.0)
-        return ProblemSpec(grid=grid, integrand=make_integrand("quadratic"),
-                           b=make_coefficient(grid, "constant"),
-                           f=make_library_datum(grid, "sine"),
-                           solver_tol=1e-8, max_iter=50_000)
-    rep = refinement_study(mk, (4, 8, 16))
-    assert all(b < a for a, b in zip(rep.distances, rep.distances[1:]))
-    assert rep.orders[0] > 1.5
-
-
-def test_refinement_validation():
-    with pytest.raises(ValueError):
-        refinement_study(lambda c: _spec(cells=c), (16,))
-    with pytest.raises(ValueError):
-        refinement_study(lambda c: _spec(cells=c), (32, 16))
 
 
 # ---------------------------------------------------- manufactured solutions
