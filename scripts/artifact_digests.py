@@ -19,6 +19,8 @@ must leave unchanged:
     preconditioner as its damping weights fall;
   - the default `varlab counterexample`, and the three deep tables
     (dimension, rho, n_max) = (3, 1/4, 300), (5, 1/2, 330) and (8, 1, 335);
+  - `varlab counterexample` at (3, 1/4, 350), whose damped integrand
+    overflows: it exits 3 and writes no file;
   - the default `varlab certify`, and one that adds the quadratic
     integrand at scale 2;
   - each `configs/*.yaml`, run as the subcommand it names.
@@ -73,7 +75,8 @@ SOLVE_2D_CONSTANT20 = ("subcommand: solve\n"
                        "datum: {kind: constant, params: {value: 20}}\n")
 CERTIFY_SCALED = ("subcommand: certify\n"
                   "integrand: {kind: quadratic, params: {scale: 2}}\n")
-DEEP_WITNESSES = ((3, 0.25, 300), (5, 0.5, 330), (8, 1.0, 335))
+DEEP_WITNESSES = ((3, 0.25, 300), (5, 0.5, 330), (8, 1.0, 335),
+                  (3, 0.25, 350))
 
 
 def runs() -> list:

@@ -42,8 +42,8 @@ import numpy as np
 import yaml
 
 from .auditor import audit_battery, minimality_check
-from .counterexample import (MAX_LEVEL, MIN_QUAD_POINTS, RadialProfile,
-                             divergence_report)
+from .counterexample import (MAX_LEVEL, MIN_QUAD_POINTS, QuadratureError,
+                             RadialProfile, divergence_report)
 from .functional import ProblemSpec, certify, check_schedule
 from .grid import Grid, build_interval_grid, build_rect_grid
 from .library import (COEFFICIENTS, DATA, INTEGRANDS, make_coefficient,
@@ -627,7 +627,11 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
 
 def _run_counterexample(config: RunConfig, directory: str) -> Tuple[int, dict]:
     ce = config.counterexample
-    rep = divergence_report(ce.dimension, ce.rho, ce.n_max, ce.quad_points)
+    try:
+        rep = divergence_report(ce.dimension, ce.rho, ce.n_max, ce.quad_points)
+    except QuadratureError as exc:      # no table to write
+        print(f"varlab: counterexample: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED, {}
     code = EXIT_OK if rep.passed else EXIT_AUDIT_FAIL
     report = {
         **_report_head(config),

@@ -83,6 +83,10 @@ class RadialProfile:
 # -------------------------------------------------------- radial quadrature
 
 
+class QuadratureError(RuntimeError):
+    """A radial integral that did not settle to QUAD_REL_TOL."""
+
+
 def _integrands(p: RadialProfile) -> dict:
     """The radial integrands, with the r^(N-1) Jacobian. "damped" forms
     numerator and denominator apart, so its agreement with log_h1_seminorm
@@ -102,12 +106,14 @@ def _integrands(p: RadialProfile) -> dict:
 
 
 def _converged_shells(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
-                      quad_points: int) -> np.ndarray:
+                      quad_points: int, what: str = "shell") -> np.ndarray:
     """∫_{lo_i}^{hi_i} fn(r) dr for every shell at once (0 where lo_i >= hi_i):
     8 Gauss–Legendre points on each of max(quad_points // 8, 13) geometric
     panels, doubled until two refinements agree to QUAD_REL_TOL relative.
     Settled shells are frozen. Each shell is one contiguous row reduction,
-    so its bits do not depend on the others. A non-finite shell raises."""
+    so its bits do not depend on the others. A non-finite shell, or one still
+    moving past MAX_PANELS, raises QuadratureError naming `what` and the
+    lowest such index (the ones below it need not have settled yet)."""
     if quad_points < MIN_QUAD_POINTS:
         raise ValueError(f"need quad_points >= {MIN_QUAD_POINTS}, got {quad_points}")
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -129,10 +135,14 @@ def _converged_shells(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
     panels, live = max(quad_points // 8, 13), np.flatnonzero(lo < hi)
     value = np.full(live.size, np.nan)          # the first pass settles none
     while live.size:
-        refined = quadrature(live, panels)
+        with np.errstate(over="ignore"):    # raised below as non-finite
+            refined = quadrature(live, panels)
         done = np.abs(refined - value) <= QUAD_REL_TOL * (1.0 + np.abs(refined))
-        if not np.isfinite(refined).all() or (panels > MAX_PANELS and not done.all()):
-            raise RuntimeError("radial quadrature did not settle to 1e-8 relative")
+        finite = np.isfinite(refined)
+        if not finite.all() or (panels > MAX_PANELS and not done.all()):
+            first = live[~finite if not finite.all() else ~done][0]
+            raise QuadratureError("radial quadrature did not settle to 1e-8 "
+                                  f"relative at {what} {first}")
         out[live[done]] = refined[done]
         live, value, panels = live[~done], refined[~done], 2 * panels
     return out
@@ -201,15 +211,17 @@ def divergence_report(dimension: int, rho: float, n_max: int,
     r = np.array([p.r_n for p in profiles])
     plateaus = np.array([p.plateau_masses for p in profiles]).T
 
-    def column(name, plateau=0.0):
-        shells = _converged_shells(fns[name], r[1:], r[:-1], quad_points)
-        cumulative = np.concatenate(([0.0], np.cumsum(shells)))
+    def shells(name, hi):
+        # shell n is [r_n, hi_n], so an error names the level it stopped at
+        return _converged_shells(fns[name], r, hi, quad_points, f"{name!r} level")
+
+    def column(name, plateau=0.0):     # shell 0 is empty: [r_0, r_0]
+        cumulative = np.cumsum(shells(name, np.concatenate(([r[0]], r[:-1]))))
         return tuple((omega * (plateau + cumulative)).tolist())
 
     w11s, masses = column("w11"), column("mass", plateaus[0])
     amps = column("amplitude", plateaus[1])
-    dampeds = tuple((omega * _converged_shells(
-        fns["damped"], r, np.ones_like(r), quad_points)).tolist())
+    dampeds = tuple((omega * shells("damped", np.ones_like(r))).tolist())
     log_h1s = tuple(log_h1_seminorm(p) for p in profiles)
     rels = tuple(abs(d - h) / max(h, 1e-300) if h > 0 else 0.0
                  for d, h in zip(dampeds, log_h1s))

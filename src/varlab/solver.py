@@ -36,17 +36,18 @@ previous stage. The clamp is certified inactive when the iterate has
 |v| < M at every point and J_M coincides with J near v. An explicit
 schedule runs every level; its fixpoint is the first level so certified.
 The outer schedule warm-starts the same way over clamped data f_n.
+
+scipy is imported at the first factorization (scipy.linalg in 1D,
+scipy.sparse.linalg in 2D), so a command that never factors never loads it.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .functional import (Datum, ProblemSpec, energy_pieces, eval_JM,
                          make_Jn_datum, residual)
@@ -56,6 +57,21 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 REFACTOR_DRIFT = 0.25
+
+
+class _OnFirstUse:
+    """A module bound by name and imported when an attribute is first read."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sla = _OnFirstUse("scipy.linalg")
+sp = _OnFirstUse("scipy.sparse")
+spla = _OnFirstUse("scipy.sparse.linalg")
 
 
 # ----------------------------------------------------------------- records

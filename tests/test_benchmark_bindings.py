@@ -11,8 +11,9 @@ from pathlib import Path
 
 import varlab.cli as cli
 from varlab.functional import ProblemSpec
-from varlab.grid import build_interval_grid
+from varlab.grid import build_interval_grid, build_rect_grid
 from varlab.library import make_coefficient, make_integrand, make_library_datum
+from varlab.solver import Preconditioner
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,3 +54,27 @@ def test_iteration_counter_reads_a_solve_trace():
     assert iterations > 0
     assert tracer.counters["solver.iterations"] == iterations
     assert [span[2] for span in tracer.spans].count("solver.solve_outer") == 1
+
+
+def test_factorization_spans_match_the_factor_count(monkeypatch):
+    # solver.spla is bound by name and imported at first use; the traced
+    # view must still see every 2D factorization
+    factors = []
+    factor = Preconditioner.factor
+
+    def counted(self, damp):
+        factors.append(damp)
+        return factor(self, damp)
+
+    monkeypatch.setattr(Preconditioner, "factor", counted)
+    grid = build_rect_grid(4, 4, 1.0, 1.0)
+    spec = ProblemSpec(grid=grid, integrand=make_integrand("logaug"),
+                       b=make_coefficient(grid, "constant", {"value": 1.0}),
+                       f=make_library_datum(grid, "constant"),
+                       solver_tol=1e-8, max_iter=200)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        cli.solve_outer(spec)
+    assert len(factors) >= 1
+    assert [span[2] for span in tracer.spans].count("solver.splu") \
+        == len(factors)

@@ -728,6 +728,24 @@ def test_counterexample_assertion_failure_maps_to_audit_exit(
     assert run(cfg, str(tmp_path)) == EXIT_AUDIT_FAIL
 
 
+@pytest.mark.parametrize("dimension, rho, level", [
+    (3, 0.25, 329), (5, 0.5, 339), (8, 1.0, 344)])
+def test_unsettled_witness_exits_not_converged_naming_the_level(
+        dimension, rho, level, tmp_path, capsys):
+    # the damped integrand overflows near the top of the schema's n_max range
+    cfg_file = tmp_path / "deep.yaml"
+    cfg_file.write_text(
+        "subcommand: counterexample\n"
+        f"counterexample: {{dimension: {dimension}, rho: {rho}, n_max: 350}}\n")
+    out = tmp_path / "out"
+    code = main(["counterexample", "--config", str(cfg_file), "--out", str(out)])
+    assert code == EXIT_NOT_CONVERGED
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["varlab: counterexample: radial quadrature did not "
+                     f"settle to 1e-8 relative at 'damped' level {level}"]
+    assert not out.exists()
+
+
 def test_main_usage_errors_exit_one(tmp_path):
     assert main(["audit", "--config", "/no/such/file.yaml"]) == EXIT_USAGE
     bad = tmp_path / "bad.yaml"
