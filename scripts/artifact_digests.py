@@ -11,6 +11,9 @@ must leave unchanged:
   - a `varlab audit` of the constant datum 20, whose solution rises to
     about 19.5, far above the clamp levels of the other runs;
   - a 2D 24x24 `varlab audit`;
+  - the smallest accepted domains, a 1D 2-cell and a 2D 2x2 `varlab
+    audit`, whose one interior node leaves the preconditioner only its
+    boundary identity and a single interior diagonal entry;
   - a linear 1D `varlab solve` (quadratic integrand, zero coefficient,
     constant datum) at 2·10⁵ cells without the solution CSV, where a
     decrease test that shrinks with the mesh stops converging in one step;
@@ -60,6 +63,10 @@ from varlab.cli import main as cli_main  # noqa: E402
 
 AUDIT_2D = ("subcommand: audit\n"
             "domain: {dimension: 2, x_cells: 24, y_cells: 24}\n")
+AUDIT_1D_2 = ("subcommand: audit\n"
+              "domain: {dimension: 1, cells: 2}\n")
+AUDIT_2D_2 = ("subcommand: audit\n"
+              "domain: {dimension: 2, x_cells: 2, y_cells: 2}\n")
 AUDIT_CONSTANT20 = ("subcommand: audit\n"
                     "datum: {kind: constant, params: {value: 20}}\n")
 SOLVE_LINEAR_200K = ("subcommand: solve\n"
@@ -88,6 +95,8 @@ def runs() -> list:
             ("audit-default", "audit", None, []),
             ("audit-constant20", "audit", AUDIT_CONSTANT20, []),
             ("audit-2d-24", "audit", AUDIT_2D, []),
+            ("audit-1d-2", "audit", AUDIT_1D_2, []),
+            ("audit-2d-2", "audit", AUDIT_2D_2, []),
             ("solve-linear-200k", "solve", SOLVE_LINEAR_200K, []),
             ("solve-2d-64-constant20", "solve", SOLVE_2D_CONSTANT20, []),
             ("counterexample-default", "counterexample", None, [])]

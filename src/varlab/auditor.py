@@ -142,7 +142,10 @@ def audit_tk(u: DiscreteField, spec: ProblemSpec, k: float,
     alpha = spec.integrand.alpha
     B = spec.b.upper_bound
     lhs = norm(truncate(u, k), "H1_semi") ** 2
-    factor = (1.0 + B * k) ** 2 / (2.0 * alpha)
+    try:
+        factor = (1.0 + B * k) ** 2 / (2.0 * alpha)
+    except OverflowError:       # a float ** that overflows raises, not inf
+        factor = math.inf
     rhs = factor * spec.f.l2_norm_sq
     return _report("TK_BOUND", lhs, rhs, params={
         "k": float(k), "B": B, "alpha": alpha,

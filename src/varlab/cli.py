@@ -42,8 +42,8 @@ import numpy as np
 import yaml
 
 from .auditor import audit_battery, minimality_check
-from .counterexample import (MAX_LEVEL, MIN_QUAD_POINTS, QuadratureError,
-                             RadialProfile, divergence_report)
+from .counterexample import (MAX_DIMENSION, MAX_LEVEL, MIN_QUAD_POINTS,
+                             QuadratureError, RadialProfile, divergence_report)
 from .functional import ProblemSpec, certify, check_schedule
 from .grid import Grid, build_interval_grid, build_rect_grid
 from .library import (COEFFICIENTS, DATA, INTEGRANDS, make_coefficient,
@@ -124,7 +124,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CounterexampleConfig:
-    dimension: int = _key(3, min=3)
+    dimension: int = _key(3, min=3, max=MAX_DIMENSION)
     rho: float = _key(0.25)
     n_max: int = _key(12, min=1, max=MAX_LEVEL)
     quad_points: int = _key(512, min=MIN_QUAD_POINTS)

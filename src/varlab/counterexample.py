@@ -34,6 +34,8 @@ IDENTITY_REL_TOL = 1e-8
 MAX_PANELS = 1 << 17
 #: exp(2n) must stay inside double range (overflow just past n ≈ 354)
 MAX_LEVEL = 350
+#: Γ(N/2) in the unit sphere's measure overflows double range from N = 344
+MAX_DIMENSION = 343
 #: fewest quadrature points a radial integral may start from
 MIN_QUAD_POINTS = 100
 #: budget of one (shells, panels, 8) array of the batched radial routine
@@ -49,8 +51,10 @@ class RadialProfile:
     n: float
 
     def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension <= 2:
-            raise ValueError(f"dimension must be an integer > 2, got {self.dimension}")
+        if (int(self.dimension) != self.dimension
+                or not 2 < self.dimension <= MAX_DIMENSION):
+            raise ValueError(f"dimension must be an integer in 3..{MAX_DIMENSION}, "
+                             f"got {self.dimension}")
         hi = (self.dimension - 2) / 2.0
         if not (0 < self.rho < hi):
             raise ValueError(f"rho must lie in (0, {hi:g}) for dimension "

@@ -16,10 +16,12 @@ which does not depend on the mesh.
 The preconditioner is the SPD matrix (quadrature mass) + (damped stiffness):
 per element the stiffness block is scaled by (α+β)/(1+b̄·min(|v̄|,M))², which
 for the plain quadratic integrand with b ≡ 0 reproduces the exact Hessian,
-so that regime converges in a handful of steps. It is tridiagonal in 1D and
-factored there by banded Cholesky; in 2D SuperLU factors it in symmetric
-mode (minimum degree on AᵀA + A, diagonal pivots), summed into a CSC
-pattern that each Preconditioner builds once.
+so that regime converges in a handful of steps. Each Preconditioner lists
+the element mass and stiffness triplets once, with the boundary identity
+appended, and every factor sums them with its weights into a layout fixed
+at construction: the (2, n) upper band of the tridiagonal 1D matrix, which
+banded Cholesky factors, or in 2D a CSC pattern, which SuperLU factors in
+symmetric mode (minimum degree on AᵀA + A, diagonal pivots).
 
 Each stage factors the preconditioner at its start iterate and reuses the
 factor (the chord/Shamanskii scheme, Kelley, *Iterative Methods for Linear
@@ -44,6 +46,7 @@ scipy.sparse.linalg in 2D), so a command that never factors never loads it.
 from __future__ import annotations
 
 import importlib
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -147,37 +150,37 @@ class Preconditioner:
         self._scale = spec.integrand.alpha + spec.integrand.beta
         self._b_bar = spec.b.quad_values.mean(axis=1)     # (E,)
         interior = ~g.boundary_mask
-        self._dimension = g.dimension
-        if g.dimension == 1:
-            # element e joins nodes e and e+1, so P is tridiagonal; its
-            # upper band holds the diagonal in row 1 and the coupling of
-            # nodes e, e+1 in row 0, column e+1
-            self._band_keep = np.zeros((2, g.n_nodes), dtype=bool)
-            self._band_keep[0, 1:] = interior[:-1] & interior[1:]
-            self._band_keep[1] = interior
-            self._boundary = g.boundary_mask
-            self._mass_blocks, self._stiff_blocks = mass, stiff
-            return
         rows = np.repeat(g.elements, L, axis=1).ravel()
         cols = np.tile(g.elements, (1, L)).ravel()
-        owner = np.repeat(np.arange(g.n_elements), L * L)
         # boundary rows/cols dropped; the identity for those nodes is appended
         # as mass 1 and stiffness 0, so every factor sums the same triplets
         keep = interior[rows] & interior[cols]
+        if g.dimension == 1:
+            keep &= rows <= cols       # banded Cholesky reads the upper band
+        keep = np.flatnonzero(keep)
+        owner = keep // (L * L)        # triplet t is of element t // L²
         eye = np.flatnonzero(g.boundary_mask)
-        n = g.n_nodes
-        # the CSC pattern: triplet t adds into data[slot[t]]; keys sort by
-        # column, then row
-        keys, self._slot = np.unique(
-            np.concatenate([cols[keep], eye]) * n
-            + np.concatenate([rows[keep], eye]), return_inverse=True)
+        rows = np.concatenate([rows[keep], eye])
+        cols = np.concatenate([cols[keep], eye])
+        self._mass = np.concatenate([mass.ravel()[keep], np.ones(eye.size)])
+        self._stiff = np.concatenate([stiff.ravel()[keep], np.zeros(eye.size)])
+        self._stiff_owner = np.concatenate([owner, np.zeros_like(eye)])
+        self._dimension = g.dimension
+        self._n = n = g.n_nodes
+        # triplet t adds into data[slot[t]]
+        if g.dimension == 1:
+            # element e joins nodes e and e+1, so P is tridiagonal: entry
+            # (i, j ≥ i) sits in row 1 + i − j, column j of the (2, n) band
+            # (the last is node n−1's identity). Each sums at most two element
+            # terms, so the summation order cannot move its bits.
+            self._slot = (1 + rows - cols) * n + cols
+            return
+        del mass, stiff, keep, owner    # freed before np.unique, the peak
+        # the CSC pattern; keys sort by column, then row
+        keys, self._slot = np.unique(cols * n + rows, return_inverse=True)
         self._indices = (keys % n).astype(np.int32)
         self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(
             np.int32)
-        self._mass = np.concatenate([mass.ravel()[keep], np.ones(eye.size)])
-        self._stiff = np.concatenate([stiff.ravel()[keep], np.zeros(eye.size)])
-        self._stiff_owner = np.concatenate([owner[keep], np.zeros_like(eye)])
-        self._n = n
 
     def damping(self, vq: np.ndarray, M: float) -> np.ndarray:
         """(E,) stiffness weights (α+β)/(1+b̄·min(v̄, M))² of the field whose
@@ -188,31 +191,44 @@ class Preconditioner:
     def factor(self, damp: np.ndarray):
         """Return a solve callable for the matrix with stiffness weights
         `damp`."""
+        weights = damp[self._stiff_owner]     # in place: one temporary
+        weights *= self._stiff
+        weights += self._mass
+        data = np.bincount(self._slot, weights=weights)
         if self._dimension == 1:
-            band = self._band_keep * _upper_band(
-                self._mass_blocks + damp[:, None, None] * self._stiff_blocks)
-            band[1, self._boundary] = 1.0
-            chol = (sla.cholesky_banded(band), False)
+            chol = (sla.cholesky_banded(data.reshape(2, self._n)), False)
             return lambda rhs: sla.cho_solve_banded(chol, rhs)
-        data = np.bincount(
-            self._slot, weights=self._mass + damp[self._stiff_owner] * self._stiff,
-            minlength=self._indices.size)
         P = sp.csc_matrix((data, self._indices, self._indptr),
                           shape=(self._n, self._n))
         return spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True}).solve
 
 
-def _upper_band(blocks: np.ndarray) -> np.ndarray:
-    """(2, E+1) upper band of the sum of 1D element blocks (E, 2, 2)."""
-    band = np.zeros((2, blocks.shape[0] + 1))
-    band[0, 1:] = blocks[:, 0, 1]
-    band[1, :-1] = blocks[:, 0, 0]
-    band[1, 1:] += blocks[:, 1, 1]
-    return band
-
-
 # ------------------------------------------------------------- inner solver
+
+
+def two_loop(g: np.ndarray, memory, apply_P) -> np.ndarray:
+    """H·g for the L-BFGS inverse Hessian H (Nocedal & Wright, Algorithm
+    7.4) over the (s, y, 1/sᵀy) pairs of `memory`, oldest first, with the
+    scaled preconditioner γ·apply_P as H₀; pairs whose 1/sᵀy is None failed
+    the curvature test and are skipped."""
+    pairs = [pair for pair in memory if pair[2] is not None]
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        alphas.append(a)
+        q -= a * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        denom = y @ apply_P(y)
+        gamma = (s @ y) / denom if denom > 0 else 1.0
+        q = gamma * apply_P(q)
+    else:
+        q = apply_P(q)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
 
 
 def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
@@ -235,10 +251,9 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
     res_linf = float(np.max(np.abs(r)))
     iterations = 0
     converged = res_linf <= spec.solver_tol
-    # curvature memory (limited-memory quasi-Newton on top of the damped
-    # preconditioner; kept only while it yields genuine descent directions)
-    mem_s: list = []
-    mem_y: list = []
+    # the last ten accepted steps as (s, y, 1/sᵀy), with None for 1/sᵀy
+    # without positive curvature (the pair still fills its slot)
+    memory = deque(maxlen=10)
     factored = None     # the weights of the live factor apply_P
 
     while not converged and iterations < spec.max_iter:
@@ -247,58 +262,27 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
                 or np.max(np.abs(damp / factored - 1.0)) > REFACTOR_DRIFT):
             apply_P = precond.factor(damp)
             factored = damp
-
-        def two_loop(g):
-            q = g.copy()
-            alphas = []
-            for s_vec, y_vec, rho in reversed(mem_pairs):
-                a = rho * (s_vec @ q)
-                alphas.append(a)
-                q -= a * y_vec
-            if mem_pairs:
-                s_vec, y_vec, _ = mem_pairs[-1]
-                py = apply_P(y_vec)
-                denom = y_vec @ py
-                gamma = (s_vec @ y_vec) / denom if denom > 0 else 1.0
-                q = gamma * apply_P(q)
-            else:
-                q = apply_P(q)
-            for (s_vec, y_vec, rho), a in zip(mem_pairs, reversed(alphas)):
-                beta = rho * (y_vec @ q)
-                q += (a - beta) * s_vec
-            return q
-
-        mem_pairs = []
-        for s_vec, y_vec in zip(mem_s, mem_y):
-            curv = s_vec @ y_vec
-            if curv > 1e-12 * float(np.linalg.norm(s_vec) * np.linalg.norm(y_vec)):
-                mem_pairs.append((s_vec, y_vec, 1.0 / curv))
-        d = -two_loop(r)
+        d = -two_loop(r, memory, apply_P)
         slope = float(r @ d)
         if slope >= 0.0:               # memory turned sour: fall back
-            mem_s.clear()
-            mem_y.clear()
+            memory.clear()
             d = -apply_P(r)
             slope = float(r @ d)
-        accepted = False
-        s = 1.0
-        for bt in range(MAX_BACKTRACKS + 1):
-            trial_vals = v.values + s * d
-            trial = DiscreteField(grid=spec.grid, values=trial_vals)
+        step = 1.0
+        for _ in range(MAX_BACKTRACKS + 1):
+            trial = DiscreteField(grid=spec.grid, values=v.values + step * d)
             pieces = energy_pieces(spec, trial, M)
             trial_energy = eval_JM(spec, trial, M, pieces=pieces)
-            if trial_energy <= energy + ARMIJO_C * s * slope:
-                accepted = True
+            if trial_energy <= energy + ARMIJO_C * step * slope:
                 break
-            s *= BACKTRACK
-        if not accepted:
+            step *= BACKTRACK
+        else:
             break   # reported as a non-converged stage, never a crash
         r_new = residual(spec, trial, M, pieces=pieces)
-        mem_s.append(s * d)
-        mem_y.append(r_new - r)
-        if len(mem_s) > 10:
-            mem_s.pop(0)
-            mem_y.pop(0)
+        s, y = step * d, r_new - r
+        curv = s @ y
+        ok = curv > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y))
+        memory.append((s, y, 1.0 / curv if ok else None))
         v, energy, r = trial, trial_energy, r_new
         history.append(energy)
         iterations += 1

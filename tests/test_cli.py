@@ -746,6 +746,45 @@ def test_unsettled_witness_exits_not_converged_naming_the_level(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand, coefficient", [
+    ("audit", "coefficient: {kind: constant, params: {value: 1.0e300}}\n"),
+    ("sweep", "sweep: {integrands: [{kind: quadratic}], data: [{kind: sine}],"
+              " coefficients: [{kind: step, params: {height: 1.0e300}}]}\n")])
+def test_huge_coefficient_ends_without_a_traceback(subcommand, coefficient,
+                                                   tmp_path, capsys):
+    # (1 + B·k)² overflows a float for B = 1e300: the TK bound is infinite
+    cfg_file = tmp_path / "huge.yaml"
+    cfg_file.write_text(f"subcommand: {subcommand}\ndomain: {{cells: 8}}\n"
+                        "solver: {max_iter: 50}\n" + coefficient + FAST_AUDIT)
+    out = tmp_path / "out"
+    code = main([subcommand, "--config", str(cfg_file), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_AUDIT_FAIL, EXIT_NOT_CONVERGED)
+    assert "Traceback" not in capsys.readouterr().err
+    (report,) = out.rglob("report.json")
+    tk = _read_json(report)["estimates"]["TK_BOUND"]
+    assert [r["rhs"] for r in tk if r["params"]["k"] > 0] == ["inf"] * 5
+
+
+@pytest.mark.parametrize("dimension", [343, 344])
+def test_witness_dimension_stops_where_the_sphere_measure_overflows(
+        dimension, tmp_path, capsys):
+    # Γ(N/2) overflows from N = 344, so the schema caps the dimension at 343
+    cfg_file = tmp_path / "wide.yaml"
+    cfg_file.write_text("subcommand: counterexample\n"
+                        f"counterexample: {{dimension: {dimension}, n_max: 3}}\n")
+    out = tmp_path / "out"
+    code = main(["counterexample", "--config", str(cfg_file), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if dimension == 343:
+        assert code in (EXIT_OK, EXIT_AUDIT_FAIL, EXIT_NOT_CONVERGED)
+        return
+    assert code == EXIT_USAGE
+    assert err.splitlines() == [
+        "varlab: error: 'counterexample.dimension' must be <= 343, got 344"]
+    assert not out.exists()
+
+
 def test_main_usage_errors_exit_one(tmp_path):
     assert main(["audit", "--config", "/no/such/file.yaml"]) == EXIT_USAGE
     bad = tmp_path / "bad.yaml"

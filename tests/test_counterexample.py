@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from varlab.counterexample import (
+    MAX_DIMENSION,
     MAX_LEVEL,
     DivergenceReport,
     RadialProfile,
@@ -45,6 +46,13 @@ def test_profile_rejects_low_or_fractional_dimension():
         RadialProfile(dimension=2, rho=0.25, n=1.0)
     with pytest.raises(ValueError):
         RadialProfile(dimension=3.5, rho=0.25, n=1.0)
+
+
+def test_profile_rejects_a_dimension_whose_sphere_measure_overflows():
+    # Γ(N/2) overflows double range from N = 344
+    assert RadialProfile(MAX_DIMENSION, 0.25, 1.0).sphere_measure > 0.0
+    with pytest.raises(ValueError, match=r"3\.\.343"):
+        RadialProfile(dimension=MAX_DIMENSION + 1, rho=0.25, n=1.0)
 
 
 def test_profile_rejects_negative_or_overflowing_level():

@@ -7,9 +7,11 @@ routes at once.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -32,6 +34,7 @@ from varlab.solver import (
     minimize_inner,
     solve_M_schedule,
     solve_outer,
+    two_loop,
 )
 
 
@@ -197,6 +200,80 @@ def test_preconditioner_solve_matches_sparse_assembly(dimension, cells):
     got = precond.factor(precond.damping(values_at_quadrature(v), M))(rhs)
     want = spla.spsolve(_csc_preconditioner(spec, v, M), rhs)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _blockwise_band(spec, damp):
+    """The (2, n) upper band of the 1D preconditioner summed block by block:
+    the diagonal in row 1, the coupling of nodes e, e+1 in row 0, column
+    e+1; entries that touch the boundary zeroed, then its identity."""
+    g = spec.grid
+    bary = g.quad_points
+    blocks = (np.einsum("eq,ql,qm->elm", g.quad_weights, bary, bary)
+              + damp[:, None, None] * np.einsum(
+                  "e,eld,emd->elm", g.element_measures, g.basis_gradients,
+                  g.basis_gradients))
+    band = np.zeros((2, g.n_nodes))
+    band[0, 1:] = blocks[:, 0, 1]
+    band[1, :-1] = blocks[:, 0, 0]
+    band[1, 1:] += blocks[:, 1, 1]
+    interior = ~g.boundary_mask
+    keep = np.zeros((2, g.n_nodes), dtype=bool)
+    keep[0, 1:] = interior[:-1] & interior[1:]
+    keep[1] = interior
+    band = keep * band
+    band[1, g.boundary_mask] = 1.0
+    return band
+
+
+@pytest.mark.parametrize("coeff", [("zero", None), ("constant", {"value": 2.0})])
+@pytest.mark.parametrize("cells", [1, 2, 3, 64, 10_000])
+def test_1d_factor_solves_bit_for_bit_as_the_blockwise_band(cells, coeff):
+    spec = _spec(cells=cells, coeff=coeff)
+    # the ramp up to 4 against M = 1.5 puts the clamp on part of the domain
+    v = DiscreteField(grid=spec.grid, values=4.0 * spec.grid.nodes[:, 0])
+    M = 1.5
+    assert np.any(np.abs(values_at_quadrature(v)).mean(axis=1) > M)
+    precond = Preconditioner(spec)
+    damp = precond.damping(values_at_quadrature(v), M)
+    rhs = np.random.default_rng(cells).standard_normal(spec.grid.n_nodes)
+    want = sla.cho_solve_banded(
+        (sla.cholesky_banded(_blockwise_band(spec, damp)), False), rhs)
+    assert np.array_equal(precond.factor(damp)(rhs), want)
+
+
+def _quadratic_memory(n, pairs, seed):
+    """`pairs` steps s with y = A·s for one SPD matrix A, and an SPD
+    preconditioner solve that is not A's."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A = A @ A.T + n * np.eye(n)
+    P = np.diag(rng.uniform(1.0, 3.0, n))
+    memory = deque(maxlen=10)
+    for _ in range(pairs):
+        s = rng.standard_normal(n)
+        y = A @ s
+        memory.append((s, y, 1.0 / (s @ y)))
+    return memory, lambda g: np.linalg.solve(P, g)
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 5, 10])
+def test_two_loop_maps_the_newest_y_to_the_newest_s(pairs):
+    memory, apply_P = _quadratic_memory(12, pairs, seed=pairs)
+    s, y, _ = memory[-1]
+    got = two_loop(y, memory, apply_P)
+    assert np.linalg.norm(got - s) <= 1e-10 * np.linalg.norm(s)
+    # a pair that failed the curvature test holds a slot but takes no part
+    failed = (np.ones(12), -np.ones(12), None)
+    mixed = [*list(memory)[:-1], failed, memory[-1], failed]
+    assert np.array_equal(two_loop(y, mixed, apply_P), got)
+
+
+def test_two_loop_without_pairs_is_the_preconditioner():
+    _, apply_P = _quadratic_memory(12, 0, seed=0)
+    g = np.random.default_rng(1).standard_normal(12)
+    failed = deque([(g, -g, None)] * 3, maxlen=10)
+    for memory in (deque(maxlen=10), failed):
+        assert np.array_equal(two_loop(g, memory, apply_P), apply_P(g))
 
 
 @pytest.mark.parametrize("cells", [1, 2, 6, 16])
