@@ -1,9 +1,10 @@
 """Numerical audits of every a priori estimate the minimizers must obey.
 
 Each audit evaluates both sides of one inequality on concrete discrete
-fields and returns an EstimateReport whose verdict is recomputed from the
-recorded numbers — pass ⇔ lhs ≤ rhs·(1+rel_tol) + abs_tol. Audits are pure:
-the same inputs yield bit-identical reports.
+fields and returns an EstimateReport. The report records the numbers, not
+the verdict: that is computed from them by the one formula _verdict —
+pass ⇔ lhs ≤ rhs·(1+rel_tol) + abs_tol — so it cannot contradict them.
+Audits are pure: the same inputs yield bit-identical reports.
 
 Right-hand sides quote the square mass of the UNtruncated datum (the form
 the estimates are stated in); every report that also knows the stage datum
@@ -49,6 +50,7 @@ ESTIMATE_IDS = (
 REL_TOL = 1e-6
 ABS_TOL = 1e-12
 HOLDER_TOL = 1e-10
+OVERFLOW_NOTE = "amplitude integral overflows; middle split step unchecked"
 #: ratios of successive differences below this scale-relative floor are
 #: treated as converged-to-roundoff rather than compared
 STAB_FLOOR = 1e-13
@@ -66,7 +68,6 @@ class EstimateReport:
     rhs: float
     rel_tol: float
     abs_tol: float
-    passed: bool
     severity: str = "binding"      # "warning" reports never gate an exit code
     params: dict = field(default_factory=dict)
     note: str = ""
@@ -76,16 +77,19 @@ class EstimateReport:
             raise ValueError(f"unknown estimate id {self.estimate_id!r}")
         if self.severity not in ("binding", "warning"):
             raise ValueError(f"unknown severity {self.severity!r}")
-        if self.passed != _verdict(self.lhs, self.rhs, self.rel_tol, self.abs_tol):
-            raise ValueError("stored verdict contradicts lhs/rhs/tolerance")
+
+    @property
+    def passed(self) -> bool:
+        return _verdict(self.lhs, self.rhs, self.rel_tol, self.abs_tol)
 
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
 
 
-def _verdict(lhs: float, rhs: float, rel_tol: float, abs_tol: float) -> bool:
-    return bool(lhs <= rhs * (1.0 + rel_tol) + abs_tol)
+def _verdict(lhs, rhs, rel_tol: float, abs_tol: float):
+    """lhs ≤ rhs·(1+rel_tol) + abs_tol, for scalars or elementwise."""
+    return lhs <= rhs * (1.0 + rel_tol) + abs_tol
 
 
 def _report(estimate_id: str, lhs: float, rhs: float, rel_tol: float = REL_TOL,
@@ -93,8 +97,7 @@ def _report(estimate_id: str, lhs: float, rhs: float, rel_tol: float = REL_TOL,
             params: Optional[dict] = None, note: str = "") -> EstimateReport:
     return EstimateReport(
         estimate_id=estimate_id, lhs=float(lhs), rhs=float(rhs),
-        rel_tol=rel_tol, abs_tol=abs_tol,
-        passed=_verdict(lhs, rhs, rel_tol, abs_tol), severity=severity,
+        rel_tol=rel_tol, abs_tol=abs_tol, severity=severity,
         params=dict(params or {}), note=note)
 
 
@@ -168,23 +171,27 @@ def audit_terzastima(u: DiscreteField, spec: ProblemSpec,
     Main check: ∫|∇u| ≤ √(∫|f|²/2α)·(√meas + 2B√∫|f|²). Additionally
     re-derives the middle Cauchy–Schwarz step — ∫|∇u| ≤
     √(∫|∇u|²/(1+b|u|)²)·√(∫(1+b|u|)²) — which holds for every field at
-    quadrature level, to HOLDER_TOL relative.
+    quadrature level, to HOLDER_TOL relative; its right side is +inf when
+    ∫(1+b|u|)² overflows (√0·∞ would be NaN).
     """
     alpha = spec.integrand.alpha
     B = spec.b.upper_bound
-    mass = spec.f.l2_norm_sq
     lhs, damped, amplitude = _split_integrals(u, spec)
-    rhs = math.sqrt(mass / (2.0 * alpha)) * (
-        math.sqrt(u.grid.measure) + 2.0 * B * math.sqrt(mass))
-    holder_rhs = math.sqrt(damped) * math.sqrt(amplitude)
-    holder_ok = lhs <= holder_rhs * (1.0 + HOLDER_TOL) + ABS_TOL
-    tight = math.sqrt(f_used.l2_norm_sq / (2.0 * alpha)) * (
-        math.sqrt(u.grid.measure) + 2.0 * B * math.sqrt(f_used.l2_norm_sq))
-    params = {"B": B, "alpha": alpha, "rhs_tight": tight,
+
+    def bound(mass: float) -> float:
+        return math.sqrt(mass / (2.0 * alpha)) * (
+            math.sqrt(u.grid.measure) + 2.0 * B * math.sqrt(mass))
+
+    overflow = math.isinf(amplitude)
+    holder_rhs = (math.inf if overflow
+                  else math.sqrt(damped) * math.sqrt(amplitude))
+    holder_ok = _verdict(lhs, holder_rhs, HOLDER_TOL, ABS_TOL)
+    params = {"B": B, "alpha": alpha, "rhs_tight": bound(f_used.l2_norm_sq),
               "holder_lhs": lhs, "holder_rhs": holder_rhs,
-              "holder_passed": bool(holder_ok)}
+              "holder_passed": holder_ok}
     if holder_ok:
-        return _report("TERZASTIMA", lhs, rhs, params=params)
+        return _report("TERZASTIMA", lhs, bound(spec.f.l2_norm_sq),
+                       params=params, note=OVERFLOW_NOTE if overflow else "")
     # unreachable for finite fields (pointwise Young/Cauchy–Schwarz is exact
     # at quadrature level); a NaN rhs makes the verdict fail loudly while
     # keeping it consistent with the recorded numbers
@@ -205,7 +212,7 @@ def audit_gk(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
     return _report("GK_BOUND", lhs, rhs, params=params)
 
 
-def audit_coercivity_chain(fields: Sequence[DiscreteField],
+def audit_coercivity_chain(values: np.ndarray,
                            b: CoefficientField) -> EstimateReport:
     """Two-factor split with unit amplitude: ∫|∇v| ≤ ½∫|∇v|²/(1+|v|)² + ½∫(1+|v|)².
 
@@ -213,26 +220,20 @@ def audit_coercivity_chain(fields: Sequence[DiscreteField],
     problem's b (whose label is only recorded for context); the pointwise
     Young inequality makes this exact at quadrature level for EVERY field.
 
-    `fields` is a non-empty sequence of fields on one grid, audited in a
-    single batched pass. The report is that of its first field with the
+    `values` is an (S, P) stack of nodal vectors on b's grid, audited in
+    a single batched pass. The report is that of its first row with the
     least slack, and params["samples"] and params["failures"] count the
-    fields and the failed ones.
+    rows and the failed ones.
     """
-    fields = tuple(fields)
-    if not fields:
-        raise ValueError("the coercivity chain needs at least one field")
-    grid = fields[0].grid
-    if any(f.grid is not grid for f in fields):
-        raise ValueError("coercivity-chain fields must share one grid")
-    lhs, damped, amplitude = damped_integrals(grid, np.stack(
-        [f.values for f in fields]), np.ones_like(grid.quad_weights))
+    lhs, damped, amplitude = damped_integrals(
+        b.grid, values, np.ones_like(b.grid.quad_weights))
     rhs = 0.5 * damped + 0.5 * amplitude
     worst = int(np.argmin(rhs - lhs))
-    passed = lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL
+    passed = _verdict(lhs, rhs, REL_TOL, ABS_TOL)
     return _report("COERCIVITY_CHAIN", lhs[worst], rhs[worst], params={
         "damped_term": float(damped[worst]),
         "amplitude_term": float(amplitude[worst]), "coefficient": b.label,
-        "samples": len(fields), "failures": int(np.count_nonzero(~passed))})
+        "samples": len(values), "failures": int(np.count_nonzero(~passed))})
 
 
 def _spike_field(u: DiscreteField) -> DiscreteField:
@@ -372,6 +373,8 @@ def audit_stabilization(trace: SolveTrace, spec: ProblemSpec
 def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
                   seed: int, coercivity_samples: int) -> tuple:
     """Run every applicable audit for a finished solve, in a fixed order."""
+    if coercivity_samples < 1:
+        raise ValueError("the coercivity chain needs at least one field")
     reports = []
     final_stage = trace.stages[-1]
     final_datum = make_Jn_datum(spec.f, final_stage.n_level)
@@ -396,15 +399,14 @@ def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
                                        "M": m_level})
                     for r in stage_reports]
 
-    # one field at a time, amplitude before values: that order fixes the RNG
+    # one row at a time, amplitude before values: that order fixes the RNG
     # stream, and with it the artifacts
     rng = np.random.default_rng(seed)
-    grid = spec.grid
-    samples = []
-    for _ in range(coercivity_samples):
+    samples = np.empty((coercivity_samples, spec.grid.n_nodes))
+    for row in samples:
         amp = 10.0 ** rng.uniform(-2.0, 2.0)
-        samples.append(field_from_values(
-            grid, rng.uniform(-amp, amp, grid.n_nodes)))
+        row[:] = rng.uniform(-amp, amp, spec.grid.n_nodes)
+    samples[:, spec.grid.boundary_mask] = 0.0
     reports.append(audit_coercivity_chain(samples, spec.b))
 
     if spec.b.lower_bound > 0:

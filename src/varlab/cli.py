@@ -559,17 +559,16 @@ def _stage_summaries(trace: SolveTrace) -> list:
             for stage in trace.stages]
 
 
-def _report_head(config: RunConfig) -> dict:
-    """The keys that open every report."""
-    return {"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
-            "seed": config.seed, "config": config_to_mapping(config)}
-
-
-def _emit(config: RunConfig, directory: str, basename: str, report: dict,
-          csv_files: dict):
-    """Write the config echo, the report and the CSV files.  `csv_files`
-    maps each file name to a function that builds its (header, blocks), so
-    that no table is formatted when the config writes no CSV."""
+def _emit(config: RunConfig, directory: str, basename: str, code: int,
+          report: dict, csv_files: dict) -> Tuple[int, dict]:
+    """Open `report` with the keys of every report and close it with the
+    exit status `code`; write it, the config echo and the CSV files, and
+    return (code, report).  `csv_files` maps each file name to a function
+    that builds its (header, blocks), so that no table is formatted when
+    the config writes no CSV."""
+    report = {"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
+              "seed": config.seed, "config": config_to_mapping(config),
+              **report, "exit_status": code}
     os.makedirs(directory, exist_ok=True)
     _write_text(os.path.join(directory, "config_echo.yaml"),
                 render_config(config))
@@ -579,6 +578,7 @@ def _emit(config: RunConfig, directory: str, basename: str, report: dict,
     if config.output.csv:
         for name, table in csv_files.items():
             _write_csv(os.path.join(directory, name), *table())
+    return code, report
 
 
 def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
@@ -588,7 +588,6 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
     code = EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
     report = {
-        **_report_head(config),
         "converged": trace.converged,
         "stages": _stage_summaries(trace),
         "stabilization_l2": list(trace.stabilization_history),
@@ -620,9 +619,7 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
         csv_files["estimates.csv"] = lambda: (
             _ESTIMATE_HEADER, _row_blocks(_estimate_rows(reports)))
 
-    report["exit_status"] = code
-    _emit(config, directory, "report", report, csv_files)
-    return code, report
+    return _emit(config, directory, "report", code, report, csv_files)
 
 
 def _run_counterexample(config: RunConfig, directory: str) -> Tuple[int, dict]:
@@ -633,20 +630,16 @@ def _run_counterexample(config: RunConfig, directory: str) -> Tuple[int, dict]:
         print(f"varlab: counterexample: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED, {}
     code = EXIT_OK if rep.passed else EXIT_AUDIT_FAIL
-    report = {
-        **_report_head(config),
-        **{key: list(getattr(rep, name))
-           for _, key, name in _WITNESS_COLUMNS if key},
-        "dimension": rep.dimension, "rho": rep.rho,
-        "log_h1_limit": rep.log_h1_limit,
-        "assertions": dict(rep.assertions),
-        "passed": rep.passed,
-        "exit_status": code,
-    }
-    _emit(config, directory, "report", report, {"counterexample.csv": lambda: (
-        [column for column, _, _ in _WITNESS_COLUMNS],
-        [[_csv_column(getattr(rep, name)) for *_, name in _WITNESS_COLUMNS]])})
-    return code, report
+    report = {**{key: list(getattr(rep, name))
+                 for _, key, name in _WITNESS_COLUMNS if key},
+              "dimension": rep.dimension, "rho": rep.rho,
+              "log_h1_limit": rep.log_h1_limit,
+              "assertions": dict(rep.assertions), "passed": rep.passed}
+    return _emit(config, directory, "report", code, report, {
+        "counterexample.csv": lambda: (
+            [column for column, _, _ in _WITNESS_COLUMNS],
+            [[_csv_column(getattr(rep, name))
+              for *_, name in _WITNESS_COLUMNS]])})
 
 
 def _distinct(components):
@@ -687,17 +680,11 @@ def _run_certify(config: RunConfig, directory: str) -> Tuple[int, dict]:
         components.append(("integrand", config.integrand))
     entries = _certify_entries(components, config.seed)
     code = EXIT_OK if all(e["passed"] for e in entries) else EXIT_AUDIT_FAIL
-    report = {
-        **_report_head(config),
-        "certifications": entries,
-        "passed": code == EXIT_OK,
-        "exit_status": code,
-    }
+    report = {"certifications": entries, "passed": code == EXIT_OK}
     header = ["kind", "passed", "samples", "seed"]
     rows = [[e["kind"], e["passed"], e["samples"], e["seed"]] for e in entries]
-    _emit(config, directory, "report", report,
-          {"certification.csv": lambda: (header, _row_blocks(rows))})
-    return code, report
+    return _emit(config, directory, "report", code, report,
+                 {"certification.csv": lambda: (header, _row_blocks(rows))})
 
 
 def _component_label(comp: ComponentConfig) -> str:
@@ -763,19 +750,16 @@ def _run_sweep(config: RunConfig, directory: str,
     else:
         code = EXIT_OK
     report = {
-        **_report_head(config),
         "certifications": certs,
         "points": point_entries,
         "summary": {"points": len(points), "audit_failures": audit_failures,
                     "non_converged": non_converged,
-                    "certification_failed": not certified},
-        "exit_status": code}
+                    "certification_failed": not certified}}
     header = ["point", "integrand", "coefficient", "datum", "converged",
               "estimates_total", "estimates_failed", "failed_ids",
               "linf_passed", "minimality_passed", "exit_status"]
-    _emit(config, directory, "sweep_report", report,
-          {"sweep_matrix.csv": lambda: (header, _row_blocks(matrix_rows))})
-    return code, report
+    return _emit(config, directory, "sweep_report", code, report, {
+        "sweep_matrix.csv": lambda: (header, _row_blocks(matrix_rows))})
 
 
 def run(config: RunConfig, directory: str = ".", jobs: int = 1) -> int:

@@ -29,6 +29,7 @@ from .grid import (
     Array,
     DiscreteField,
     Grid,
+    _frozen,
     element_gradients,
     sample_at_quadrature,
     values_at_quadrature,
@@ -83,37 +84,34 @@ class CoefficientField:
         slack = 1e-12 * (1.0 + self.upper_bound)
         if np.any(q < self.lower_bound - slack) or np.any(q > self.upper_bound + slack):
             raise ValueError("coefficient samples violate the declared bounds")
-        q = np.ascontiguousarray(q)
-        q.setflags(write=False)
-        object.__setattr__(self, "quad_values", q)
+        object.__setattr__(self, "quad_values", _frozen(q))
 
 
 @dataclass(frozen=True)
 class Datum:
-    """Source datum f sampled at quadrature points, with cached ∫|f|²."""
+    """Source datum f sampled at quadrature points, with its quadrature
+    square mass ∫|f|² computed once from the samples."""
 
     grid: Grid
     quad_values: Array        # (E, Q)
-    l2_norm_sq: float
     linf_bound: Optional[float]   # None when no sup bound is known
+    l2_norm_sq: float = field(init=False)
 
     def __post_init__(self):
-        q = np.asarray(self.quad_values, dtype=float)
+        q = _frozen(np.asarray(self.quad_values, dtype=float))
         if q.shape != self.grid.quad_weights.shape:
             raise ValueError("datum samples do not match the quadrature layout")
-        if not np.all(np.isfinite(q)) or not math.isfinite(self.l2_norm_sq):
+        l2sq = float(np.sum(self.grid.quad_weights * q * q))
+        if not np.all(np.isfinite(q)) or not math.isfinite(l2sq):
             raise ValueError("datum must be square-integrable (finite samples)")
-        q = np.ascontiguousarray(q)
-        q.setflags(write=False)
         object.__setattr__(self, "quad_values", q)
+        object.__setattr__(self, "l2_norm_sq", l2sq)
 
 
 def make_datum(grid: Grid, fn: Callable[[Array], Array],
                linf_bound: Optional[float] = None) -> Datum:
-    """Sample `fn` at the quadrature points and cache its quadrature L² mass."""
-    q = sample_at_quadrature(grid, fn)
-    l2sq = float(np.sum(grid.quad_weights * q * q))
-    return Datum(grid=grid, quad_values=q, l2_norm_sq=l2sq,
+    """Sample `fn` at the quadrature points."""
+    return Datum(grid=grid, quad_values=sample_at_quadrature(grid, fn),
                  linf_bound=linf_bound)
 
 
@@ -121,10 +119,8 @@ def make_Jn_datum(f: Datum, n: float) -> Datum:
     """Two-sided clamp of the datum at level n (the outer truncation stage)."""
     if n <= 0:
         raise ValueError(f"truncation level must be positive, got {n}")
-    q = np.clip(f.quad_values, -n, n)
-    l2sq = float(np.sum(f.grid.quad_weights * q * q))
     bound = float(n) if f.linf_bound is None else min(float(n), f.linf_bound)
-    return Datum(grid=f.grid, quad_values=q, l2_norm_sq=l2sq,
+    return Datum(grid=f.grid, quad_values=np.clip(f.quad_values, -n, n),
                  linf_bound=bound)
 
 

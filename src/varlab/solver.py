@@ -245,18 +245,16 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
 
     v = start
     pieces = energy_pieces(spec, v, M)
-    energy = eval_JM(spec, v, M, pieces=pieces)
-    history = [energy]
+    history = [eval_JM(spec, v, M, pieces=pieces)]
     r = residual(spec, v, M, pieces=pieces)
-    res_linf = float(np.max(np.abs(r)))
-    iterations = 0
-    converged = res_linf <= spec.solver_tol
     # the last ten accepted steps as (s, y, 1/sᵀy), with None for 1/sᵀy
     # without positive curvature (the pair still fills its slot)
     memory = deque(maxlen=10)
     factored = None     # the weights of the live factor apply_P
 
-    while not converged and iterations < spec.max_iter:
+    # the stop test; a NaN residual never counts as converged
+    while (not (res_linf := float(np.max(np.abs(r)))) <= spec.solver_tol
+           and len(history) <= spec.max_iter):
         damp = precond.damping(pieces.vq, M)
         if (factored is None
                 or np.max(np.abs(damp / factored - 1.0)) > REFACTOR_DRIFT):
@@ -273,7 +271,7 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
             trial = DiscreteField(grid=spec.grid, values=v.values + step * d)
             pieces = energy_pieces(spec, trial, M)
             trial_energy = eval_JM(spec, trial, M, pieces=pieces)
-            if trial_energy <= energy + ARMIJO_C * step * slope:
+            if trial_energy <= history[-1] + ARMIJO_C * step * slope:
                 break
             step *= BACKTRACK
         else:
@@ -283,16 +281,13 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
         curv = s @ y
         ok = curv > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y))
         memory.append((s, y, 1.0 / curv if ok else None))
-        v, energy, r = trial, trial_energy, r_new
-        history.append(energy)
-        iterations += 1
-        res_linf = float(np.max(np.abs(r)))
-        converged = res_linf <= spec.solver_tol
+        v, r = trial, r_new
+        history.append(trial_energy)
 
-    record = StageRecord(m_level=float(M), field=v, iterations=iterations,
-                         converged=converged, residual_linf=res_linf,
-                         energy_history=tuple(history))
-    return v, record
+    return v, StageRecord(
+        m_level=float(M), field=v, iterations=len(history) - 1,
+        converged=res_linf <= spec.solver_tol, residual_linf=res_linf,
+        energy_history=tuple(history))
 
 
 # -------------------------------------------------------------- M schedule

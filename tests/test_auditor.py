@@ -58,17 +58,18 @@ def _solved(cells=32, coeff=("constant", {"value": 1.0}), datum=("sine", None),
 
 def test_report_verdict_formula():
     r = EstimateReport(estimate_id="PRIMASTIMA", lhs=1.0, rhs=1.0,
-                       rel_tol=1e-6, abs_tol=0.0, passed=True)
+                       rel_tol=1e-6, abs_tol=0.0)
+    assert r.passed
     assert r.slack == 0.0
-    with pytest.raises(ValueError):
-        EstimateReport(estimate_id="PRIMASTIMA", lhs=2.0, rhs=1.0,
-                       rel_tol=1e-6, abs_tol=0.0, passed=True)
+    # the verdict is computed from the numbers, so it cannot contradict them
+    assert not EstimateReport(estimate_id="PRIMASTIMA", lhs=2.0, rhs=1.0,
+                              rel_tol=1e-6, abs_tol=0.0).passed
     with pytest.raises(ValueError):
         EstimateReport(estimate_id="NOT_AN_ID", lhs=0.0, rhs=1.0,
-                       rel_tol=0.0, abs_tol=0.0, passed=True)
+                       rel_tol=0.0, abs_tol=0.0)
     with pytest.raises(ValueError):
         EstimateReport(estimate_id="PRIMASTIMA", lhs=0.0, rhs=1.0,
-                       rel_tol=0.0, abs_tol=0.0, passed=True, severity="fatal")
+                       rel_tol=0.0, abs_tol=0.0, severity="fatal")
 
 
 @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
@@ -77,7 +78,7 @@ def test_report_verdict_formula():
 def test_report_verdict_consistency_property(lhs, rhs, rel_tol, abs_tol):
     expected = lhs <= rhs * (1 + rel_tol) + abs_tol
     r = EstimateReport(estimate_id="TK_BOUND", lhs=lhs, rhs=rhs,
-                       rel_tol=rel_tol, abs_tol=abs_tol, passed=expected)
+                       rel_tol=rel_tol, abs_tol=abs_tol)
     assert r.passed == expected
     assert r.slack == rhs - lhs
 
@@ -197,7 +198,8 @@ def test_coercivity_chain_ramp_frozen():
     # v = x on (0,1): 1 ≤ ½∫(1+x)^-2 + ½∫(1+x)² = ¼ + 7/6
     grid = build_interval_grid(0.0, 1.0, 64)
     ramp = DiscreteField(grid=grid, values=grid.nodes[:, 0].copy())
-    report = audit_coercivity_chain([ramp], make_coefficient(grid, "zero"))
+    report = audit_coercivity_chain(ramp.values[None],
+                                    make_coefficient(grid, "zero"))
     assert report.passed
     assert report.lhs == pytest.approx(1.0, rel=1e-12)
     assert report.rhs == pytest.approx(0.25 + 7.0 / 6.0, abs=1e-6)
@@ -205,9 +207,10 @@ def test_coercivity_chain_ramp_frozen():
 
 def test_coercivity_chain_zero_field():
     grid = build_interval_grid(0.0, 1.0, 8)
-    report = audit_coercivity_chain([zero_field(grid)],
+    report = audit_coercivity_chain(np.zeros((3, grid.n_nodes)),
                                     make_coefficient(grid, "zero"))
     assert report.passed
+    assert (report.params["samples"], report.params["failures"]) == (3, 0)
     assert report.lhs == 0.0
     assert report.rhs == pytest.approx(0.5 * grid.measure, rel=1e-12)
 
@@ -219,7 +222,8 @@ def test_coercivity_chain_arbitrary_fields(interior):
     grid = build_interval_grid(0.0, 2.0, 8)
     vals = np.array([0.0] + interior + [0.0])
     field = DiscreteField(grid=grid, values=vals)
-    report = audit_coercivity_chain([field], make_coefficient(grid, "zero"))
+    report = audit_coercivity_chain(field.values[None],
+                                    make_coefficient(grid, "zero"))
     assert report.passed
 
 

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 import yaml
 
-from varlab.auditor import ESTIMATE_IDS
+from varlab.auditor import ESTIMATE_IDS, OVERFLOW_NOTE
 from varlab.cli import (
     EXIT_AUDIT_FAIL,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_USAGE,
+    SCHEMA_VERSION,
     ComponentConfig,
     ConfigError,
     RunConfig,
@@ -752,7 +753,8 @@ def test_unsettled_witness_exits_not_converged_naming_the_level(
               " coefficients: [{kind: step, params: {height: 1.0e300}}]}\n")])
 def test_huge_coefficient_ends_without_a_traceback(subcommand, coefficient,
                                                    tmp_path, capsys):
-    # (1 + B·k)² overflows a float for B = 1e300: the TK bound is infinite
+    # (1 + B·k)² overflows a float for B = 1e300: the TK bound is infinite;
+    # so does ∫(1+b|u|)², which makes TERZASTIMA's middle step vacuous
     cfg_file = tmp_path / "huge.yaml"
     cfg_file.write_text(f"subcommand: {subcommand}\ndomain: {{cells: 8}}\n"
                         "solver: {max_iter: 50}\n" + coefficient + FAST_AUDIT)
@@ -761,8 +763,14 @@ def test_huge_coefficient_ends_without_a_traceback(subcommand, coefficient,
     assert code in (EXIT_OK, EXIT_AUDIT_FAIL, EXIT_NOT_CONVERGED)
     assert "Traceback" not in capsys.readouterr().err
     (report,) = out.rglob("report.json")
-    tk = _read_json(report)["estimates"]["TK_BOUND"]
+    estimates = _read_json(report)["estimates"]
+    tk = estimates["TK_BOUND"]
     assert [r["rhs"] for r in tk if r["params"]["k"] > 0] == ["inf"] * 5
+    if subcommand == "audit":
+        (terza,) = estimates["TERZASTIMA"]
+        assert terza["passed"]
+        assert terza["params"]["holder_rhs"] == "inf"
+        assert terza["note"] == OVERFLOW_NOTE
 
 
 @pytest.mark.parametrize("dimension", [343, 344])
@@ -783,6 +791,44 @@ def test_witness_dimension_stops_where_the_sphere_measure_overflows(
     assert err.splitlines() == [
         "varlab: error: 'counterexample.dimension' must be <= 343, got 344"]
     assert not out.exists()
+
+
+_HEAD_CONFIGS = {
+    "solve": "domain: {cells: 8}\n",
+    "audit": "domain: {cells: 8}\n" + FAST_AUDIT,
+    "counterexample": "counterexample: {n_max: 3}\n",
+    "certify": "",
+    "sweep": "domain: {cells: 8}\n" + FAST_AUDIT + (
+        "sweep: {integrands: [{kind: quadratic}], data: [{kind: sine}],"
+        " coefficients: [{kind: zero}, {kind: constant}]}\n"),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_HEAD_CONFIGS))
+def test_every_report_opens_with_the_same_head(subcommand, tmp_path):
+    # schema, subcommand, seed and config echo, closed by the exit status
+    cfg_file = tmp_path / "head.yaml"
+    cfg_file.write_text(f"subcommand: {subcommand}\nseed: 7\n"
+                        + _HEAD_CONFIGS[subcommand])
+    out = tmp_path / "out"
+    code = main([subcommand, "--config", str(cfg_file), "--out", str(out)])
+    if subcommand != "sweep":
+        reports = [(out / "report.json", subcommand, code)]
+    else:
+        header, rows = _read_csv(out / "sweep_matrix.csv")
+        assert len(rows) == 2
+        reports = [(out / "sweep_report.json", subcommand, code)] + [
+            (out / f"point_{int(row[0]):03d}" / "report.json", "audit",
+             int(row[header.index("exit_status")])) for row in rows]
+    for path, name, status in reports:
+        report = _read_json(path)
+        echo = parse_config((path.parent / "config_echo.yaml").read_text())
+        assert report["schema"] == SCHEMA_VERSION
+        assert report["subcommand"] == echo.subcommand == name
+        assert report["seed"] == echo.seed == 7
+        assert report["config"] == json.loads(json.dumps(
+            config_to_mapping(echo)))
+        assert report["exit_status"] == status
 
 
 def test_main_usage_errors_exit_one(tmp_path):

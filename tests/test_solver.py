@@ -78,6 +78,9 @@ def test_zero_datum_zero_iterations():
     assert rec.iterations == 0
     assert rec.converged
     assert np.all(u.values == 0.0)
+    # the record is read off the one stop test and the energy history
+    assert len(rec.energy_history) == rec.iterations + 1
+    assert rec.converged == (rec.residual_linf <= spec.solver_tol)
 
 
 def test_quadratic_matches_tridiagonal_oracle():
@@ -131,6 +134,8 @@ def test_non_convergence_is_reported_not_raised():
                             Preconditioner(spec))
     assert not rec.converged
     assert rec.iterations == 2
+    assert len(rec.energy_history) == rec.iterations + 1
+    assert rec.converged == (rec.residual_linf <= spec.solver_tol)
 
 
 def test_warm_start_independence_convex_case():
