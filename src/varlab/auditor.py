@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -66,8 +67,8 @@ class EstimateReport:
     estimate_id: str
     lhs: float
     rhs: float
-    rel_tol: float
-    abs_tol: float
+    rel_tol: float = REL_TOL
+    abs_tol: float = ABS_TOL
     severity: str = "binding"      # "warning" reports never gate an exit code
     params: dict = field(default_factory=dict)
     note: str = ""
@@ -77,6 +78,10 @@ class EstimateReport:
             raise ValueError(f"unknown estimate id {self.estimate_id!r}")
         if self.severity not in ("binding", "warning"):
             raise ValueError(f"unknown severity {self.severity!r}")
+        # a numpy lhs would make `passed` a numpy.bool_, which the CSV
+        # writer spells True, not true
+        object.__setattr__(self, "lhs", float(self.lhs))
+        object.__setattr__(self, "rhs", float(self.rhs))
 
     @property
     def passed(self) -> bool:
@@ -90,15 +95,6 @@ class EstimateReport:
 def _verdict(lhs, rhs, rel_tol: float, abs_tol: float):
     """lhs ≤ rhs·(1+rel_tol) + abs_tol, for scalars or elementwise."""
     return lhs <= rhs * (1.0 + rel_tol) + abs_tol
-
-
-def _report(estimate_id: str, lhs: float, rhs: float, rel_tol: float = REL_TOL,
-            abs_tol: float = ABS_TOL, severity: str = "binding",
-            params: Optional[dict] = None, note: str = "") -> EstimateReport:
-    return EstimateReport(
-        estimate_id=estimate_id, lhs=float(lhs), rhs=float(rhs),
-        rel_tol=rel_tol, abs_tol=abs_tol, severity=severity,
-        params=dict(params or {}), note=note)
 
 
 def default_k_grid(u: DiscreteField) -> tuple:
@@ -116,11 +112,11 @@ def audit_linf(u: DiscreteField, g: Datum) -> EstimateReport:
     """Sup bound: ‖u‖∞ ≤ ‖g‖∞ (warning severity; see tolerances note)."""
     lhs = u.linf()
     if g.linf_bound is None:
-        return _report("LINF_BOUND", lhs, math.inf, severity="warning",
-                       params={"applicable": False},
-                       note="not applicable: datum has no sup bound")
-    return _report("LINF_BOUND", lhs, g.linf_bound, severity="warning",
-                   params={"applicable": True})
+        return EstimateReport("LINF_BOUND", lhs, math.inf, severity="warning",
+                              params={"applicable": False},
+                              note="not applicable: datum has no sup bound")
+    return EstimateReport("LINF_BOUND", lhs, g.linf_bound, severity="warning",
+                          params={"applicable": True})
 
 
 def _split_integrals(u: DiscreteField, spec: ProblemSpec) -> list:
@@ -135,7 +131,7 @@ def audit_primastima(u: DiscreteField, spec: ProblemSpec,
     alpha = spec.integrand.alpha
     lhs = alpha * _split_integrals(u, spec)[1]
     rhs = 0.5 * spec.f.l2_norm_sq
-    return _report("PRIMASTIMA", lhs, rhs, params={
+    return EstimateReport("PRIMASTIMA", lhs, rhs, params={
         "alpha": alpha, "rhs_tight": 0.5 * f_used.l2_norm_sq})
 
 
@@ -150,7 +146,7 @@ def audit_tk(u: DiscreteField, spec: ProblemSpec, k: float,
     except OverflowError:       # a float ** that overflows raises, not inf
         factor = math.inf
     rhs = factor * spec.f.l2_norm_sq
-    return _report("TK_BOUND", lhs, rhs, params={
+    return EstimateReport("TK_BOUND", lhs, rhs, params={
         "k": float(k), "B": B, "alpha": alpha,
         "rhs_tight": factor * f_used.l2_norm_sq})
 
@@ -160,8 +156,8 @@ def audit_secondastima(u: DiscreteField, spec: ProblemSpec,
     """Square-mass bound: ∫|u|² ≤ 4∫|f|²."""
     lhs = norm(u, "L2") ** 2
     rhs = 4.0 * spec.f.l2_norm_sq
-    return _report("SECONDASTIMA", lhs, rhs,
-                   params={"rhs_tight": 4.0 * f_used.l2_norm_sq})
+    return EstimateReport("SECONDASTIMA", lhs, rhs,
+                          params={"rhs_tight": 4.0 * f_used.l2_norm_sq})
 
 
 def audit_terzastima(u: DiscreteField, spec: ProblemSpec,
@@ -190,13 +186,13 @@ def audit_terzastima(u: DiscreteField, spec: ProblemSpec,
               "holder_lhs": lhs, "holder_rhs": holder_rhs,
               "holder_passed": holder_ok}
     if holder_ok:
-        return _report("TERZASTIMA", lhs, bound(spec.f.l2_norm_sq),
-                       params=params, note=OVERFLOW_NOTE if overflow else "")
+        return EstimateReport("TERZASTIMA", lhs, bound(spec.f.l2_norm_sq),
+                              params=params, note=OVERFLOW_NOTE if overflow else "")
     # unreachable for finite fields (pointwise Young/Cauchy–Schwarz is exact
     # at quadrature level); a NaN rhs makes the verdict fail loudly while
     # keeping it consistent with the recorded numbers
-    return _report("TERZASTIMA", lhs, math.nan, params=params,
-                   note="middle two-factor split step violated")
+    return EstimateReport("TERZASTIMA", lhs, math.nan, params=params,
+                          note="middle two-factor split step violated")
 
 
 def audit_gk(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
@@ -209,7 +205,7 @@ def audit_gk(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
     params = {"k": float(k),
               "rhs_tight": 4.0 * float(np.sum(w * region * f_used.quad_values ** 2)),
               "region_measure": float(np.sum(w * region))}
-    return _report("GK_BOUND", lhs, rhs, params=params)
+    return EstimateReport("GK_BOUND", lhs, rhs, params=params)
 
 
 def audit_coercivity_chain(values: np.ndarray,
@@ -230,7 +226,7 @@ def audit_coercivity_chain(values: np.ndarray,
     rhs = 0.5 * damped + 0.5 * amplitude
     worst = int(np.argmin(rhs - lhs))
     passed = _verdict(lhs, rhs, REL_TOL, ABS_TOL)
-    return _report("COERCIVITY_CHAIN", lhs[worst], rhs[worst], params={
+    return EstimateReport("COERCIVITY_CHAIN", lhs[worst], rhs[worst], params={
         "damped_term": float(damped[worst]),
         "amplitude_term": float(amplitude[worst]), "coefficient": b.label,
         "samples": len(values), "failures": int(np.count_nonzero(~passed))})
@@ -283,36 +279,29 @@ def audit_testclass(u: DiscreteField, spec: ProblemSpec) -> EstimateReport:
     params = {"k_grid": list(k_grid), "candidates": candidates,
               "lower_amplitude": A}
     if surrogates_ok:
-        return _report("TESTCLASS", lhs, rhs, rel_tol=0.0, abs_tol=abs_tol,
-                       params=params)
-    return _report("TESTCLASS", lhs, math.nan, rel_tol=0.0, abs_tol=abs_tol,
-                   params=params, note="membership surrogate not finite")
+        return EstimateReport("TESTCLASS", lhs, rhs, rel_tol=0.0,
+                              abs_tol=abs_tol, params=params)
+    return EstimateReport("TESTCLASS", lhs, math.nan, rel_tol=0.0, abs_tol=abs_tol,
+                          params=params, note="membership surrogate not finite")
 
 
 # ------------------------------------------------------------ stabilization
+
+
+def _cosine_field(x: np.ndarray, i: int, dim: int) -> np.ndarray:
+    """cos(iπ·Σx + 0.3i) along axis i mod dim, zero along the others."""
+    out = np.zeros((x.shape[0], dim))
+    out[:, i % dim] = np.cos(float(i) * math.pi * x.sum(axis=1) + 0.3 * i)
+    return out
 
 
 def pairing_fields(dim: int) -> tuple:
     """Ten fixed smooth vector fields for the gradient-pairing diagnostic."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-
-    fields = [("ones", lambda x: np.ones((x.shape[0], dim)))]
-
-    def make(i):
-        axis = i % dim
-        freq = float(i)
-        phase = 0.3 * i
-
-        def fn(x, axis=axis, freq=freq, phase=phase):
-            out = np.zeros((x.shape[0], dim))
-            out[:, axis] = np.cos(freq * math.pi * x.sum(axis=1) + phase)
-            return out
-
-        return (f"cos{i}", fn)
-
-    fields.extend(make(i) for i in range(1, 10))
-    return tuple(fields)
+    return (("ones", lambda x: np.ones((x.shape[0], dim))),
+            *((f"cos{i}", partial(_cosine_field, i=i, dim=dim))
+              for i in range(1, 10)))
 
 
 def damped_pairing(u: DiscreteField, spec: ProblemSpec,
@@ -349,9 +338,8 @@ def audit_stabilization(trace: SolveTrace, spec: ProblemSpec
     diffs = list(trace.stabilization_history)
     scale = 1.0 + norm(fields[-1], "L2")
     strong_lhs = _ratio_chain(diffs, STAB_FLOOR * scale)
-    strong = _report("STRONG_L2_STAB", strong_lhs, 1.0,
-                     params={"diffs": diffs,
-                             "n_levels": [s.n_level for s in trace.stages]})
+    strong = EstimateReport("STRONG_L2_STAB", strong_lhs, 1.0, params={
+        "diffs": diffs, "n_levels": [s.n_level for s in trace.stages]})
 
     pairings = {}
     worst = 0.0
@@ -361,9 +349,8 @@ def audit_stabilization(trace: SolveTrace, spec: ProblemSpec
         floor = STAB_FLOOR * (1.0 + abs(vals[-1]))
         worst = max(worst, _ratio_chain(pdiffs, floor))
         pairings[label] = vals
-    weak = _report("WEAK_GRAD_STAB", worst, 1.0,
-                   params={"pairings": pairings,
-                           "n_levels": [s.n_level for s in trace.stages]})
+    weak = EstimateReport("WEAK_GRAD_STAB", worst, 1.0, params={
+        "pairings": pairings, "n_levels": [s.n_level for s in trace.stages]})
     return strong, weak
 
 
@@ -427,9 +414,16 @@ class MinimalityReport:
 
     energy: float           # energy of the candidate minimizer
     entries: tuple          # (label, comparison energy, slack) triples
-    min_slack: float
-    tolerance: float
-    passed: bool
+    tolerance = MINIMALITY_TOL      # a class constant, not a field
+
+    @property
+    def min_slack(self) -> float:
+        return min([math.inf] + [slack for *_, slack in self.entries])
+
+    @property
+    def passed(self) -> bool:
+        return not any(slack < -self.tolerance * (1.0 + abs(j_v))
+                       for _, j_v, slack in self.entries)
 
 
 def minimality_check(spec: ProblemSpec, u: DiscreteField, n_samples: int,
@@ -463,15 +457,7 @@ def minimality_check(spec: ProblemSpec, u: DiscreteField, n_samples: int,
     comparisons = comparisons[:n_samples]
 
     entries = []
-    min_slack = math.inf
-    passed = True
     for label, v in comparisons:
         j_v = eval_J(spec, v)
-        slack = j_v - j_u
-        entries.append((label, j_v, slack))
-        min_slack = min(min_slack, slack)
-        if slack < -MINIMALITY_TOL * (1.0 + abs(j_v)):
-            passed = False
-    return MinimalityReport(energy=j_u, entries=tuple(entries),
-                            min_slack=min_slack, tolerance=MINIMALITY_TOL,
-                            passed=passed)
+        entries.append((label, j_v, j_v - j_u))
+    return MinimalityReport(energy=j_u, entries=tuple(entries))

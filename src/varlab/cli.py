@@ -31,8 +31,8 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
-                         replace)
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from functools import lru_cache, partial
 from itertools import product, repeat
 from typing import (Iterator, Optional, Tuple, Union, get_args, get_origin,
@@ -47,7 +47,7 @@ from .counterexample import (MAX_DIMENSION, MAX_LEVEL, MIN_QUAD_POINTS,
 from .functional import ProblemSpec, certify, check_schedule
 from .grid import Grid, build_interval_grid, build_rect_grid
 from .library import (COEFFICIENTS, DATA, INTEGRANDS, make_coefficient,
-                      make_integrand, make_library_datum)
+                      make_integrand, make_library_datum, parameters)
 from .solver import SolveTrace, solve_outer
 
 EXIT_OK = 0
@@ -228,7 +228,10 @@ def _as_float(value, where: str) -> float:
                 f"expected number for '{where}', got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected number for '{where}', got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:           # an int beyond the double range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"expected finite number for '{where}', got {value!r}")
     return out
@@ -252,7 +255,7 @@ def _as_component(value, registry: dict, where: str) -> ComponentConfig:
     kind = mapping["kind"]
     _check_choice(kind, registry, "kind", f" for '{where}'")
     params = _expect_mapping(mapping.get("params"), f"{where}.params")
-    _check_keys(params, registry[kind].params, f"{where}.params")
+    _check_keys(params, parameters(registry[kind]), f"{where}.params")
     for name, param in params.items():
         _as_float(param, f"{where}.params.{name}")
     # stored as written, so the echo and the sweep labels keep their bytes
@@ -581,6 +584,9 @@ def _emit(config: RunConfig, directory: str, basename: str, code: int,
     return code, report
 
 
+# a huge coefficient overflows to inf, which every verdict handles, so the
+# overflow is no fault to warn of; this covers solve, audit and sweep workers
+@np.errstate(over="ignore")
 def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
     """`solve`, or `audit` when the config names it."""
     spec = _build_spec(config)
@@ -665,12 +671,8 @@ def _certify_entries(components, seed: int) -> list:
         with _domain_rule(where):
             integrand = make_integrand(comp.kind, comp.params)
         rep = certify(integrand, seed=seed)
-        entries.append({
-            "kind": comp.kind, "params": dict(comp.params),
-            "label": rep.label, "passed": rep.passed,
-            "samples": rep.samples, "seed": rep.seed,
-            "margins": dict(rep.margins),
-            "violations": [dict(v) for v in rep.violations]})
+        entries.append({"kind": comp.kind, "params": dict(comp.params),
+                        **asdict(rep)})
     return entries
 
 

@@ -1,18 +1,20 @@
 """Built-in integrands, damping coefficients, and source data.
 
 Everything is looked up through string registries so the CLI layer can
-validate config keys before touching numerics. Each registry entry names
-the parameters its factory reads; the make_* functions reject any other
-name, and each factory checks the range of its own values. Coefficient
-and datum factories are domain-aware: spatial shapes are expressed in
-coordinates normalized to the grid's bounding box, so the same kind works
-on (0,1), (0,2) or a rectangle without re-tuning parameters.
+validate config keys before touching numerics. A factory's keyword-only
+arguments are the parameters a config may give it, with their defaults;
+the make_* functions reject any other name, and each factory checks the
+range of its own values. Coefficient and datum factories are domain-aware:
+spatial shapes are expressed in coordinates normalized to the grid's
+bounding box, so the same kind works on (0,1), (0,2) or a rectangle
+without re-tuning parameters.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,31 +22,30 @@ from .functional import CoefficientField, Datum, Integrand, make_datum
 from .grid import Grid, sample_at_quadrature
 
 
-class Kind(NamedTuple):
-    """A registry entry: the factory and the only parameter names it takes."""
-
-    build: Callable
-    params: Tuple[str, ...] = ()
+def parameters(factory: Callable) -> tuple:
+    """The parameter names of a registry factory: its keyword-only arguments."""
+    return tuple(name for name, p in inspect.signature(factory).parameters.items()
+                 if p.kind is p.KEYWORD_ONLY)
 
 
 def _build(registry: dict, what: str, kind: str, params: Optional[dict], *args):
     if kind not in registry:
         raise ValueError(f"unknown {what} kind {kind!r}; "
                          f"choose from {sorted(registry)}")
-    params = dict(params or {})
-    entry = registry[kind]
+    factory = registry[kind]
+    known = parameters(factory)
+    params = params or {}
     for name in params:
-        if name not in entry.params:
+        if name not in known:
             raise ValueError(f"{kind} {what} takes no parameter {name!r}; "
-                             f"known: {list(entry.params)}")
-    return entry.build(*args, params)
+                             f"known: {list(known)}")
+    return factory(*args, **{k: float(v) for k, v in params.items()})
 
 
 # --------------------------------------------------------------- integrands
 
 
-def _quadratic(params: dict) -> Integrand:
-    scale = float(params.get("scale", 1.0))
+def _quadratic(*, scale=1.0) -> Integrand:
     if scale <= 0:
         raise ValueError(f"quadratic integrand needs scale > 0, got {scale}")
 
@@ -58,9 +59,8 @@ def _quadratic(params: dict) -> Integrand:
                      beta=scale, gamma=2.0 * scale, density=density, grad=grad)
 
 
-def _anisotropic(params: dict) -> Integrand:
+def _anisotropic(*, contrast=0.5) -> Integrand:
     # j = |ξ|² + c·s(x)·(ξ·e₁)² with s(x) = ½(1 + sin(2π x₁)) ∈ [0, 1]
-    contrast = float(params.get("contrast", 0.5))
     if contrast <= 0:
         raise ValueError(f"anisotropic integrand needs contrast > 0, got {contrast}")
 
@@ -80,7 +80,7 @@ def _anisotropic(params: dict) -> Integrand:
                      density=density, grad=grad)
 
 
-def _logaug(params: dict) -> Integrand:
+def _logaug() -> Integrand:
     # j = |ξ|² + ½ log(1+|ξ|²): strictly convex, between |ξ|² and 1.5|ξ|²
     def density(x, xi):
         n2 = np.sum(xi * xi, axis=-1)
@@ -95,9 +95,9 @@ def _logaug(params: dict) -> Integrand:
 
 
 INTEGRANDS: dict = {
-    "quadratic": Kind(_quadratic, ("scale",)),
-    "anisotropic": Kind(_anisotropic, ("contrast",)),
-    "logaug": Kind(_logaug),
+    "quadratic": _quadratic,
+    "anisotropic": _anisotropic,
+    "logaug": _logaug,
 }
 
 
@@ -115,8 +115,7 @@ def _unit_box(grid: Grid):
     return lambda x: (x - lo) / span
 
 
-def _const_coeff(grid: Grid, params: dict) -> CoefficientField:
-    value = float(params.get("value", 1.0))
+def _const_coeff(grid: Grid, *, value=1.0) -> CoefficientField:
     if value < 0:
         raise ValueError(f"constant coefficient must be >= 0, got {value}")
     q = np.full(grid.quad_weights.shape, value)
@@ -124,14 +123,13 @@ def _const_coeff(grid: Grid, params: dict) -> CoefficientField:
                             quad_values=q, lower_bound=value, upper_bound=value)
 
 
-def _zero_coeff(grid: Grid, params: dict) -> CoefficientField:
+def _zero_coeff(grid: Grid) -> CoefficientField:
     q = np.zeros(grid.quad_weights.shape)
     return CoefficientField(label="zero", grid=grid, quad_values=q,
                             lower_bound=0.0, upper_bound=0.0)
 
 
-def _step_coeff(grid: Grid, params: dict) -> CoefficientField:
-    height = float(params.get("height", 1.0))
+def _step_coeff(grid: Grid, *, height=1.0) -> CoefficientField:
     if height <= 0:
         raise ValueError(f"step coefficient needs height > 0, got {height}")
     unit = _unit_box(grid)
@@ -140,8 +138,7 @@ def _step_coeff(grid: Grid, params: dict) -> CoefficientField:
                             quad_values=q, lower_bound=0.0, upper_bound=height)
 
 
-def _bump_coeff(grid: Grid, params: dict) -> CoefficientField:
-    height = float(params.get("height", 1.0))
+def _bump_coeff(grid: Grid, *, height=1.0) -> CoefficientField:
     if height <= 0:
         raise ValueError(f"smooth-bump coefficient needs height > 0, got {height}")
     unit = _unit_box(grid)
@@ -159,10 +156,10 @@ def _bump_coeff(grid: Grid, params: dict) -> CoefficientField:
 
 
 COEFFICIENTS: dict = {
-    "constant": Kind(_const_coeff, ("value",)),
-    "zero": Kind(_zero_coeff),
-    "step": Kind(_step_coeff, ("height",)),
-    "smooth-bump": Kind(_bump_coeff, ("height",)),
+    "constant": _const_coeff,
+    "zero": _zero_coeff,
+    "step": _step_coeff,
+    "smooth-bump": _bump_coeff,
 }
 
 
@@ -174,14 +171,12 @@ def make_coefficient(grid: Grid, kind: str,
 # --------------------------------------------------------------------- data
 
 
-def _const_datum(grid: Grid, params: dict) -> Datum:
-    value = float(params.get("value", 1.0))
+def _const_datum(grid: Grid, *, value=1.0) -> Datum:
     return make_datum(grid, lambda x: np.full(x.shape[0], value),
                       linf_bound=abs(value))
 
 
-def _sine_datum(grid: Grid, params: dict) -> Datum:
-    amplitude = float(params.get("amplitude", 1.0))
+def _sine_datum(grid: Grid, *, amplitude=1.0) -> Datum:
     unit = _unit_box(grid)
 
     def fn(x):
@@ -194,10 +189,9 @@ def _sine_datum(grid: Grid, params: dict) -> Datum:
     return make_datum(grid, fn, linf_bound=abs(amplitude))
 
 
-def _power_datum(grid: Grid, params: dict) -> Datum:
+def _power_datum(grid: Grid, *, exponent=0.4) -> Datum:
     # distance to the lower-left corner, raised to -exponent: unbounded but
     # square-integrable as long as 2·exponent < dimension
-    exponent = float(params.get("exponent", 0.4))
     if not (0 < exponent < grid.dimension / 2.0):
         raise ValueError(
             f"power-singularity exponent must lie in (0, {grid.dimension / 2.0:g}) "
@@ -211,9 +205,7 @@ def _power_datum(grid: Grid, params: dict) -> Datum:
     return make_datum(grid, fn, linf_bound=None)
 
 
-def _step_datum(grid: Grid, params: dict) -> Datum:
-    high = float(params.get("high", 2.0))
-    low = float(params.get("low", -1.0))
+def _step_datum(grid: Grid, *, high=2.0, low=-1.0) -> Datum:
     unit = _unit_box(grid)
 
     def fn(x):
@@ -223,10 +215,10 @@ def _step_datum(grid: Grid, params: dict) -> Datum:
 
 
 DATA: dict = {
-    "constant": Kind(_const_datum, ("value",)),
-    "sine": Kind(_sine_datum, ("amplitude",)),
-    "power-singularity": Kind(_power_datum, ("exponent",)),
-    "step": Kind(_step_datum, ("high", "low")),
+    "constant": _const_datum,
+    "sine": _sine_datum,
+    "power-singularity": _power_datum,
+    "step": _step_datum,
 }
 
 

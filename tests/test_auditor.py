@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlab.auditor import (
+    ABS_TOL,
     ESTIMATE_IDS,
+    REL_TOL,
     EstimateReport,
     audit_battery,
     audit_coercivity_chain,
@@ -64,6 +66,12 @@ def test_report_verdict_formula():
     # the verdict is computed from the numbers, so it cannot contradict them
     assert not EstimateReport(estimate_id="PRIMASTIMA", lhs=2.0, rhs=1.0,
                               rel_tol=1e-6, abs_tol=0.0).passed
+    # numpy sides are stored as floats, so the verdict is a bool that the
+    # CSV writer spells true/false
+    r = EstimateReport("PRIMASTIMA", np.float64(1.0), np.float64(2.0))
+    assert type(r.lhs) is float and type(r.rhs) is float
+    assert type(r.passed) is bool and r.passed
+    assert (r.rel_tol, r.abs_tol) == (REL_TOL, ABS_TOL)
     with pytest.raises(ValueError):
         EstimateReport(estimate_id="NOT_AN_ID", lhs=0.0, rhs=1.0,
                        rel_tol=0.0, abs_tol=0.0)

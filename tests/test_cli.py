@@ -33,6 +33,7 @@ from varlab.cli import (
 from varlab.counterexample import DivergenceReport
 from varlab.functional import eval_J
 from varlab.grid import field_from_values
+from varlab.library import COEFFICIENTS, DATA, INTEGRANDS, parameters
 from varlab.solver import solve_outer
 
 
@@ -48,6 +49,8 @@ def _read_json(path):
 
 
 FAST_AUDIT = "audit: {coercivity_samples: 5, minimality_samples: 5}\n"
+#: an integer literal beyond the double range
+HUGE = "1" + "0" * 400
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -176,6 +179,12 @@ def test_domain_without_interior_node_rejected(domain, name, tmp_path, capsys):
          "{kind: quadratic, params: {scale: -1}}]}\n", [],
          "sweep.integrands[1]"),
         ("subcommand: solve\n", ["--seed", "-1"], "--seed"),
+        (f"subcommand: solve\nsolver: {{tol: {HUGE}}}\n", [], "solver.tol"),
+        ("subcommand: solve\n"
+         f"integrand: {{kind: quadratic, params: {{scale: {HUGE}}}}}\n", [],
+         "integrand.params.scale"),
+        (f"subcommand: solve\nsolver: {{m_schedule: [{HUGE}]}}\n", [],
+         "solver.m_schedule[0]"),
     )
 ])
 def test_malformed_config_exits_one_naming_the_field(text, argv, path,
@@ -186,8 +195,25 @@ def test_malformed_config_exits_one_naming_the_field(text, argv, path,
     out = tmp_path / "out"
     assert main([subcommand, "--config", str(cfg_file), "--out", str(out),
                  *argv]) == EXIT_USAGE
-    assert f"'{path}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, registry", [
+    ("integrand", INTEGRANDS), ("coefficient", COEFFICIENTS), ("datum", DATA)])
+def test_config_params_are_the_factory_keywords(section, registry):
+    for kind, factory in registry.items():
+        names = parameters(factory)
+        params = ", ".join(f"{name}: 1" for name in names)
+        cfg = parse_config(f"subcommand: solve\n"
+                           f"{section}: {{kind: {kind}, params: {{{params}}}}}\n")
+        assert tuple(getattr(cfg, section).params) == names
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"subcommand: solve\n"
+                         f"{section}: {{kind: {kind}, params: {{bogus: 1}}}}\n")
+        known = ", ".join(sorted(names)) or "none"
+        assert f"known keys under '{section}.params': {known}" in str(err.value)
 
 
 def test_component_params_are_kept_as_written():
@@ -649,13 +675,13 @@ def test_sweep_with_an_uncertified_integrand_runs_no_point(tmp_path,
     import varlab.library as library
     from varlab.functional import Integrand
 
-    def overgrown(params):
+    def overgrown():
         # declares beta = 1, but the density is 2|ξ|²: the upper bound fails
         return Integrand(label="bad", alpha=1.0, beta=1.0, gamma=4.0,
                          density=lambda x, xi: 2.0 * np.sum(xi * xi, axis=-1),
                          grad=lambda x, xi: 4.0 * xi)
 
-    monkeypatch.setitem(library.INTEGRANDS, "bad", library.Kind(overgrown))
+    monkeypatch.setitem(library.INTEGRANDS, "bad", overgrown)
     cfg_file = tmp_path / "sweep.yaml"
     cfg_file.write_text(
         "subcommand: sweep\n"
@@ -747,6 +773,7 @@ def test_unsettled_witness_exits_not_converged_naming_the_level(
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("subcommand, coefficient", [
     ("audit", "coefficient: {kind: constant, params: {value: 1.0e300}}\n"),
     ("sweep", "sweep: {integrands: [{kind: quadratic}], data: [{kind: sine}],"
@@ -761,7 +788,8 @@ def test_huge_coefficient_ends_without_a_traceback(subcommand, coefficient,
     out = tmp_path / "out"
     code = main([subcommand, "--config", str(cfg_file), "--out", str(out)])
     assert code in (EXIT_OK, EXIT_AUDIT_FAIL, EXIT_NOT_CONVERGED)
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     (report,) = out.rglob("report.json")
     estimates = _read_json(report)["estimates"]
     tk = estimates["TK_BOUND"]

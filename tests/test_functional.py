@@ -450,8 +450,12 @@ def test_unknown_kinds_rejected():
         make_library_datum(grid, "noise")
     with pytest.raises(ValueError):
         make_integrand("logaug", {"scale": 2.0})
-    with pytest.raises(ValueError, match="'scal'"):
+    with pytest.raises(ValueError, match=r"'scal'; known: \['scale'\]"):
         make_integrand("quadratic", {"scal": 2.0})
+    with pytest.raises(ValueError, match=r"'hight'; known: \['height'\]"):
+        make_coefficient(grid, "step", {"hight": 2.0})
+    with pytest.raises(ValueError, match=r"'lo'; known: \['high', 'low'\]"):
+        make_library_datum(grid, "step", {"lo": 0.0})
 
 
 def test_anisotropic_reduces_to_quadratic_at_zero_modulation():

@@ -15,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from varlab.auditor import minimality_check
+from varlab.auditor import MinimalityReport, minimality_check
 from varlab.functional import ProblemSpec, eval_J, eval_JM, make_datum
 from varlab.grid import (
     DiscreteField,
@@ -611,6 +611,21 @@ def test_minimality_flags_non_minimizer():
     report = minimality_check(spec, fake, n_samples=50, seed=0)
     assert not report.passed
     assert report.min_slack < 0
+
+
+def test_minimality_verdict_is_derived_from_the_entries():
+    tol = MinimalityReport.tolerance
+    # J(v) = 1 − 20·tol undercuts J(u) = 1 by more than tol·(1 + |J(v)|)
+    j_v = 1.0 - 20.0 * tol
+    failing = MinimalityReport(energy=1.0, entries=(
+        ("a", 3.0, 2.0), ("b", j_v, j_v - 1.0), ("c", 1.5, 0.5)))
+    assert not failing.passed
+    assert failing.min_slack == j_v - 1.0
+    # a shortfall within the tolerance passes
+    j_w = 1.0 - 0.5 * tol
+    assert MinimalityReport(energy=1.0, entries=(("a", j_w, j_w - 1.0),)).passed
+    empty = MinimalityReport(energy=0.0, entries=())
+    assert empty.passed and empty.min_slack == math.inf
 
 
 def test_minimality_deterministic_in_seed():
