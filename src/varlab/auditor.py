@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Sequence, Tuple
+from itertools import count, islice
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -426,38 +427,38 @@ class MinimalityReport:
                        for _, j_v, slack in self.entries)
 
 
-def minimality_check(spec: ProblemSpec, u: DiscreteField, n_samples: int,
-                     seed: int) -> MinimalityReport:
-    """Compare eval_J(u) against truncates, scalings, and random fields.
-
-    Every comparison v must satisfy
-    eval_J(u) ≤ eval_J(v) + MINIMALITY_TOL·(1+|eval_J(v)|); the slack
-    eval_J(v) − eval_J(u) is recorded per field.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    j_u = eval_J(spec, u)
-    comparisons = []
+def _comparisons(u: DiscreteField, rng) -> Iterator[Tuple[str, DiscreteField]]:
+    """The minimality check's (label, field) comparisons, built one at a
+    time: three truncates (when u ≠ 0), five scalings, then random fields
+    drawn from `rng` for as long as they are asked for."""
     amp = u.linf()
     if amp > 0:
         for frac in (0.25, 0.5, 0.75):
-            comparisons.append((f"truncate({frac:g}*linf)",
-                                truncate(u, frac * amp)))
+            yield f"truncate({frac:g}*linf)", truncate(u, frac * amp)
     for c in (0.0, 0.5, 0.9, 1.1, 2.0):
-        comparisons.append((f"scale({c:g})",
-                            DiscreteField(grid=u.grid, values=c * u.values)))
+        yield f"scale({c:g})", DiscreteField(grid=u.grid, values=c * u.values)
     base = amp if amp > 0 else 1.0
-    k = 0
-    while len(comparisons) < n_samples:
+    for k in count():
         a = base * (0.5, 1.0, 2.0)[k % 3]
-        comparisons.append((f"random(amp={a:g},#{k})", field_from_values(
-            u.grid, rng.uniform(-a, a, u.grid.n_nodes))))
-        k += 1
-    comparisons = comparisons[:n_samples]
+        yield f"random(amp={a:g},#{k})", field_from_values(
+            u.grid, rng.uniform(-a, a, u.grid.n_nodes))
 
+
+def minimality_check(spec: ProblemSpec, u: DiscreteField, n_samples: int,
+                     seed: int) -> MinimalityReport:
+    """Compare eval_J(u) against the first `n_samples` comparisons.
+
+    Every comparison v must satisfy
+    eval_J(u) ≤ eval_J(v) + MINIMALITY_TOL·(1+|eval_J(v)|); the slack
+    eval_J(v) − eval_J(u) is recorded per field.  Each field is evaluated
+    as it is drawn, so the memory does not grow with `n_samples`.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    j_u = eval_J(spec, u)
     entries = []
-    for label, v in comparisons:
+    for label, v in islice(_comparisons(u, np.random.default_rng(seed)),
+                           n_samples):
         j_v = eval_J(spec, v)
         entries.append((label, j_v, j_v - j_u))
     return MinimalityReport(energy=j_u, entries=tuple(entries))

@@ -35,8 +35,7 @@ from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
 from functools import lru_cache, partial
 from itertools import product, repeat
-from typing import (Iterator, Optional, Tuple, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -56,7 +55,7 @@ EXIT_AUDIT_FAIL = 2
 EXIT_NOT_CONVERGED = 3
 
 SUBCOMMANDS = ("solve", "audit", "counterexample", "sweep", "certify")
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class ConfigError(ValueError):
@@ -460,18 +459,23 @@ def _write_text(path: str, text: str):
 # --------------------------------------------------------- artifact writers
 
 
-def _solution_table(grid: Grid, trace: SolveTrace) -> Tuple[list, Iterator]:
-    """Header and blocks of solution.csv, one block per outer stage; the
-    node columns are formatted once and shared by every stage."""
+def _solution_table(grid: Grid, trace: SolveTrace) -> Tuple[list, list]:
+    """Header and the one block of solution.csv: the final outer stage."""
     dim = grid.nodes.shape[1]
     header = (["stage_index", "n_level", "node_index", "x", "value"] if dim == 1
               else ["stage_index", "n_level", "node_index", "x", "y", "value"])
-    nodes = [_csv_column(np.arange(grid.n_nodes))]
-    nodes += [_csv_column(grid.nodes[:, d]) for d in range(dim)]
-    blocks = ([_csv_cell(si), _csv_cell(stage.n_level), *nodes,
-               _csv_column(stage.field.values)]
-              for si, stage in enumerate(trace.stages))
-    return header, blocks
+    final = trace.stages[-1]
+    return header, [[_csv_cell(len(trace.stages) - 1), _csv_cell(final.n_level),
+                     _csv_column(np.arange(grid.n_nodes)),
+                     *(_csv_column(grid.nodes[:, d]) for d in range(dim)),
+                     _csv_column(final.field.values)]]
+
+
+def _earlier_stages(grid: Grid, trace: SolveTrace) -> np.ndarray:
+    """stages.npy: the (S-1, P) float64 nodal fields of every outer stage
+    but the last, row i being stage i."""
+    return np.reshape([stage.field.values for stage in trace.stages[:-1]],
+                      (-1, grid.n_nodes))
 
 
 def _energy_table(trace: SolveTrace) -> Tuple[list, list]:
@@ -563,12 +567,13 @@ def _stage_summaries(trace: SolveTrace) -> list:
 
 
 def _emit(config: RunConfig, directory: str, basename: str, code: int,
-          report: dict, csv_files: dict) -> Tuple[int, dict]:
+          report: dict, tables: dict) -> Tuple[int, dict]:
     """Open `report` with the keys of every report and close it with the
-    exit status `code`; write it, the config echo and the CSV files, and
-    return (code, report).  `csv_files` maps each file name to a function
-    that builds its (header, blocks), so that no table is formatted when
-    the config writes no CSV."""
+    exit status `code`; write it, the config echo and the tables, and
+    return (code, report).  `tables` maps each file name to a function that
+    builds its content, (header, blocks) for a `.csv` file and an array for
+    a `.npy` file, so that nothing is built when the config writes no
+    tables."""
     report = {"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
               "seed": config.seed, "config": config_to_mapping(config),
               **report, "exit_status": code}
@@ -579,8 +584,12 @@ def _emit(config: RunConfig, directory: str, basename: str, code: int,
         _write_text(os.path.join(directory, basename + ".json"),
                     _json_text(report))
     if config.output.csv:
-        for name, table in csv_files.items():
-            _write_csv(os.path.join(directory, name), *table())
+        for name, table in tables.items():
+            path = os.path.join(directory, name)
+            if name.endswith(".npy"):
+                np.save(path, table(), allow_pickle=False)
+            else:
+                _write_csv(path, *table())
     return code, report
 
 
@@ -598,8 +607,9 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
         "stages": _stage_summaries(trace),
         "stabilization_l2": list(trace.stabilization_history),
     }
-    csv_files = {
+    tables = {
         "solution.csv": lambda: _solution_table(spec.grid, trace),
+        "stages.npy": lambda: _earlier_stages(spec.grid, trace),
         "energies.csv": lambda: _energy_table(trace),
     }
 
@@ -622,10 +632,10 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
             "energy": minim.energy, "min_slack": minim.min_slack,
             "tolerance": minim.tolerance, "passed": minim.passed,
             "entries": len(minim.entries)}
-        csv_files["estimates.csv"] = lambda: (
+        tables["estimates.csv"] = lambda: (
             _ESTIMATE_HEADER, _row_blocks(_estimate_rows(reports)))
 
-    return _emit(config, directory, "report", code, report, csv_files)
+    return _emit(config, directory, "report", code, report, tables)
 
 
 def _run_counterexample(config: RunConfig, directory: str) -> Tuple[int, dict]:

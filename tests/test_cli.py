@@ -322,10 +322,16 @@ def test_csv_writer_columns_match_the_row_writer(tmp_path):
         (tmp_path / "old.csv").read_bytes()
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_solution_table_matches_the_row_writer(tmp_path, dimension):
+    # solution.csv is the row writer's table of the final stage alone, and
+    # stages.npy holds the earlier stages bit for bit, NaN payloads included
     from types import SimpleNamespace
-    from varlab.cli import _solution_table
+    from varlab.cli import _earlier_stages, _solution_table
     from varlab.grid import build_interval_grid, build_rect_grid
     grid = (build_interval_grid(0.0, 1.0, 20) if dimension == 1
             else build_rect_grid(5, 4, 1.0, 1.5))
@@ -340,13 +346,22 @@ def test_solution_table_matches_the_row_writer(tmp_path, dimension):
 
     header, blocks = _solution_table(grid, trace)
     _write_csv(tmp_path / "new.csv", header, blocks)
-    rows = [[si, stage.n_level, ni, *grid.nodes[ni], stage.field.values[ni]]
-            for si, stage in enumerate(stages) for ni in range(grid.n_nodes)]
+    rows = [[2, 4.0, ni, *grid.nodes[ni], stages[-1].field.values[ni]]
+            for ni in range(grid.n_nodes)]
     _reference_csv(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "old.csv").read_bytes()
     assert len((tmp_path / "new.csv").read_text().splitlines()) == \
-        1 + 3 * grid.n_nodes
+        1 + grid.n_nodes
+
+    earlier = _earlier_stages(grid, trace)
+    assert earlier.dtype == np.float64
+    assert earlier.shape == (2, grid.n_nodes)
+    for row, stage in zip(earlier, stages):
+        assert _bits(row) == _bits(stage.field.values)
+    one = SimpleNamespace(stages=stages[:1])
+    assert _earlier_stages(grid, one).shape == (0, grid.n_nodes)
+    assert _earlier_stages(grid, one).dtype == np.float64
 
 
 # ---------------------------------------------------------------- artifacts
@@ -363,7 +378,7 @@ def test_audit_run_writes_all_artifacts(tmp_path):
     assert run(cfg, str(tmp_path)) == EXIT_OK
     names = sorted(os.listdir(tmp_path))
     assert names == ["config_echo.yaml", "energies.csv", "estimates.csv",
-                     "report.json", "solution.csv"]
+                     "report.json", "solution.csv", "stages.npy"]
 
     report = _read_json(tmp_path / "report.json")
     assert report["exit_status"] == EXIT_OK
@@ -383,6 +398,77 @@ def test_audit_run_writes_all_artifacts(tmp_path):
     echoed = parse_config((tmp_path / "config_echo.yaml").read_text())
     assert echoed.domain.cells == 32
     assert echoed.subcommand == "audit"
+
+    # the bounded datum has one outer stage: the final one, in solution.csv
+    assert len(report["stages"]) == 1
+    header, rows = _read_csv(tmp_path / "solution.csv")
+    assert len(rows) == 33 and {row[0] for row in rows} == {"0"}
+    earlier = np.load(tmp_path / "stages.npy", allow_pickle=False)
+    assert earlier.dtype == np.float64 and earlier.shape == (0, 33)
+
+
+def _damped_config(dimension):
+    domain = ("{dimension: 1, cells: 48, length: 1.0}" if dimension == 1
+              else "{dimension: 2, x_cells: 10, y_cells: 10, lx: 1.0, ly: 1.0}")
+    coefficient = "step" if dimension == 1 else "constant"
+    return parse_config(f"subcommand: solve\ndomain: {domain}\n"
+                        f"integrand: {{kind: logaug}}\n"
+                        f"coefficient: {{kind: {coefficient}}}\n"
+                        f"datum: {{kind: power-singularity}}\n")
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_stage_files_hold_the_solver_fields_bit_for_bit(tmp_path, dimension):
+    # stages.npy row i is stage i's field, and solution.csv is the final
+    # block of the one-block-per-stage table, byte for byte
+    from varlab.cli import _build_spec
+    cfg = _damped_config(dimension)
+    assert run(cfg, str(tmp_path / "run")) == EXIT_OK
+    spec = _build_spec(cfg)
+    _, trace = solve_outer(spec)
+    assert len(trace.stages) == 5
+    earlier = np.load(tmp_path / "run" / "stages.npy", allow_pickle=False)
+    assert earlier.dtype == np.float64
+    assert earlier.shape == (4, spec.grid.n_nodes)
+    for row, stage in zip(earlier, trace.stages):
+        assert _bits(row) == _bits(stage.field.values)
+
+    header = (["stage_index", "n_level", "node_index", "x", "value"]
+              if dimension == 1
+              else ["stage_index", "n_level", "node_index", "x", "y", "value"])
+    rows = [[si, stage.n_level, ni, *spec.grid.nodes[ni],
+             stage.field.values[ni]]
+            for si, stage in enumerate(trace.stages)
+            for ni in range(spec.grid.n_nodes)]
+    _reference_csv(tmp_path / "old.csv", header, rows)
+    old = (tmp_path / "old.csv").read_bytes().splitlines(keepends=True)
+    final_block = old[:1] + old[-spec.grid.n_nodes:]
+    assert (tmp_path / "run" / "solution.csv").read_bytes() == \
+        b"".join(final_block)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_every_stage_is_bounded_by_its_datum_and_zero_on_the_boundary(
+        tmp_path, dimension):
+    # ||u_n||inf <= sup|f_n| = n (the datum is unbounded) and u_n = 0 on
+    # the boundary, for every row of stages.npy and the final stage
+    assert run(_damped_config(dimension), str(tmp_path)) == EXIT_OK
+    report = _read_json(tmp_path / "report.json")
+    levels = [stage["n_level"] for stage in report["stages"]]
+    assert levels == [1, 2, 4, 8, 16]
+    header, rows = _read_csv(tmp_path / "solution.csv")
+    table = np.array(rows, dtype=float)
+    assert set(table[:, 0]) == {4.0} and set(table[:, 1]) == {16.0}
+    coords = table[:, 3:3 + dimension]
+    boundary = np.any((coords == coords.min(axis=0))
+                      | (coords == coords.max(axis=0)), axis=1)
+    assert 0 < boundary.sum() < len(rows)
+    fields = np.vstack([np.load(tmp_path / "stages.npy", allow_pickle=False),
+                        table[:, -1]])
+    assert len(fields) == len(levels)
+    for n_level, values in zip(levels, fields):
+        assert np.max(np.abs(values)) <= n_level
+        assert np.all(values[boundary] == 0.0)
 
 
 def test_solution_csv_reproduces_solver_field_exactly(tmp_path):
@@ -460,6 +546,7 @@ def test_csv_off_formats_no_table(tmp_path, monkeypatch, document):
     run(parse_config(document + "output: {csv: false}\n"), str(tmp_path))
     assert calls == []
     assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*.npy"))
 
 
 # -------------------------------------------------------------- determinism

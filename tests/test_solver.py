@@ -23,6 +23,7 @@ from varlab.grid import (
     build_rect_grid,
     field_from_values,
     norm,
+    truncate,
     values_at_quadrature,
     zero_field,
 )
@@ -635,3 +636,55 @@ def test_minimality_deterministic_in_seed():
     a = minimality_check(spec, u, n_samples=20, seed=3)
     b = minimality_check(spec, u, n_samples=20, seed=3)
     assert a.entries == b.entries
+
+
+def _list_built_minimality(spec, u, n_samples, seed):
+    """The entries of a minimality check that builds every comparison field
+    in one list before it evaluates any."""
+    rng = np.random.default_rng(seed)
+    j_u = eval_J(spec, u)
+    comparisons = []
+    amp = u.linf()
+    if amp > 0:
+        for frac in (0.25, 0.5, 0.75):
+            comparisons.append((f"truncate({frac:g}*linf)",
+                                truncate(u, frac * amp)))
+    for c in (0.0, 0.5, 0.9, 1.1, 2.0):
+        comparisons.append((f"scale({c:g})",
+                            DiscreteField(grid=u.grid, values=c * u.values)))
+    base = amp if amp > 0 else 1.0
+    k = 0
+    while len(comparisons) < n_samples:
+        a = base * (0.5, 1.0, 2.0)[k % 3]
+        comparisons.append((f"random(amp={a:g},#{k})", field_from_values(
+            u.grid, rng.uniform(-a, a, u.grid.n_nodes))))
+        k += 1
+    return [(label, eval_J(spec, v), eval_J(spec, v) - j_u)
+            for label, v in comparisons[:n_samples]]
+
+
+@pytest.mark.parametrize("n_samples", [1, 5, 8, 30])
+def test_minimality_streamed_entries_match_the_list_built_ones(n_samples):
+    spec = _spec(cells=24, coeff=("constant", {"value": 1.0}),
+                 datum=("sine", None))
+    u, _ = solve_outer(spec)
+    for field in (u, zero_field(spec.grid)):      # u ≠ 0 and u = 0
+        got = minimality_check(spec, field, n_samples=n_samples, seed=7).entries
+        want = _list_built_minimality(spec, field, n_samples, seed=7)
+        assert [e[0] for e in got] == [e[0] for e in want]
+        assert np.array([e[1:] for e in got]).view(np.uint64).tolist() == \
+            np.array([e[1:] for e in want]).view(np.uint64).tolist()
+
+
+def test_minimality_memory_does_not_grow_with_the_sample_count():
+    import tracemalloc
+    spec = _spec(cells=10_000, datum=("sine", None))
+    u = field_from_values(spec.grid, np.sin(np.pi * spec.grid.nodes[:, 0]))
+    minimality_check(spec, u, n_samples=1, seed=0)    # fill one-time caches
+    peaks = {}
+    for n_samples in (20, 200):
+        tracemalloc.start()
+        minimality_check(spec, u, n_samples=n_samples, seed=0)
+        peaks[n_samples] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[200] - peaks[20] <= u.values.nbytes
