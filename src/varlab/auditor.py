@@ -372,9 +372,7 @@ def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
 
     for stage in trace.stages:
         f_n = make_Jn_datum(spec.f, stage.n_level)
-        fixindex = stage.inner.m_fixpoint_index
-        m_level = stage.inner.records[
-            fixindex if fixindex is not None else -1].m_level
+        m_level = stage.inner.records[0].m_level
         v = stage.field
         stage_reports = [audit_primastima(v, spec, f_n),
                          audit_secondastima(v, spec, f_n),

@@ -117,7 +117,6 @@ class ComponentConfig:
 class SolverConfig:
     tol: float = _key(1e-8, positive=True)
     max_iter: int = _key(50000, min=1)
-    m_schedule: Optional[Tuple[float, ...]] = _key(None, rule=check_schedule)
     n_schedule: Optional[Tuple[float, ...]] = _key(None, rule=check_schedule)
 
 
@@ -552,7 +551,6 @@ def _build_spec(config: RunConfig) -> ProblemSpec:
     return ProblemSpec(
         grid=grid, integrand=integrand, b=b, f=f,
         solver_tol=config.solver.tol, max_iter=config.solver.max_iter,
-        m_schedule=config.solver.m_schedule,
         n_schedule=config.solver.n_schedule)
 
 

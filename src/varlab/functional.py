@@ -141,11 +141,10 @@ def check_schedule(levels, name: str = "schedule") -> tuple:
 class ProblemSpec:
     """Full minimization instance: grid, integrand, damping b, datum f.
 
-    Schedules may be None, in which case the solver derives them: the
-    datum schedule is (1, 2, 4, 8, 16) for unbounded data, or for bounded
-    data the single level n that is the first power of two at or above the
-    sup bound; each stage's amplitude schedule is the one level M = 2n,
-    twice that stage's clamp level n.
+    The datum schedule n_schedule may be None, in which case the solver
+    derives it: (1, 2, 4, 8, 16) for unbounded data, or for bounded data
+    the single level n that is the first power of two at or above the sup
+    bound. Each stage clamps the amplitude at the one level M = 2n.
     """
 
     grid: Grid
@@ -154,14 +153,12 @@ class ProblemSpec:
     f: Datum
     solver_tol: float
     max_iter: int
-    m_schedule: Optional[tuple] = None
     n_schedule: Optional[tuple] = None
 
     def __post_init__(self):
-        for name in ("m_schedule", "n_schedule"):
-            sched = getattr(self, name)
-            if sched is not None:
-                object.__setattr__(self, name, check_schedule(sched, name))
+        if self.n_schedule is not None:
+            object.__setattr__(self, "n_schedule",
+                               check_schedule(self.n_schedule, "n_schedule"))
         if self.solver_tol <= 0:
             raise ValueError("solver_tol must be positive")
         if self.max_iter < 1:

@@ -6,7 +6,7 @@ CRITERIA = OrderedDict([
     ("1", "1D closed-form and tridiagonal-oracle accuracy"),
     ("2", "default sweep: full estimate battery at rel 1e-6"),
     ("3", "maximum principle across the default sweep"),
-    ("4", "clamp-schedule fixpoint coincidence"),
+    ("4", "clamp-level coincidence"),
     ("5", "outer-stage stabilization, strong and weak"),
     ("6", "minimality against random comparison fields"),
     ("7", "radial divergence witness"),

@@ -24,7 +24,7 @@ from varlab.functional import ProblemSpec, eval_JM, residual
 from varlab.grid import (build_interval_grid, field_from_values,
                          values_at_quadrature)
 from varlab.library import make_coefficient, make_integrand, make_library_datum
-from varlab.solver import Preconditioner, solve_M_schedule, solve_outer
+from varlab.solver import Preconditioner, solve_outer, solve_stage
 
 #: the radial quadrature's starting points, as the config default
 QUAD_POINTS = 512
@@ -146,13 +146,15 @@ def test_criterion_4_clamp_stage_outputs_coincide():
         b=make_coefficient(grid, "constant", {"value": 1.0}),
         f=make_library_datum(grid, "sine", {"amplitude": 1.0}),
         solver_tol=1e-8, max_iter=50_000)
-    datum = make_library_datum(grid, "sine", {"amplitude": 1.0})
-    assert datum.linf_bound == 1.0
-    _, trace = solve_M_schedule(spec, datum, (2.0, 4.0, 8.0),
-                                Preconditioner(spec))
-    assert trace.converged
-    fields = [rec.field.values for rec in trace.records]
-    assert len(fields) == 3
+    assert spec.f.linf_bound == 1.0
+    precond = Preconditioner(spec)
+    fields = []
+    for M in (2.0, 4.0, 8.0):
+        u, trace = solve_stage(spec, spec.f, M, precond)
+        # converged, and the clamp certified inactive: ‖u‖∞ < M
+        assert trace.converged and trace.m_fixpoint_index == 0
+        assert u.linf() <= 1.0 * (1 + 1e-6)
+        fields.append(u.values)
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             gap = float(np.max(np.abs(fields[i] - fields[j])))

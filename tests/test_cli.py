@@ -69,7 +69,7 @@ def test_minimal_document_parses_to_fully_defaulted_run():
     assert cfg.coefficient == ComponentConfig("constant", {"value": 1.0})
     assert cfg.datum.kind == "sine"
     assert cfg.solver.tol == 1e-8 and cfg.solver.max_iter == 50000
-    assert cfg.solver.m_schedule is None and cfg.solver.n_schedule is None
+    assert cfg.solver.n_schedule is None
     assert cfg.seed == 0
     assert len(cfg.sweep.integrands) == 3
     assert len(cfg.sweep.coefficients) == 4
@@ -89,7 +89,9 @@ def test_unknown_keys_rejected_with_field_path_and_known_list():
         parse_config("subcommand: solve\nsolver: {tolerance: 1e-9}\n")
     with pytest.raises(ConfigError) as err:
         parse_config("subcommand: solve\nsolver: {tolerance: 1e-9}\n")
-    assert "m_schedule, max_iter, n_schedule, tol" in str(err.value)
+    assert "max_iter, n_schedule, tol" in str(err.value)
+    with pytest.raises(ConfigError, match=r"unknown key 'solver\.m_schedule'"):
+        parse_config("subcommand: solve\nsolver: {m_schedule: [1, 2]}\n")
     with pytest.raises(ConfigError, match="unknown key 'grids'"):
         parse_config("subcommand: solve\ngrids: {}\n")
     with pytest.raises(ConfigError, match=r"domain\.cellz"):
@@ -116,7 +118,7 @@ def test_type_and_range_validation():
     with pytest.raises(ConfigError, match=r"solver\.tol"):
         parse_config("subcommand: solve\nsolver: {tol: 0.0}\n")
     with pytest.raises(ConfigError, match="strictly increasing"):
-        parse_config("subcommand: solve\nsolver: {m_schedule: [4, 2]}\n")
+        parse_config("subcommand: solve\nsolver: {n_schedule: [4, 2]}\n")
     with pytest.raises(ConfigError, match="positive"):
         parse_config("subcommand: solve\nsolver: {n_schedule: [-1, 2]}\n")
     with pytest.raises(ConfigError, match="seed"):
@@ -183,8 +185,10 @@ def test_domain_without_interior_node_rejected(domain, name, tmp_path, capsys):
         ("subcommand: solve\n"
          f"integrand: {{kind: quadratic, params: {{scale: {HUGE}}}}}\n", [],
          "integrand.params.scale"),
-        (f"subcommand: solve\nsolver: {{m_schedule: [{HUGE}]}}\n", [],
-         "solver.m_schedule[0]"),
+        (f"subcommand: solve\nsolver: {{n_schedule: [{HUGE}]}}\n", [],
+         "solver.n_schedule[0]"),
+        ("subcommand: solve\nsolver: {m_schedule: [1, 2]}\n", [],
+         "solver.m_schedule"),
     )
 ])
 def test_malformed_config_exits_one_naming_the_field(text, argv, path,
@@ -241,7 +245,7 @@ def test_render_parse_round_trip_defaults_and_custom():
         "integrand: {kind: anisotropic, params: {contrast: 3.0}}\n"
         "coefficient: {kind: step, params: {height: 2.0}}\n"
         "datum: {kind: power-singularity, params: {exponent: 0.3}}\n"
-        "solver: {tol: 1e-10, m_schedule: [1, 2, 4], n_schedule: [2, 8]}\n"
+        "solver: {tol: 1e-10, n_schedule: [2, 8]}\n"
         "seed: 123456789\n",
         *(path.read_text() for path in sorted(CONFIGS.glob("*.yaml"))),
     ):

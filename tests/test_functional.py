@@ -355,7 +355,7 @@ def test_problem_spec_validation():
     f = make_library_datum(grid, "constant")
     with pytest.raises(ValueError):
         ProblemSpec(grid=grid, integrand=integrand, b=b, f=f,
-                    m_schedule=(1.0, 1.0),
+                    n_schedule=(1.0, 1.0),
                     solver_tol=1e-8, max_iter=50_000)
     with pytest.raises(ValueError):
         ProblemSpec(grid=grid, integrand=integrand, b=b, f=f,

@@ -60,9 +60,3 @@ def test_refinement_study_rejects_bad_cells_as_usage(cells):
     assert done.stderr.splitlines()[-1] == (
         "refinement_study.py: error: --cells needs at least two strictly "
         "increasing positive counts")
-
-
-def test_divergence_table_runs():
-    done = _run_script("divergence_table.py", "--n-max", "5")
-    assert done.returncode == 0, done.stderr
-    assert "gradient-seminorm growth over the table" in done.stdout

@@ -33,8 +33,8 @@ from varlab.solver import (
     Preconditioner,
     SolveTrace,
     minimize_inner,
-    solve_M_schedule,
     solve_outer,
+    solve_stage,
     two_loop,
 )
 
@@ -341,55 +341,31 @@ def test_linear_solve_takes_one_iteration_and_one_factor(monkeypatch):
     assert len(calls) == 1
 
 
-# --------------------------------------------------------------- M schedule
-
-
-def test_m_schedule_fixpoint_coincidence():
-    spec = _spec(cells=64, coeff=("constant", {"value": 1.0}),
-                 datum=("sine", None))
-    u, trace = solve_M_schedule(spec, spec.f, (2.0, 4.0, 8.0),
-                                Preconditioner(spec))
-    assert trace.m_fixpoint_index is not None
-    assert trace.m_fixpoint_index == 0
-    f0, f1, f2 = (r.field.values for r in trace.records)
-    assert np.max(np.abs(f1 - f0)) <= 1e-8
-    assert np.max(np.abs(f2 - f0)) <= 1e-8
-    assert u.linf() <= 1.0 * (1 + 1e-6)
+# ------------------------------------------------------------- clamp stage
 
 
 def test_m_schedule_zero_datum():
     spec = _spec(cells=16, datum=("constant", {"value": 0.0}))
-    u, trace = solve_M_schedule(spec, spec.f, (1.0,), Preconditioner(spec))
+    u, trace = solve_stage(spec, spec.f, 1.0, Preconditioner(spec))
     assert np.all(u.values == 0.0)
     assert all(np.all(r.field.values == 0.0) for r in trace.records)
-    assert trace.converged   # clamp verifiably inactive at the last level
+    assert trace.converged   # clamp verifiably inactive
 
 
 def test_m_schedule_requires_sup_bound():
     spec = _spec(cells=16, datum=("power-singularity", None))
     with pytest.raises(ValueError):
-        solve_M_schedule(spec, spec.f, (1.0, 2.0), Preconditioner(spec))
+        solve_stage(spec, spec.f, 1.0, Preconditioner(spec))
 
 
 def test_m_schedule_without_fixpoint_is_flagged():
-    # clamp level stuck below the minimizer's amplitude: no fixpoint
+    # clamp level below the minimizer's amplitude: the certificate fails
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    u, trace = solve_M_schedule(spec, spec.f, (0.02,),
-                                Preconditioner(spec))
+    u, trace = solve_stage(spec, spec.f, 0.02, Preconditioner(spec))
     assert u.linf() > 0.02
+    assert len(trace.records) == 1 and trace.records[0].converged
     assert trace.m_fixpoint_index is None
     assert not trace.converged
-
-
-def test_m_schedule_fixpoint_after_a_clamped_level():
-    # the first level clamps the minimizer; the second certifies itself
-    spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    u, trace = solve_M_schedule(spec, spec.f, (0.02, 2.0),
-                                Preconditioner(spec))
-    assert trace.records[0].field.linf() > 0.02
-    assert u.linf() < 2.0
-    assert trace.m_fixpoint_index == 1
-    assert trace.converged
 
 
 def test_default_clamp_schedule_is_one_level_at_twice_n():
@@ -408,26 +384,22 @@ def test_default_clamp_schedule_is_one_level_at_twice_n():
 
 def test_warm_start_guard_discards_uphill_starts():
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    cold, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0),
-                               Preconditioner(spec))
+    cold, _ = solve_stage(spec, spec.f, 2.0, Preconditioner(spec))
     rng = np.random.default_rng(1)
     vals = np.where(spec.grid.boundary_mask, 0.0,
                     rng.uniform(-5, 5, spec.grid.n_nodes))
     wild = DiscreteField(grid=spec.grid, values=vals)
-    assert eval_JM(spec, wild, 1.0) > 0
-    warm, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0),
-                               Preconditioner(spec), start=wild)
+    assert eval_JM(spec, wild, 2.0) > 0
+    warm, _ = solve_stage(spec, spec.f, 2.0, Preconditioner(spec), start=wild)
     np.testing.assert_array_equal(warm.values, cold.values)
 
 
 def test_warm_start_kept_when_energy_is_negative():
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
-    cold, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0),
-                               Preconditioner(spec))
+    cold, _ = solve_stage(spec, spec.f, 2.0, Preconditioner(spec))
     half = DiscreteField(grid=spec.grid, values=0.5 * cold.values)
-    assert eval_JM(spec, half, 1.0) < 0
-    warm, _ = solve_M_schedule(spec, spec.f, (1.0, 2.0),
-                               Preconditioner(spec), start=half)
+    assert eval_JM(spec, half, 2.0) < 0
+    warm, _ = solve_stage(spec, spec.f, 2.0, Preconditioner(spec), start=half)
     assert np.max(np.abs(warm.values - cold.values)) <= 1e-6
 
 
