@@ -352,6 +352,22 @@ def test_m_schedule_zero_datum():
     assert trace.converged   # clamp verifiably inactive
 
 
+def test_m_schedule_fixpoint_coincidence():
+    # warm-started levels 2, 4, 8: each certifies itself, all coincide
+    spec = _spec(cells=64, coeff=("constant", {"value": 1.0}),
+                 datum=("sine", None))
+    precond = Preconditioner(spec)
+    u, fields = None, []
+    for M in (2.0, 4.0, 8.0):
+        u, trace = solve_stage(spec, spec.f, M, precond, start=u)
+        assert trace.m_fixpoint_index == 0
+        assert u.linf() <= 1.0 * (1 + 1e-6)
+        fields.append(u.values)
+    f0, f1, f2 = fields
+    assert np.max(np.abs(f1 - f0)) <= 1e-8
+    assert np.max(np.abs(f2 - f0)) <= 1e-8
+
+
 def test_m_schedule_requires_sup_bound():
     spec = _spec(cells=16, datum=("power-singularity", None))
     with pytest.raises(ValueError):
