@@ -41,8 +41,9 @@ import numpy as np
 import yaml
 
 from .auditor import audit_battery, minimality_check
-from .counterexample import (MAX_DIMENSION, MAX_LEVEL, MIN_QUAD_POINTS,
-                             QuadratureError, RadialProfile, divergence_report)
+from .counterexample import (MAX_DIMENSION, MAX_LEVEL, MAX_QUAD_POINTS,
+                             MIN_QUAD_POINTS, QuadratureError, RadialProfile,
+                             divergence_report)
 from .functional import ProblemSpec, certify, check_schedule
 from .grid import Grid, build_interval_grid, build_rect_grid
 from .library import (COEFFICIENTS, DATA, INTEGRANDS, make_coefficient,
@@ -55,7 +56,7 @@ EXIT_AUDIT_FAIL = 2
 EXIT_NOT_CONVERGED = 3
 
 SUBCOMMANDS = ("solve", "audit", "counterexample", "sweep", "certify")
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 class ConfigError(ValueError):
@@ -125,7 +126,7 @@ class CounterexampleConfig:
     dimension: int = _key(3, min=3, max=MAX_DIMENSION)
     rho: float = _key(0.25)
     n_max: int = _key(12, min=1, max=MAX_LEVEL)
-    quad_points: int = _key(512, min=MIN_QUAD_POINTS)
+    quad_points: int = _key(512, min=MIN_QUAD_POINTS, max=MAX_QUAD_POINTS)
 
     def __post_init__(self):
         # the range of rho depends on the dimension
@@ -142,7 +143,6 @@ class AuditConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     csv: bool = True
-    json: bool = True
 
 
 @dataclass(frozen=True)
@@ -554,16 +554,6 @@ def _build_spec(config: RunConfig) -> ProblemSpec:
         n_schedule=config.solver.n_schedule)
 
 
-def _stage_summaries(trace: SolveTrace) -> list:
-    return [{"n_level": stage.n_level,
-             "energy": stage.energy,
-             "m_levels": [rec.m_level for rec in stage.inner.records],
-             "m_fixpoint_index": stage.inner.m_fixpoint_index,
-             "iterations": [rec.iterations for rec in stage.inner.records],
-             "converged": stage.inner.converged}
-            for stage in trace.stages]
-
-
 def _emit(config: RunConfig, directory: str, basename: str, code: int,
           report: dict, tables: dict) -> Tuple[int, dict]:
     """Open `report` with the keys of every report and close it with the
@@ -578,9 +568,7 @@ def _emit(config: RunConfig, directory: str, basename: str, code: int,
     os.makedirs(directory, exist_ok=True)
     _write_text(os.path.join(directory, "config_echo.yaml"),
                 render_config(config))
-    if config.output.json:
-        _write_text(os.path.join(directory, basename + ".json"),
-                    _json_text(report))
+    _write_text(os.path.join(directory, basename + ".json"), _json_text(report))
     if config.output.csv:
         for name, table in tables.items():
             path = os.path.join(directory, name)
@@ -602,7 +590,12 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
 
     report = {
         "converged": trace.converged,
-        "stages": _stage_summaries(trace),
+        "stages": [{"n_level": stage.n_level, "energy": stage.energy,
+                    "m_level": stage.inner.records[0].m_level,
+                    "clamp_certified": stage.inner.clamp_certified,
+                    "iterations": stage.inner.records[0].iterations,
+                    "converged": stage.inner.converged}
+                   for stage in trace.stages],
         "stabilization_l2": list(trace.stabilization_history),
     }
     tables = {
@@ -724,8 +717,8 @@ def _run_sweep(config: RunConfig, directory: str,
 
     point_configs = [replace(config, subcommand="audit", integrand=ic,
                              coefficient=cc, datum=dc) for ic, cc, dc in points]
-    point_dirs = [os.path.join(directory, f"point_{index:03d}")
-                  for index in range(len(points))]
+    names = [f"point_{index:03d}" for index in range(len(points))]
+    point_dirs = [os.path.join(directory, name) for name in names]
     # a fork pool starts every worker on its first submit
     workers = min(jobs, len(points))
     if workers > 1:
@@ -734,24 +727,29 @@ def _run_sweep(config: RunConfig, directory: str,
     else:
         results = list(map(_run_solve, point_configs, point_dirs))
 
+    # the index and the matrix row both read each point's report head
     matrix_rows, point_entries = [], []
     non_converged = audit_failures = 0
-    for index, ((ic, cc, dc), (code, point_report)) in enumerate(
-            zip(points, results)):
-        failed = point_report["estimates_failed"]
-        if not point_report["converged"]:
+    for index, (components, name, (_, point_report)) in enumerate(
+            zip(points, names, results)):
+        head = {key: point_report[key] for key in (
+            "converged", "estimates_total", "estimates_failed", "linf_passed",
+            "exit_status")}
+        head.update(path=f"{name}/report.json",
+                    minimality_passed=point_report["minimality"]["passed"])
+        failed = head["estimates_failed"]
+        if not head["converged"]:
             non_converged += 1
         if failed:
             audit_failures += 1
-        labels = [_component_label(c) for c in (ic, cc, dc)]
+        labels = [_component_label(c) for c in components]
         matrix_rows.append([
-            index, *labels, point_report["converged"],
-            point_report["estimates_total"], len(failed), ";".join(failed),
-            point_report["linf_passed"],
-            point_report["minimality"]["passed"], code])
+            index, *labels, head["converged"], head["estimates_total"],
+            len(failed), ";".join(failed), head["linf_passed"],
+            head["minimality_passed"], head["exit_status"]])
         point_entries.append({
             "index": index, "integrand": labels[0], "coefficient": labels[1],
-            "datum": labels[2], "report": point_report})
+            "datum": labels[2], "report": head})
 
     if non_converged:
         code = EXIT_NOT_CONVERGED

@@ -32,6 +32,9 @@ import numpy as np
 QUAD_REL_TOL = 1e-8
 IDENTITY_REL_TOL = 1e-8
 MAX_PANELS = 1 << 17
+#: most quadrature points a radial integral may start from: 8 on each of
+#: MAX_PANELS panels, since a first pass past MAX_PANELS gets no second
+MAX_QUAD_POINTS = 8 * MAX_PANELS
 #: exp(2n) must stay inside double range (overflow just past n ≈ 354)
 MAX_LEVEL = 350
 #: Γ(N/2) in the unit sphere's measure overflows double range from N = 344
@@ -118,8 +121,9 @@ def _converged_shells(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
     so its bits do not depend on the others. A non-finite shell, or one still
     moving past MAX_PANELS, raises QuadratureError naming `what` and the
     lowest such index (the ones below it need not have settled yet)."""
-    if quad_points < MIN_QUAD_POINTS:
-        raise ValueError(f"need quad_points >= {MIN_QUAD_POINTS}, got {quad_points}")
+    if not MIN_QUAD_POINTS <= quad_points <= MAX_QUAD_POINTS:
+        raise ValueError(f"need quad_points in {MIN_QUAD_POINTS}.."
+                         f"{MAX_QUAD_POINTS}, got {quad_points}")
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     nodes, weights = np.polynomial.legendre.leggauss(8)
 
@@ -139,7 +143,7 @@ def _converged_shells(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
     panels, live = max(quad_points // 8, 13), np.flatnonzero(lo < hi)
     value = np.full(live.size, np.nan)          # the first pass settles none
     while live.size:
-        with np.errstate(over="ignore"):    # raised below as non-finite
+        with np.errstate(all="ignore"):     # raised below as non-finite
             refined = quadrature(live, panels)
         done = np.abs(refined - value) <= QUAD_REL_TOL * (1.0 + np.abs(refined))
         finite = np.isfinite(refined)

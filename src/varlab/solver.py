@@ -96,15 +96,14 @@ class StageRecord:
 class MScheduleTrace:
     """The one clamp level of an outer stage and its certificate."""
 
-    # records stays a (one-)tuple and m_fixpoint_index an index, 0 when the
-    # clamp is certified inactive (‖v‖∞ < M) and else None, because the
-    # benchmark's iteration counter reads stage.inner.records
+    # records stays a one-tuple because the benchmark's iteration counter
+    # reads stage.inner.records
     records: tuple                      # of one StageRecord
-    m_fixpoint_index: Optional[int]
+    clamp_certified: bool               # ‖v‖∞ < M: J_M coincides with J at v
 
     @property
     def converged(self) -> bool:
-        return self.m_fixpoint_index == 0 and self.records[0].converged
+        return self.clamp_certified and self.records[0].converged
 
 
 @dataclass(frozen=True)
@@ -310,8 +309,7 @@ def solve_stage(spec: ProblemSpec, datum: Datum, M: float,
     if eval_JM(stage_spec, v, M) > 0.0:
         v = zero_field(spec.grid)
     v, rec = minimize_inner(stage_spec, M, v, precond)
-    return v, MScheduleTrace(records=(rec,),
-                             m_fixpoint_index=0 if v.linf() < M else None)
+    return v, MScheduleTrace(records=(rec,), clamp_certified=v.linf() < M)
 
 
 # ------------------------------------------------------------- outer solver

@@ -53,6 +53,14 @@ def sweep_runs(tmp_path_factory):
     return results
 
 
+def _point_reports(run):
+    """(index, report) of each sweep point, read from the file its entry
+    names."""
+    for point in run["report"]["points"]:
+        with open(run["dir"] / point["report"]["path"]) as fh:
+            yield point["index"], json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def witness():
     start = time.perf_counter()
@@ -106,14 +114,14 @@ def test_criterion_2_default_sweep_battery_passes(sweep_runs):
 
     named = ("PRIMASTIMA", "TK_BOUND", "SECONDASTIMA", "TERZASTIMA",
              "GK_BOUND")
-    for point in report["points"]:
-        estimates = point["report"]["estimates"]
-        stages = len(point["report"]["stages"])
+    for index, point in _point_reports(first):
+        estimates = point["estimates"]
+        stages = len(point["stages"])
         for estimate_id in named:
             entries = estimates[estimate_id]
-            assert entries, (point["index"], estimate_id)
+            assert entries, (index, estimate_id)
             for entry in entries:
-                assert entry["passed"] is True, (point["index"], estimate_id)
+                assert entry["passed"] is True, (index, estimate_id)
                 assert entry["rel_tol"] == 1e-6
         # the truncation-level audits run on a six-point threshold grid
         assert len(estimates["TK_BOUND"]) == 6 * stages
@@ -124,11 +132,10 @@ def test_criterion_2_default_sweep_battery_passes(sweep_runs):
 
 
 def test_criterion_3_maximum_principle_zero_violations(sweep_runs):
-    report = sweep_runs["a"]["report"]
     violations = 0
-    for point in report["points"]:
-        assert point["report"]["linf_passed"] is True, point["index"]
-        for entry in point["report"]["estimates"]["LINF_BOUND"]:
+    for index, point in _point_reports(sweep_runs["a"]):
+        assert point["linf_passed"] is True, index
+        for entry in point["estimates"]["LINF_BOUND"]:
             rhs = entry["rhs"]
             assert rhs != "inf"         # battery audits the truncated datum
             if not entry["lhs"] <= rhs * (1.0 + 1e-6):
@@ -152,7 +159,7 @@ def test_criterion_4_clamp_stage_outputs_coincide():
     for M in (2.0, 4.0, 8.0):
         u, trace = solve_stage(spec, spec.f, M, precond)
         # converged, and the clamp certified inactive: ‖u‖∞ < M
-        assert trace.converged and trace.m_fixpoint_index == 0
+        assert trace.converged and trace.clamp_certified is True
         assert u.linf() <= 1.0 * (1 + 1e-6)
         fields.append(u.values)
     for i in range(len(fields)):
@@ -195,11 +202,10 @@ def test_criterion_5_outer_stage_stabilization():
 
 
 def test_criterion_6_minimality_zero_failures(sweep_runs):
-    report = sweep_runs["a"]["report"]
-    for point in report["points"]:
-        minimality = point["report"]["minimality"]
-        assert minimality["entries"] == 50, point["index"]
-        assert minimality["passed"] is True, point["index"]
+    for index, point in _point_reports(sweep_runs["a"]):
+        minimality = point["minimality"]
+        assert minimality["entries"] == 50, index
+        assert minimality["passed"] is True, index
         assert minimality["min_slack"] >= -1e-9 * (
             1.0 + abs(minimality["energy"]))
 

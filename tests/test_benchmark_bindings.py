@@ -3,11 +3,14 @@
 ``perfbench/tracing.py`` times each layer by replacing a varlab function at
 the binding its caller uses.  A binding that no longer exists is skipped and
 its metrics read 0, so a rename in ``src/`` silently blinds a layer of the
-benchmark.  These tests fail on such a rename instead.
+benchmark.  These tests fail on such a rename instead.  Likewise
+``perfbench/checks.py`` reads the artifacts; a test runs its sweep check on
+what the program writes now.
 """
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import varlab.cli as cli
 from varlab.functional import ProblemSpec
@@ -17,10 +20,18 @@ from varlab.solver import Preconditioner
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+
+def _load(name):
+    """A perfbench module, loaded from its file without importing perfbench."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("tracing")
+checks = _load("checks")
 
 #: Known stale: these quadrature helpers were folded into
 #: counterexample._converged_shells, so the witness's quadrature metrics read
@@ -78,3 +89,14 @@ def test_factorization_spans_match_the_factor_count(monkeypatch):
     assert len(factors) >= 1
     assert [span[2] for span in tracer.spans].count("solver.splu") \
         == len(factors)
+
+
+def test_sweep_check_reads_the_sweep_report(tmp_path):
+    cfg = cli.parse_config(
+        "subcommand: sweep\n"
+        "domain: {dimension: 1, cells: 8}\n"
+        "audit: {coercivity_samples: 3, minimality_samples: 3}\n"
+        "sweep: {integrands: [{kind: quadratic}], data: [{kind: sine}],"
+        " coefficients: [{kind: zero}, {kind: constant}]}\n")
+    assert cli.run(cfg, str(tmp_path)) == cli.EXIT_OK
+    assert checks.check_sweep(SimpleNamespace(units=2), tmp_path) == []

@@ -92,6 +92,8 @@ def test_unknown_keys_rejected_with_field_path_and_known_list():
     assert "max_iter, n_schedule, tol" in str(err.value)
     with pytest.raises(ConfigError, match=r"unknown key 'solver\.m_schedule'"):
         parse_config("subcommand: solve\nsolver: {m_schedule: [1, 2]}\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'output\.json'"):
+        parse_config("subcommand: solve\noutput: {json: false}\n")
     with pytest.raises(ConfigError, match="unknown key 'grids'"):
         parse_config("subcommand: solve\ngrids: {}\n")
     with pytest.raises(ConfigError, match=r"domain\.cellz"):
@@ -189,6 +191,10 @@ def test_domain_without_interior_node_rejected(domain, name, tmp_path, capsys):
          "solver.n_schedule[0]"),
         ("subcommand: solve\nsolver: {m_schedule: [1, 2]}\n", [],
          "solver.m_schedule"),
+        ("subcommand: audit\noutput: {json: false}\n", [], "output.json"),
+        ("subcommand: counterexample\n"
+         "counterexample: {quad_points: 1048577}\n", [],
+         "counterexample.quad_points"),
     )
 ])
 def test_malformed_config_exits_one_naming_the_field(text, argv, path,
@@ -262,7 +268,7 @@ def test_config_mapping_has_no_directory():
     cfg = parse_config("subcommand: solve\n")
     mapping = config_to_mapping(cfg)
     assert "directory" not in mapping["output"]
-    assert set(mapping["output"]) == {"csv", "json"}
+    assert set(mapping["output"]) == {"csv"}
 
 
 # ---------------------------------------------------------------- csv writer
@@ -647,6 +653,28 @@ def test_sweep_report_aggregates_and_certifies(tmp_path):
     assert len(rows) == 4
     assert [r[header.index("integrand")] for r in rows] == \
         ["quadratic", "quadratic", "logaug", "logaug"]
+    # each point entry is the head of the report its path names, and the
+    # matrix row shows the same head
+    for point, row in zip(report["points"], rows):
+        head = point["report"]
+        assert head["path"] == f"point_{point['index']:03d}/report.json"
+        full = _read_json(tmp_path / head["path"])
+        assert head == {"path": head["path"],
+                        "minimality_passed": full["minimality"]["passed"],
+                        **{key: full[key] for key in (
+                            "converged", "estimates_total", "estimates_failed",
+                            "linf_passed", "exit_status")}}
+        failed = head["estimates_failed"]
+        assert dict(zip(header, row)) == {
+            "point": str(point["index"]), "integrand": point["integrand"],
+            "coefficient": point["coefficient"], "datum": point["datum"],
+            "converged": _csv_cell(head["converged"]),
+            "estimates_total": str(head["estimates_total"]),
+            "estimates_failed": str(len(failed)),
+            "failed_ids": ";".join(failed),
+            "linf_passed": _csv_cell(head["linf_passed"]),
+            "minimality_passed": _csv_cell(head["minimality_passed"]),
+            "exit_status": str(head["exit_status"])}
 
 
 def test_sweep_terzastima_slack_grows_with_damping_amplitude(tmp_path):
@@ -662,8 +690,8 @@ def test_sweep_terzastima_slack_grows_with_damping_amplitude(tmp_path):
     cfg = parse_config(text)
     assert run(cfg, str(tmp_path)) == EXIT_OK
     report = _read_json(tmp_path / "sweep_report.json")
-    slacks = [p["report"]["estimates"]["TERZASTIMA"][0]["slack"]
-              for p in report["points"]]
+    slacks = [_read_json(tmp_path / p["report"]["path"])
+              ["estimates"]["TERZASTIMA"][0]["slack"] for p in report["points"]]
     assert slacks[0] < slacks[1] < slacks[2]
 
 
@@ -861,6 +889,26 @@ def test_unsettled_witness_exits_not_converged_naming_the_level(
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["varlab: counterexample: radial quadrature did not "
                      f"settle to 1e-8 relative at 'damped' level {level}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho, integral", [(0.0009, "w11"),
+                                            (0.0015, "damped")])
+def test_small_rho_witness_exits_not_converged_without_warnings(
+        rho, integral, tmp_path, capsys):
+    # r_1 underflows to 0 at rho 0.0009; at 0.0015 the squared gradient
+    # overflows where r^(N-1) underflows: non-finite shells, one stderr line
+    cfg_file = tmp_path / "small.yaml"
+    cfg_file.write_text("subcommand: counterexample\n"
+                        f"counterexample: {{rho: {rho}, n_max: 1}}\n")
+    out = tmp_path / "out"
+    code = main(["counterexample", "--config", str(cfg_file), "--out", str(out)])
+    assert code == EXIT_NOT_CONVERGED
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert err.splitlines() == ["varlab: counterexample: radial quadrature did "
+                                "not settle to 1e-8 relative at "
+                                f"'{integral}' level 1"]
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ import pytest
 from varlab.counterexample import (
     MAX_DIMENSION,
     MAX_LEVEL,
+    MAX_QUAD_POINTS,
     DivergenceReport,
     RadialProfile,
     _converged_shells,
@@ -98,6 +99,9 @@ def test_w11_seminorm_requires_enough_points():
     p = RadialProfile(3, 0.25, 1.0)
     with pytest.raises(ValueError):
         ball_integral(p, "w11", 99)
+    # the config's cap: past it the first pass has too many panels to settle
+    with pytest.raises(ValueError):
+        ball_integral(p, "w11", MAX_QUAD_POINTS + 1)
     # more points changes nothing once the doubling loop settles
     assert ball_integral(p, "w11", 2048) == pytest.approx(
         ball_integral(p, "w11", QUAD_POINTS), rel=1e-10)

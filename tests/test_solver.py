@@ -344,15 +344,15 @@ def test_linear_solve_takes_one_iteration_and_one_factor(monkeypatch):
 # ------------------------------------------------------------- clamp stage
 
 
-def test_m_schedule_zero_datum():
+def test_clamp_stage_zero_datum():
     spec = _spec(cells=16, datum=("constant", {"value": 0.0}))
     u, trace = solve_stage(spec, spec.f, 1.0, Preconditioner(spec))
     assert np.all(u.values == 0.0)
     assert all(np.all(r.field.values == 0.0) for r in trace.records)
-    assert trace.converged   # clamp verifiably inactive
+    assert trace.clamp_certified is True and trace.converged
 
 
-def test_m_schedule_fixpoint_coincidence():
+def test_clamp_stage_levels_coincide():
     # warm-started levels 2, 4, 8: each certifies itself, all coincide
     spec = _spec(cells=64, coeff=("constant", {"value": 1.0}),
                  datum=("sine", None))
@@ -360,7 +360,7 @@ def test_m_schedule_fixpoint_coincidence():
     u, fields = None, []
     for M in (2.0, 4.0, 8.0):
         u, trace = solve_stage(spec, spec.f, M, precond, start=u)
-        assert trace.m_fixpoint_index == 0
+        assert trace.clamp_certified is True
         assert u.linf() <= 1.0 * (1 + 1e-6)
         fields.append(u.values)
     f0, f1, f2 = fields
@@ -368,19 +368,19 @@ def test_m_schedule_fixpoint_coincidence():
     assert np.max(np.abs(f2 - f0)) <= 1e-8
 
 
-def test_m_schedule_requires_sup_bound():
+def test_clamp_stage_requires_sup_bound():
     spec = _spec(cells=16, datum=("power-singularity", None))
     with pytest.raises(ValueError):
         solve_stage(spec, spec.f, 1.0, Preconditioner(spec))
 
 
-def test_m_schedule_without_fixpoint_is_flagged():
+def test_clamp_stage_without_certificate_is_flagged():
     # clamp level below the minimizer's amplitude: the certificate fails
     spec = _spec(cells=32, coeff=("constant", {"value": 1.0}))
     u, trace = solve_stage(spec, spec.f, 0.02, Preconditioner(spec))
     assert u.linf() > 0.02
     assert len(trace.records) == 1 and trace.records[0].converged
-    assert trace.m_fixpoint_index is None
+    assert trace.clamp_certified is False
     assert not trace.converged
 
 
@@ -394,7 +394,7 @@ def test_default_clamp_schedule_is_one_level_at_twice_n():
         for stage in trace.stages:
             assert [r.m_level for r in stage.inner.records] == \
                 [2.0 * stage.n_level]
-            assert stage.inner.m_fixpoint_index == 0
+            assert stage.inner.clamp_certified is True
         assert trace.converged
 
 
