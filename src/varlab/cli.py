@@ -42,8 +42,8 @@ import yaml
 
 from .auditor import audit_battery, minimality_check
 from .counterexample import (MAX_DIMENSION, MAX_LEVEL, MAX_QUAD_POINTS,
-                             MIN_QUAD_POINTS, QuadratureError, RadialProfile,
-                             divergence_report)
+                             MIN_QUAD_POINTS, TABLE_COLUMNS, QuadratureError,
+                             RadialProfile, divergence_report)
 from .functional import ProblemSpec, certify, check_schedule
 from .grid import Grid, build_interval_grid, build_rect_grid
 from .library import (COEFFICIENTS, DATA, INTEGRANDS, make_coefficient,
@@ -56,7 +56,7 @@ EXIT_AUDIT_FAIL = 2
 EXIT_NOT_CONVERGED = 3
 
 SUBCOMMANDS = ("solve", "audit", "counterexample", "sweep", "certify")
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 class ConfigError(ValueError):
@@ -488,23 +488,6 @@ def _energy_table(trace: SolveTrace) -> Tuple[list, list]:
     return header, blocks
 
 
-_ESTIMATE_HEADER = ["estimate_id", "n", "M", "k", "lhs", "rhs", "slack",
-                    "rhs_tight", "rel_tol", "abs_tol", "severity", "passed",
-                    "note"]
-
-
-def _estimate_rows(reports) -> list:
-    rows = []
-    for rep in reports:
-        params = rep.params
-        rows.append([
-            rep.estimate_id,
-            params.get("n"), params.get("M"), params.get("k"),
-            rep.lhs, rep.rhs, rep.slack, params.get("rhs_tight"),
-            rep.rel_tol, rep.abs_tol, rep.severity, rep.passed, rep.note])
-    return rows
-
-
 def _estimates_json(reports) -> dict:
     keyed: dict = {}
     for rep in reports:
@@ -515,17 +498,6 @@ def _estimates_json(reports) -> dict:
             "params": rep.params}
         keyed.setdefault(rep.estimate_id, []).append(entry)
     return keyed
-
-
-#: (counterexample.csv column, report key or None, DivergenceReport field)
-_WITNESS_COLUMNS = (
-    ("level", "levels", "levels"), ("radius", None, "r_values"),
-    ("w11_seminorm", "w11_seminorms", "w11_values"),
-    ("log_h1_seminorm", "log_h1_seminorms", "log_h1_values"),
-    ("damped_gradient", "damped_gradients", "damped_grad_values"),
-    ("square_mass", "square_masses", "square_mass_values"),
-    ("amplitude_mass", "amplitude_masses", "amplitude_mass_values"),
-    ("identity_rel_error", "identity_rel_errors", "identity_rel_errors"))
 
 
 # ------------------------------------------------------------ run pipeline
@@ -563,8 +535,7 @@ def _emit(config: RunConfig, directory: str, basename: str, code: int,
     a `.npy` file, so that nothing is built when the config writes no
     tables."""
     report = {"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
-              "seed": config.seed, "config": config_to_mapping(config),
-              **report, "exit_status": code}
+              "seed": config.seed, **report, "exit_status": code}
     os.makedirs(directory, exist_ok=True)
     _write_text(os.path.join(directory, "config_echo.yaml"),
                 render_config(config))
@@ -623,8 +594,6 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
             "energy": minim.energy, "min_slack": minim.min_slack,
             "tolerance": minim.tolerance, "passed": minim.passed,
             "entries": len(minim.entries)}
-        tables["estimates.csv"] = lambda: (
-            _ESTIMATE_HEADER, _row_blocks(_estimate_rows(reports)))
 
     return _emit(config, directory, "report", code, report, tables)
 
@@ -637,16 +606,13 @@ def _run_counterexample(config: RunConfig, directory: str) -> Tuple[int, dict]:
         print(f"varlab: counterexample: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED, {}
     code = EXIT_OK if rep.passed else EXIT_AUDIT_FAIL
-    report = {**{key: list(getattr(rep, name))
-                 for _, key, name in _WITNESS_COLUMNS if key},
-              "dimension": rep.dimension, "rho": rep.rho,
+    report = {"dimension": rep.dimension, "rho": rep.rho,
               "log_h1_limit": rep.log_h1_limit,
               "assertions": dict(rep.assertions), "passed": rep.passed}
     return _emit(config, directory, "report", code, report, {
         "counterexample.csv": lambda: (
-            [column for column, _, _ in _WITNESS_COLUMNS],
-            [[_csv_column(getattr(rep, name))
-              for *_, name in _WITNESS_COLUMNS]])})
+            list(TABLE_COLUMNS),
+            [[_csv_column(getattr(rep, name)) for name in TABLE_COLUMNS]])})
 
 
 def _distinct(components):
@@ -684,10 +650,7 @@ def _run_certify(config: RunConfig, directory: str) -> Tuple[int, dict]:
     entries = _certify_entries(components, config.seed)
     code = EXIT_OK if all(e["passed"] for e in entries) else EXIT_AUDIT_FAIL
     report = {"certifications": entries, "passed": code == EXIT_OK}
-    header = ["kind", "passed", "samples", "seed"]
-    rows = [[e["kind"], e["passed"], e["samples"], e["seed"]] for e in entries]
-    return _emit(config, directory, "report", code, report,
-                 {"certification.csv": lambda: (header, _row_blocks(rows))})
+    return _emit(config, directory, "report", code, report, {})
 
 
 def _component_label(comp: ComponentConfig) -> str:

@@ -180,20 +180,27 @@ def log_h1_limit(dimension: int, rho: float) -> float:
 # ------------------------------------------------------------------- report
 
 
+#: the tabulated columns, one value per level: DivergenceReport fields of
+#: these names, and the header of the table that the command line writes
+TABLE_COLUMNS = ("level", "radius", "w11_seminorm", "log_h1_seminorm",
+                 "damped_gradient", "square_mass", "amplitude_mass",
+                 "identity_rel_error")
+
+
 @dataclass(frozen=True)
 class DivergenceReport:
     """Tabulated radial quantities plus the three structural assertions."""
 
     dimension: int
     rho: float
-    levels: tuple
-    r_values: tuple
-    w11_values: tuple
-    log_h1_values: tuple
-    damped_grad_values: tuple
-    square_mass_values: tuple
-    amplitude_mass_values: tuple
-    identity_rel_errors: tuple
+    level: tuple
+    radius: tuple
+    w11_seminorm: tuple
+    log_h1_seminorm: tuple
+    damped_gradient: tuple
+    square_mass: tuple
+    amplitude_mass: tuple
+    identity_rel_error: tuple
     log_h1_limit: float
     assertions: dict
 
@@ -243,8 +250,7 @@ def divergence_report(dimension: int, rho: float, n_max: int,
         "identity_two_routes_agree": all(e <= IDENTITY_REL_TOL for e in rels),
     }
     return DivergenceReport(
-        dimension=int(dimension), rho=float(rho), levels=levels,
-        r_values=tuple(r.tolist()), w11_values=w11s, log_h1_values=log_h1s,
-        damped_grad_values=dampeds, square_mass_values=masses,
-        amplitude_mass_values=amps, identity_rel_errors=rels,
-        log_h1_limit=limit, assertions=assertions)
+        dimension=int(dimension), rho=float(rho), level=levels,
+        radius=tuple(r.tolist()), w11_seminorm=w11s, log_h1_seminorm=log_h1s,
+        damped_gradient=dampeds, square_mass=masses, amplitude_mass=amps,
+        identity_rel_error=rels, log_h1_limit=limit, assertions=assertions)

@@ -215,14 +215,14 @@ def test_criterion_6_minimality_zero_failures(sweep_runs):
 
 def test_criterion_7a_log_energy_monotone_bounded_and_tight(witness):
     report, _ = witness
-    values = report.log_h1_values
+    values = report.log_h1_seminorm
     limit = report.log_h1_limit
     assert limit == pytest.approx(math.pi / 2.0, rel=1e-15)
     assert all(b > a for a, b in zip(values, values[1:]))
     assert all(v <= limit * (1.0 + 1e-12) for v in values)
     # tightness: the limit is the supremum, approached as (pi/2)(1+n)^-2
     for n, (value, damped) in enumerate(zip(values,
-                                            report.damped_grad_values)):
+                                            report.damped_gradient)):
         law = (math.pi / 2.0) * (1.0 + n) ** (-2.0)
         scaled = (limit - value) * (1.0 + n) ** 2
         assert scaled == pytest.approx(math.pi / 2.0, rel=1e-12), (
@@ -244,20 +244,20 @@ def test_companion_7a_tightness_is_reached_near_level_1253():
 
 def test_criterion_7b_w11_strictly_increasing_with_hundredfold_growth(witness):
     report, _ = witness
-    values = report.w11_values
+    values = report.w11_seminorm
     assert all(b > a for a, b in zip(values, values[1:]))
     # s = r^(-rho) - 1 turns the seminorm into 4pi * int_0^n e^s (1+s)^-8 ds
     # at dimension 3, rho 1/4
     assert (report.dimension, report.rho) == (3, 0.25)
-    for n, value in zip(report.levels, values):
+    for n, value in zip(report.level, values):
         exact = 4.0 * math.pi * quad(lambda s: math.exp(s) * (1.0 + s) ** -8,
                                      0.0, n, epsabs=0.0, epsrel=1e-13,
                                      limit=200)[0]
         assert abs(value - exact) <= 1e-8 * exact, (
             f"seminorm at level {n} is {value:.17e}, the substituted "
             f"integral gives {exact:.17e}")
-    assert report.levels[-1] >= 30, \
-        f"table stops at level {report.levels[-1]}, before level 30"
+    assert report.level[-1] >= 30, \
+        f"table stops at level {report.level[-1]}, before level 30"
     before, at = values[29] / values[1], values[30] / values[1]
     assert before < 100.0 <= at, (
         f"growth against level 1 is {before:.10f}x at level 29 and "
@@ -274,16 +274,16 @@ def test_companion_7b_hundredfold_growth_by_level_30():
 def test_criterion_7c_coercivity_chain_every_level(witness):
     report, _ = witness
     assert report.assertions["coercivity_chain_holds"] is True
-    for w11, damped, amp in zip(report.w11_values,
-                                report.damped_grad_values,
-                                report.amplitude_mass_values):
+    for w11, damped, amp in zip(report.w11_seminorm,
+                                report.damped_gradient,
+                                report.amplitude_mass):
         assert w11 <= 0.5 * damped + 0.5 * amp + 1e-9 * (1.0 + abs(w11))
 
 
 def test_criterion_7d_two_route_identity_and_budget(witness):
     report, elapsed = witness
     assert report.assertions["identity_two_routes_agree"] is True
-    assert max(report.identity_rel_errors) <= 1e-8
+    assert max(report.identity_rel_error) <= 1e-8
     assert elapsed < 10.0, f"witness tabulation took {elapsed:.2f}s"
 
 

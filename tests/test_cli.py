@@ -30,8 +30,8 @@ from varlab.cli import (
     render_config,
     run,
 )
-from varlab.counterexample import DivergenceReport
-from varlab.functional import eval_J
+from varlab.counterexample import TABLE_COLUMNS, DivergenceReport
+from varlab.functional import CERTIFY_SAMPLES, eval_J
 from varlab.grid import field_from_values
 from varlab.library import COEFFICIENTS, DATA, INTEGRANDS, parameters
 from varlab.solver import solve_outer
@@ -387,8 +387,8 @@ def test_audit_run_writes_all_artifacts(tmp_path):
     cfg = _small_audit_config()
     assert run(cfg, str(tmp_path)) == EXIT_OK
     names = sorted(os.listdir(tmp_path))
-    assert names == ["config_echo.yaml", "energies.csv", "estimates.csv",
-                     "report.json", "solution.csv", "stages.npy"]
+    assert names == ["config_echo.yaml", "energies.csv", "report.json",
+                     "solution.csv", "stages.npy"]
 
     report = _read_json(tmp_path / "report.json")
     assert report["exit_status"] == EXIT_OK
@@ -400,10 +400,10 @@ def test_audit_run_writes_all_artifacts(tmp_path):
     assert report["minimality"]["passed"] is True
     assert report["minimality"]["entries"] == 5
 
-    header, rows = _read_csv(tmp_path / "estimates.csv")
-    assert header[:4] == ["estimate_id", "n", "M", "k"]
-    assert len(rows) == report["estimates_total"]
-    assert all(row[11] == "true" for row in rows)
+    entries = [entry for group in report["estimates"].values()
+               for entry in group]
+    assert len(entries) == report["estimates_total"]
+    assert all(entry["passed"] is True for entry in entries)
 
     echoed = parse_config((tmp_path / "config_echo.yaml").read_text())
     assert echoed.domain.cells == 32
@@ -533,8 +533,8 @@ def test_certify_run(tmp_path):
     assert report["passed"] is True
     kinds = [e["kind"] for e in report["certifications"]]
     assert kinds == ["anisotropic", "logaug", "quadratic"]
-    header, rows = _read_csv(tmp_path / "certification.csv")
-    assert len(rows) == 3 and all(r[1] == "true" for r in rows)
+    assert all(e["passed"] is True and e["samples"] == CERTIFY_SAMPLES
+               and e["seed"] == 0 for e in report["certifications"])
 
 
 def test_output_format_flags_suppress_artifacts(tmp_path):
@@ -566,7 +566,7 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
     cfg = _small_audit_config()
     run(cfg, str(tmp_path / "a"))
     run(cfg, str(tmp_path / "b"))
-    for name in ("report.json", "estimates.csv", "solution.csv",
+    for name in ("report.json", "solution.csv", "stages.npy",
                  "energies.csv", "config_echo.yaml"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
@@ -628,7 +628,8 @@ def test_sweep_singleton_grid_matches_standalone_audit(tmp_path):
     # audit run of the same problem (sweep of grid size one ≡ plain run)
     run(replace(cfg, subcommand="audit"), str(tmp_path / "solo"))
     point = tmp_path / "s" / "point_000"
-    for name in ("report.json", "estimates.csv", "solution.csv"):
+    for name in ("report.json", "solution.csv", "stages.npy",
+                 "energies.csv"):
         assert (point / name).read_bytes() == \
             (tmp_path / "solo" / name).read_bytes(), name
 
@@ -715,7 +716,7 @@ def test_sweep_jobs_do_not_change_artifact_bytes(tmp_path):
                        for p in out.rglob("*") if p.is_file()}
     assert {"sweep_report.json", "sweep_matrix.csv"} <= set(trees[1])
     for index in range(4):
-        for name in ("report.json", "estimates.csv", "solution.csv",
+        for name in ("report.json", "solution.csv", "stages.npy",
                      "energies.csv", "config_echo.yaml"):
             assert f"point_{index:03d}/{name}" in trees[1]
     assert sorted(trees[1]) == sorted(trees[2])
@@ -862,11 +863,11 @@ def test_counterexample_assertion_failure_maps_to_audit_exit(
     def fake_report(dimension, rho, n_max, quad_points=512):
         n = n_max + 1
         return DivergenceReport(
-            dimension=dimension, rho=rho, levels=tuple(range(n)),
-            r_values=(1.0,) * n, w11_values=(0.0,) * n,
-            log_h1_values=(0.0,) * n, damped_grad_values=(0.0,) * n,
-            square_mass_values=(0.0,) * n, amplitude_mass_values=(0.0,) * n,
-            identity_rel_errors=(0.0,) * n, log_h1_limit=1.0,
+            dimension=dimension, rho=rho, level=tuple(range(n)),
+            radius=(1.0,) * n, w11_seminorm=(0.0,) * n,
+            log_h1_seminorm=(0.0,) * n, damped_gradient=(0.0,) * n,
+            square_mass=(0.0,) * n, amplitude_mass=(0.0,) * n,
+            identity_rel_error=(0.0,) * n, log_h1_limit=1.0,
             assertions={"w11_strictly_increasing": False})
 
     monkeypatch.setattr(cli_mod, "divergence_report", fake_report)
@@ -973,7 +974,8 @@ _HEAD_CONFIGS = {
 
 @pytest.mark.parametrize("subcommand", sorted(_HEAD_CONFIGS))
 def test_every_report_opens_with_the_same_head(subcommand, tmp_path):
-    # schema, subcommand, seed and config echo, closed by the exit status
+    # schema, subcommand and seed, closed by the exit status; the config
+    # is in the echo beside the report
     cfg_file = tmp_path / "head.yaml"
     cfg_file.write_text(f"subcommand: {subcommand}\nseed: 7\n"
                         + _HEAD_CONFIGS[subcommand])
@@ -993,9 +995,46 @@ def test_every_report_opens_with_the_same_head(subcommand, tmp_path):
         assert report["schema"] == SCHEMA_VERSION
         assert report["subcommand"] == echo.subcommand == name
         assert report["seed"] == echo.seed == 7
-        assert report["config"] == json.loads(json.dumps(
-            config_to_mapping(echo)))
         assert report["exit_status"] == status
+
+
+_SOLVE_FILES = ["config_echo.yaml", "energies.csv", "report.json",
+                "solution.csv", "stages.npy"]
+_RUN_FILES = {
+    "solve": _SOLVE_FILES,
+    "audit": _SOLVE_FILES,
+    "counterexample": ["config_echo.yaml", "counterexample.csv", "report.json"],
+    "certify": ["config_echo.yaml", "report.json"],
+    "sweep": ["config_echo.yaml", "point_000", "point_001", "sweep_matrix.csv",
+              "sweep_report.json"],
+}
+#: the report keys of the witness columns up to version 0.10.0
+_OLD_WITNESS_KEYS = {"levels", "w11_seminorms", "log_h1_seminorms",
+                     "damped_gradients", "square_masses", "amplitude_masses",
+                     "identity_rel_errors"}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_HEAD_CONFIGS))
+def test_each_number_has_one_file(subcommand, tmp_path):
+    # the config is only in config_echo.yaml and the witness table only in
+    # counterexample.csv; every run directory holds exactly these files
+    run(parse_config(f"subcommand: {subcommand}\n" + _HEAD_CONFIGS[subcommand]),
+        str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == _RUN_FILES[subcommand]
+    reports = [tmp_path / ("sweep_report.json" if subcommand == "sweep"
+                           else "report.json")]
+    if subcommand == "sweep":
+        point = tmp_path / "point_000"
+        assert sorted(os.listdir(point)) == _SOLVE_FILES
+        reports.append(point / "report.json")
+    for path in reports:
+        report = _read_json(path)
+        assert "config" not in report
+        assert not set(report) & (_OLD_WITNESS_KEYS | set(TABLE_COLUMNS))
+    if subcommand == "counterexample":
+        assert sorted(_read_json(reports[0])) == [
+            "assertions", "dimension", "exit_status", "log_h1_limit", "passed",
+            "rho", "schema", "seed", "subcommand"]
 
 
 def test_main_usage_errors_exit_one(tmp_path):
@@ -1022,6 +1061,6 @@ def test_main_overrides_seed_and_out(tmp_path):
     assert code == EXIT_OK
     report = _read_json(out / "report.json")
     assert report["seed"] == 7
-    assert report["config"]["seed"] == 7
     echo = yaml.safe_load((out / "config_echo.yaml").read_text())
+    assert echo["seed"] == 7
     assert "directory" not in echo["output"]

@@ -170,8 +170,8 @@ def test_coercivity_chain_pointwise(dim, rho, n):
 def test_divergence_report_reference_parameters():
     rep = divergence_report(3, 0.25, 12, QUAD_POINTS)
     assert isinstance(rep, DivergenceReport)
-    assert rep.levels == tuple(range(13))
-    assert len(rep.w11_values) == 13
+    assert rep.level == tuple(range(13))
+    assert len(rep.w11_seminorm) == 13
     assert rep.passed
     assert rep.assertions == {
         "log_h1_bounded_by_limit": True,
@@ -181,18 +181,19 @@ def test_divergence_report_reference_parameters():
     }
     assert rep.log_h1_limit == pytest.approx(math.pi / 2.0, rel=1e-15)
     # radii decrease, both seminorm columns increase monotonically
-    assert all(b < a for a, b in zip(rep.r_values, rep.r_values[1:]))
-    assert all(b > a for a, b in zip(rep.log_h1_values, rep.log_h1_values[1:]))
-    assert all(b > a for a, b in zip(rep.w11_values, rep.w11_values[1:]))
-    assert rep.w11_values[0] == 0.0
-    assert max(rep.identity_rel_errors) <= 1e-8
+    assert all(b < a for a, b in zip(rep.radius, rep.radius[1:]))
+    assert all(b > a for a, b in zip(rep.log_h1_seminorm,
+                                     rep.log_h1_seminorm[1:]))
+    assert all(b > a for a, b in zip(rep.w11_seminorm, rep.w11_seminorm[1:]))
+    assert rep.w11_seminorm[0] == 0.0
+    assert max(rep.identity_rel_error) <= 1e-8
 
 
 def test_divergence_report_growth_ratio_at_reference_window():
     # within levels 0..12 the growth of the integrable-gradient seminorm
     # is still tiny; the blow-up only shows at much larger levels
     rep = divergence_report(3, 0.25, 12, QUAD_POINTS)
-    ratio = rep.w11_values[12] / rep.w11_values[1]
+    ratio = rep.w11_seminorm[12] / rep.w11_seminorm[1]
     assert ratio == pytest.approx(1.0320088622578802, rel=1e-9)
 
 
@@ -206,7 +207,7 @@ def test_w11_divergence_reaches_two_orders_of_magnitude_by_level_30():
 def test_divergence_report_higher_dimension():
     rep = divergence_report(4, 0.9, 6, QUAD_POINTS)
     assert rep.passed
-    assert len(rep.levels) == 7
+    assert len(rep.level) == 7
 
 
 TABLES = [(3, 0.25, 30), (4, 0.9, 6)]
@@ -227,21 +228,21 @@ def test_damped_column_is_bitwise_the_per_level_route(dim, rho, n_max):
         h = log_h1_seminorm(p)
         damped.append(d)
         rels.append(abs(d - h) / max(h, 1e-300) if h > 0 else 0.0)
-    assert _bits(rep.damped_grad_values) == _bits(damped)
-    assert _bits(rep.identity_rel_errors) == _bits(rels)
+    assert _bits(rep.damped_gradient) == _bits(damped)
+    assert _bits(rep.identity_rel_error) == _bits(rels)
 
 
 @pytest.mark.parametrize("dim,rho,n_max", TABLES)
 def test_cumulative_columns_match_single_level_values(dim, rho, n_max):
     """Summed shells agree with one whole-interval integral per level."""
     rep = divergence_report(dim, rho, n_max, QUAD_POINTS)
-    for n in rep.levels:
+    for n in rep.level:
         p = RadialProfile(dim, rho, float(n))
-        assert rep.w11_values[n] == pytest.approx(
+        assert rep.w11_seminorm[n] == pytest.approx(
             ball_integral(p, "w11", QUAD_POINTS), rel=1e-12, abs=0.0)
-        assert rep.square_mass_values[n] == pytest.approx(
+        assert rep.square_mass[n] == pytest.approx(
             ball_integral(p, "mass", QUAD_POINTS), rel=1e-12, abs=0.0)
-        assert rep.amplitude_mass_values[n] == pytest.approx(
+        assert rep.amplitude_mass[n] == pytest.approx(
             ball_integral(p, "amplitude", QUAD_POINTS), rel=1e-12, abs=0.0)
 
 
