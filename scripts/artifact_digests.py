@@ -20,6 +20,9 @@ must leave unchanged:
   - a damped 2D 64x64 `varlab solve` (logaug integrand, constant
     coefficient 1, constant datum 20), whose stage refactors the
     preconditioner as its damping weights fall;
+  - a damped 2D 32x32 `varlab solve` (logaug integrand, constant
+    coefficient 1, power-singularity datum), whose five outer stages
+    share one preconditioner factor;
   - the default `varlab counterexample`, and the three deep tables
     (dimension, rho, n_max) = (3, 1/4, 300), (5, 1/2, 330) and (8, 1, 335);
   - `varlab counterexample` at (3, 1/4, 350), whose damped integrand
@@ -80,6 +83,11 @@ SOLVE_2D_CONSTANT20 = ("subcommand: solve\n"
                        "integrand: {kind: logaug}\n"
                        "coefficient: {kind: constant, params: {value: 1}}\n"
                        "datum: {kind: constant, params: {value: 20}}\n")
+SOLVE_2D_SINGULAR = ("subcommand: solve\n"
+                     "domain: {dimension: 2, x_cells: 32, y_cells: 32}\n"
+                     "integrand: {kind: logaug}\n"
+                     "coefficient: {kind: constant, params: {value: 1}}\n"
+                     "datum: {kind: power-singularity}\n")
 CERTIFY_SCALED = ("subcommand: certify\n"
                   "integrand: {kind: quadratic, params: {scale: 2}}\n")
 DEEP_WITNESSES = ((3, 0.25, 300), (5, 0.5, 330), (8, 1.0, 335),
@@ -99,6 +107,7 @@ def runs() -> list:
             ("audit-2d-2", "audit", AUDIT_2D_2, []),
             ("solve-linear-200k", "solve", SOLVE_LINEAR_200K, []),
             ("solve-2d-64-constant20", "solve", SOLVE_2D_CONSTANT20, []),
+            ("solve-2d-32-singular", "solve", SOLVE_2D_SINGULAR, []),
             ("counterexample-default", "counterexample", None, [])]
     out += [(f"counterexample-d{dim}-rho{rho:g}-n{n_max}", "counterexample",
              f"subcommand: counterexample\ncounterexample: {{dimension: {dim}, "

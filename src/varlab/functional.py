@@ -45,9 +45,11 @@ def _clamp_abs_derivative(s: Array, M: float) -> Array:
 class Integrand:
     """Gradient integrand j(x, ξ) with growth constants and its ξ-gradient.
 
-    `density` and `grad` receive coordinate and gradient arrays of matching
-    leading shape (..., dim) and must broadcast: density returns (...,),
-    grad returns (..., dim).
+    `density` and `grad` receive coordinates `x` of shape (..., Q, dim) and
+    a gradient `xi` that may be (..., 1, dim), one per element, and must
+    broadcast the two: density returns (..., Q) or (..., 1), grad returns
+    (..., Q, dim) or (..., 1, dim), and the caller broadcasts either to
+    the points.
     """
 
     label: str
@@ -175,8 +177,8 @@ class EnergyPieces(NamedTuple):
 
     vq: Array       # field values, (E, Q)
     den: Array      # clamped denominators (1 + b|T_M(v)|)², (E, Q)
-    j: Array        # integrand samples j(x, ∇v), (E, Q)
-    xi: Array       # element gradients broadcast to the points, (E, Q, d)
+    j: Array        # integrand samples j(x, ∇v) broadcast to the points, (E, Q)
+    xi: Array       # element gradients, (E, 1, d): ∇v is constant on an element
 
 
 def energy_pieces(spec: ProblemSpec, v: DiscreteField, M: float) -> EnergyPieces:
@@ -185,8 +187,9 @@ def energy_pieces(spec: ProblemSpec, v: DiscreteField, M: float) -> EnergyPieces
     g = spec.grid
     vq = values_at_quadrature(v)
     den = (1.0 + spec.b.quad_values * np.abs(np.clip(vq, -M, M))) ** 2
-    xi = np.broadcast_to(element_gradients(v)[:, None, :], g.quad_coords.shape)
-    return EnergyPieces(vq, den, spec.integrand.density(g.quad_coords, xi), xi)
+    xi = element_gradients(v)[:, None, :]
+    j = np.broadcast_to(spec.integrand.density(g.quad_coords, xi), vq.shape)
+    return EnergyPieces(vq, den, j, xi)
 
 
 def eval_JM(spec: ProblemSpec, v: DiscreteField, M: float,
@@ -230,7 +233,8 @@ def residual(spec: ProblemSpec, v: DiscreteField, M: float = math.inf,
     # Element contributions, held as (L, E).  Each of the three terms is
     # summed from zero over (q, d) in that order, which is bit for bit the
     # einsum of the same formula (kept as the reference in the tests).
-    dj = spec.integrand.grad(g.quad_coords, xi)           # (E, Q, d)
+    dj = np.broadcast_to(spec.integrand.grad(g.quad_coords, xi),
+                         g.quad_coords.shape)             # (E, Q, d)
     # ∂/∂v_l of j(x, ∇v)/den: through ∇v ...
     w_den = w / den
     local = np.zeros((bary.shape[1], g.n_elements))

@@ -71,7 +71,8 @@ def _anisotropic(*, contrast=0.5) -> Integrand:
         return np.sum(xi * xi, axis=-1) + contrast * modulation(x) * xi[..., 0] ** 2
 
     def grad(x, xi):
-        out = 2.0 * xi.copy()
+        shape = np.broadcast_shapes(x.shape, xi.shape)
+        out = np.broadcast_to(2.0 * xi, shape).copy()
         out[..., 0] += 2.0 * contrast * modulation(x) * xi[..., 0]
         return out
 

@@ -23,14 +23,18 @@ at construction: the (2, n) upper band of the tridiagonal 1D matrix, which
 banded Cholesky factors, or in 2D a CSC pattern, which SuperLU factors in
 symmetric mode (minimum degree on AᵀA + A, diagonal pivots).
 
-Each stage factors the preconditioner at its start iterate and reuses the
-factor (the chord/Shamanskii scheme, Kelley, *Iterative Methods for Linear
-and Nonlinear Equations*, SIAM 1995, ch. 5) until some element weight has
-drifted by more than REFACTOR_DRIFT = 1/4 from its factored value, when it
-factors again. The element stiffness blocks are PSD and the mass part is
-fixed, so weights within ±1/4 give 0.75·P_f ≤ P ≤ 1.25·P_f: the stale
-factor costs at most a factor 5/3 in condition number, and the L-BFGS
-memory corrects for the rest. A linear problem factors once.
+The Preconditioner holds one live factor and reuses it (the chord/Shamanskii
+scheme, Kelley, *Iterative Methods for Linear and Nonlinear Equations*, SIAM
+1995, ch. 5) until some element weight has drifted by more than
+REFACTOR_DRIFT = 1/4 from its factored value, when it factors again. The
+element stiffness blocks are PSD and the mass part is fixed, so weights
+within ±1/4 give 0.75·P_f ≤ P ≤ 1.25·P_f: the stale factor costs at most a
+factor 5/3 in condition number, and the L-BFGS memory corrects for the
+rest. A linear problem factors once. In 2D the SuperLU factor serves every
+stage of an outer solve until the rule fires; in 1D the banded Cholesky
+factor is cheap, and each stage refactors at its start iterate, since a
+factor carried across stages stalls a damped 10⁵-cell stage on steps of
+zero decrease.
 
 Each outer stage n minimizes J_M once, at M = 2n, warm-started from the
 previous stage. The clamp is certified inactive when the iterate has
@@ -133,7 +137,8 @@ class SolveTrace:
 
 class Preconditioner:
     """Mass + amplitude-damped stiffness; the per-element damping weights are
-    the only part that changes from one factor to the next.
+    the only part that changes from one factor to the next. It keeps the
+    live factor and the weights it was built from (see `live`).
 
     Boundary nodes get the identity: mass 1, stiffness 0, no couplings.
     """
@@ -167,6 +172,7 @@ class Preconditioner:
         self._stiff_owner = np.concatenate([owner, np.zeros_like(eye)])
         self._dimension = g.dimension
         self._n = n = g.n_nodes
+        self._factored = self._apply = None   # the live factor's weights, solve
         # triplet t adds into data[slot[t]]
         if g.dimension == 1:
             # element e joins nodes e and e+1, so P is tridiagonal: entry
@@ -203,6 +209,18 @@ class Preconditioner:
         return spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True}).solve
 
+    def live(self, damp: np.ndarray, stage_start: bool):
+        """The live factor's solve, factored anew for the weights `damp` when
+        some weight has drifted by more than REFACTOR_DRIFT from the factored
+        one, when there is no factor yet, or at a stage start in 1D."""
+        if (self._factored is None
+                or (stage_start and self._dimension == 1)
+                or np.max(np.abs(damp / self._factored - 1.0))
+                > REFACTOR_DRIFT):
+            self._apply = self.factor(damp)
+            self._factored = damp
+        return self._apply
+
 
 # ------------------------------------------------------------- inner solver
 
@@ -236,7 +254,8 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
     """Descend eval_JM(., M) from `start` until the residual is below tol.
 
     `precond` is `Preconditioner(spec)`, shared by the stages of one outer
-    solve. Its factor lives only in this call, so every stage starts fresh.
+    solve. Its live factor outlasts this call: in 2D the next stage starts
+    from it, in 1D the first iteration factors anew.
     """
     if start.grid is not spec.grid:
         raise ValueError("start field must live on the spec grid")
@@ -250,16 +269,12 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
     # the last ten accepted steps as (s, y, 1/sᵀy), with None for 1/sᵀy
     # without positive curvature (the pair still fills its slot)
     memory = deque(maxlen=10)
-    factored = None     # the weights of the live factor apply_P
 
     # the stop test; a NaN residual never counts as converged
     while (not (res_linf := float(np.max(np.abs(r)))) <= spec.solver_tol
            and len(history) <= spec.max_iter):
         damp = precond.damping(pieces.vq, M)
-        if (factored is None
-                or np.max(np.abs(damp / factored - 1.0)) > REFACTOR_DRIFT):
-            apply_P = precond.factor(damp)
-            factored = damp
+        apply_P = precond.live(damp, stage_start=len(history) == 1)
         d = -two_loop(r, memory, apply_P)
         slope = float(r @ d)
         if slope >= 0.0:               # memory turned sour: fall back

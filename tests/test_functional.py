@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from varlab.functional import (
     CoefficientField,
     Datum,
+    EnergyPieces,
     ProblemSpec,
     certify,
     eval_J,
@@ -270,6 +271,41 @@ def test_residual_kernel_is_bitwise_the_einsum_formula(dimension, integrand_kind
             assert np.array_equal(_bits(residual(spec, v, M, pieces=pieces)), want)
             assert _bits(eval_JM(spec, v, M, pieces=pieces)) == \
                 _bits(eval_JM(spec, v, M))
+
+
+def _pointwise_pieces(spec, v, M):
+    """The pieces with ξ broadcast to every quadrature point, (E, Q, d), so
+    that j is evaluated once per point: the evaluation that the
+    once-per-element one must equal bit for bit."""
+    from varlab.grid import element_gradients, values_at_quadrature
+    g = spec.grid
+    vq = values_at_quadrature(v)
+    den = (1.0 + spec.b.quad_values * np.abs(np.clip(vq, -M, M))) ** 2
+    xi = np.broadcast_to(element_gradients(v)[:, None, :], g.quad_coords.shape)
+    return EnergyPieces(vq, den, spec.integrand.density(g.quad_coords, xi), xi)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("integrand_kind", ["quadratic", "anisotropic", "logaug"])
+def test_integrand_once_per_element_is_bitwise_the_pointwise_evaluation(
+        dimension, integrand_kind):
+    grid = (build_interval_grid(0.0, 1.0, 40) if dimension == 1
+            else build_rect_grid(7, 6, 1.0, 1.0))
+    spec = ProblemSpec(
+        grid=grid, integrand=make_integrand(integrand_kind),
+        b=make_coefficient(grid, "constant", {"value": 1.5}),
+        f=make_library_datum(grid, "sine"),
+        solver_tol=1e-8, max_iter=50_000)
+    rng = np.random.default_rng(10 + dimension)
+    v = field_from_values(grid, rng.uniform(-2.0, 2.0, grid.n_nodes))
+    assert energy_pieces(spec, v, 1.0).xi.shape == (grid.n_elements, 1,
+                                                    dimension)
+    for M in (0.5, math.inf):
+        want = _pointwise_pieces(spec, v, M)
+        assert _bits(eval_JM(spec, v, M)) == _bits(
+            eval_JM(spec, v, M, pieces=want))
+        assert np.array_equal(_bits(residual(spec, v, M)),
+                              _bits(residual(spec, v, M, pieces=want)))
 
 
 # ------------------------------------------------------------------- datums

@@ -29,6 +29,7 @@ from varlab.grid import (
 )
 from varlab.library import make_coefficient, make_integrand, make_library_datum
 from varlab.solver import (
+    REFACTOR_DRIFT,
     MScheduleTrace,
     Preconditioner,
     SolveTrace,
@@ -330,6 +331,70 @@ def test_damped_2d_solve_factors_fewer_times_than_it_iterates(monkeypatch):
     iterations = sum(r.iterations for s in trace.stages
                      for r in s.inner.records)
     assert 0 < len(calls) < iterations
+
+
+def _record_live(monkeypatch) -> tuple:
+    """(factors, applied): the weights and the solve of every
+    Preconditioner.factor call, and for every iteration the current
+    iterate's weights, its stage_start flag and the solve `live` handed
+    back."""
+    factors, applied = [], []
+    factor, live = Preconditioner.factor, Preconditioner.live
+
+    def counted_factor(self, damp):
+        solve = factor(self, damp)
+        factors.append((damp, solve))
+        return solve
+
+    def counted_live(self, damp, stage_start):
+        solve = live(self, damp, stage_start)
+        applied.append((damp, stage_start, solve))
+        return solve
+
+    monkeypatch.setattr(Preconditioner, "factor", counted_factor)
+    monkeypatch.setattr(Preconditioner, "live", counted_live)
+    return factors, applied
+
+
+def _damped_outer(grid, coefficient):
+    return ProblemSpec(grid=grid, integrand=make_integrand("logaug"),
+                       b=make_coefficient(grid, coefficient[0], coefficient[1]),
+                       f=make_library_datum(grid, "power-singularity", None),
+                       solver_tol=1e-8, max_iter=50_000)
+
+
+def _iterating_stages(trace) -> int:
+    return sum(1 for s in trace.stages if s.inner.records[0].iterations > 0)
+
+
+def test_damped_2d_outer_solve_carries_its_factor_across_stages(monkeypatch):
+    spec = _damped_outer(build_rect_grid(16, 16, 1.0, 1.0),
+                         ("constant", {"value": 1.0}))
+    factors, applied = _record_live(monkeypatch)
+    _, trace = solve_outer(spec)
+    assert trace.converged
+    assert 0 < len(factors) < _iterating_stages(trace)
+    # every solve applied is a factor of weights within the drift bound of
+    # the iterate it serves
+    built_from = {id(solve): damp for damp, solve in factors}
+    assert len(applied) == sum(s.inner.records[0].iterations
+                               for s in trace.stages)
+    for damp, _, solve in applied:
+        assert np.max(np.abs(damp / built_from[id(solve)] - 1.0)) \
+            <= REFACTOR_DRIFT
+
+
+def test_damped_1d_outer_solve_factors_at_each_stage_start(monkeypatch):
+    spec = _damped_outer(build_interval_grid(0.0, 1.0, 256), ("step", None))
+    factors, applied = _record_live(monkeypatch)
+    _, trace = solve_outer(spec)
+    assert trace.converged
+    starts = [(damp, solve) for damp, stage_start, solve in applied
+              if stage_start]
+    assert len(starts) == _iterating_stages(trace) > 1
+    # each stage's first iteration applies a factor of its own weights
+    for damp, solve in starts:
+        assert any(d is damp and f is solve for d, f in factors)
 
 
 def test_linear_solve_takes_one_iteration_and_one_factor(monkeypatch):
