@@ -27,6 +27,11 @@ must leave unchanged:
     (dimension, rho, n_max) = (3, 1/4, 300), (5, 1/2, 330) and (8, 1, 335);
   - `varlab counterexample` at (3, 1/4, 350), whose damped integrand
     overflows: it exits 3 and writes no file;
+  - the small-rho witnesses (3, 0.0009, 1), (3, 0.0015, 1) and
+    (3, 0.01, 350): each exits 3, and its standard error line names the
+    integral and level that did not settle ('w11' level 1, 'damped'
+    level 1, and 'w11' level 187, the one failure of the first shell
+    column in the middle of a table);
   - the default `varlab certify`, and one that adds the quadratic
     integrand at scale 2;
   - each `configs/*.yaml`, run as the subcommand it names.
@@ -40,7 +45,9 @@ artifact, sorted by path, so two trees compare with one `diff`:
     diff before.txt after.txt
 
 The script imports varlab and perfbench from the tree it sits in. Each
-run's exit code goes to standard error, followed by one line per audited
+run's exit code goes to standard error, after any message the run itself
+prints there (a witness that does not settle names its integral and
+level), followed by one line per audited
 report it wrote (each sweep point and each audit run): the report's exit
 code and its `estimates_failed` list. A change that moves bits must keep
 that stream unchanged, so the verdicts of two trees compare with a second
@@ -92,6 +99,7 @@ CERTIFY_SCALED = ("subcommand: certify\n"
                   "integrand: {kind: quadratic, params: {scale: 2}}\n")
 DEEP_WITNESSES = ((3, 0.25, 300), (5, 0.5, 330), (8, 1.0, 335),
                   (3, 0.25, 350))
+SMALL_RHO_WITNESSES = ((3, 0.0009, 1), (3, 0.0015, 1), (3, 0.01, 350))
 
 
 def runs() -> list:
@@ -112,7 +120,7 @@ def runs() -> list:
     out += [(f"counterexample-d{dim}-rho{rho:g}-n{n_max}", "counterexample",
              f"subcommand: counterexample\ncounterexample: {{dimension: {dim}, "
              f"rho: {rho}, n_max: {n_max}}}\n", [])
-            for dim, rho, n_max in DEEP_WITNESSES]
+            for dim, rho, n_max in DEEP_WITNESSES + SMALL_RHO_WITNESSES]
     out += [("certify-default", "certify", None, []),
             ("certify-scale2", "certify", CERTIFY_SCALED, [])]
     configs = os.path.join(ROOT, "configs")

@@ -15,17 +15,19 @@ All integrals are radial: Gauss–Legendre in r on geometric panels, which
 cluster where the integrands peak, doubled per shell until two refinements
 agree to 1e-8 relative. Only the plateau radius r_n depends on the level,
 so the table is one pass: ∫|∇v_n|, ∫v_n² and ∫(1+v_n)² are cumulative sums
-over the disjoint shells [r_{n+1}, r_n] plus closed-form plateaus. The
-damped gradient, the second route of the identity check, stays one whole
-interval [r_n, 1] per level (all levels batched): a sum of shells would
-stack roundings into the very number compared with the closed form.
+over the disjoint shells [r_{n+1}, r_n] plus closed-form plateaus. These
+three columns share each radial pass and the powers of r it evaluates,
+with the bits of one pass per column. The damped gradient, the second
+route of the identity check, stays apart: one whole interval [r_n, 1] per
+level (all levels batched), as a sum of shells would stack roundings into
+the very number compared with the closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
@@ -41,8 +43,12 @@ MAX_LEVEL = 350
 MAX_DIMENSION = 343
 #: fewest quadrature points a radial integral may start from
 MIN_QUAD_POINTS = 100
-#: budget of one (shells, panels, 8) array of the batched radial routine
-SHELL_BLOCK_BYTES = 4 << 20
+#: budget of one (shells, panels, 8) array of the batched radial routine:
+#: 256 KiB took one witness round's compute from 0.234 s (4 MiB) to 0.198 s,
+#: 64 KiB the same, 16 KiB slower
+SHELL_BLOCK_BYTES = 256 << 10
+#: the shell integrands that one radial pass evaluates together
+SHELL_COLUMNS = ("w11", "mass", "amplitude")
 
 
 @dataclass(frozen=True)
@@ -94,65 +100,95 @@ class QuadratureError(RuntimeError):
     """A radial integral that did not settle to QUAD_REL_TOL."""
 
 
-def _integrands(p: RadialProfile) -> dict:
-    """The radial integrands, with the r^(N-1) Jacobian. "damped" forms
-    numerator and denominator apart, so its agreement with log_h1_seminorm
-    is a genuine two-route check of the substitution identity."""
+def _integrands(p: RadialProfile) -> Tuple[Callable, Callable]:
+    """The radial integrands with the r^(N-1) Jacobian, as column generators.
+    "damped" forms numerator and denominator apart, so its agreement with
+    log_h1_seminorm is a genuine two-route check of the substitution
+    identity. The other yields the SHELL_COLUMNS from shared powers, each in
+    the operation order, and so with the bits, of its own formula."""
     N, rho = p.dimension, p.rho
 
     def damped(r):
         e = np.exp(r ** (-rho) - 1.0)
         grad = rho * r ** (-rho - 1.0) * e
-        return grad ** 2 / (1.0 + (e - 1.0)) ** 2 * r ** (N - 1)
+        yield grad ** 2 / (1.0 + (e - 1.0)) ** 2 * r ** (N - 1)
 
-    return {"damped": damped,
-            "w11": lambda r: (rho * r ** (-rho - 1.0) * np.exp(r ** (-rho) - 1.0)
-                              * r ** (N - 1)),
-            "mass": lambda r: np.expm1(r ** (-rho) - 1.0) ** 2 * r ** (N - 1),
-            "amplitude": lambda r: np.exp(r ** (-rho) - 1.0) ** 2 * r ** (N - 1)}
+    def shell_columns(r):
+        s = r ** (-rho) - 1.0
+        e, jac = np.exp(s), r ** (N - 1)
+        yield rho * r ** (-rho - 1.0) * e * jac
+        yield np.expm1(s) ** 2 * jac
+        yield e ** 2 * jac
+
+    return damped, shell_columns
 
 
-def _converged_shells(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
-                      quad_points: int, what: str = "shell") -> np.ndarray:
-    """∫_{lo_i}^{hi_i} fn(r) dr for every shell at once (0 where lo_i >= hi_i):
-    8 Gauss–Legendre points on each of max(quad_points // 8, 13) geometric
-    panels, doubled until two refinements agree to QUAD_REL_TOL relative.
-    Settled shells are frozen. Each shell is one contiguous row reduction,
-    so its bits do not depend on the others. A non-finite shell, or one still
-    moving past MAX_PANELS, raises QuadratureError naming `what` and the
-    lowest such index (the ones below it need not have settled yet)."""
+def _converged_shells(columns: Callable[[np.ndarray], Iterable[np.ndarray]],
+                      lo, hi, quad_points: int, what: Tuple[str, ...]) -> np.ndarray:
+    """∫_{lo_i}^{hi_i} f_k(r) dr for every shell i at once (0 where lo_i >= hi_i)
+    and every column f_k that `columns(r)` yields in turn, one per label in
+    `what`: 8 Gauss–Legendre points on each of max(quad_points // 8, 13)
+    geometric panels, doubled until two refinements agree to QUAD_REL_TOL
+    relative. A pass forms the columns one after another on the shells that
+    any of them still needs; settled (column, shell) pairs are frozen. Each
+    value is one contiguous row reduction, so its bits depend neither on the
+    other shells nor on the other columns. A non-finite shell, or one still
+    moving past MAX_PANELS, fails its column and drops the columns after it;
+    once the columns before it have settled, QuadratureError names its label
+    and the lowest such index (the ones below it need not have settled yet)."""
     if not MIN_QUAD_POINTS <= quad_points <= MAX_QUAD_POINTS:
         raise ValueError(f"need quad_points in {MIN_QUAD_POINTS}.."
                          f"{MAX_QUAD_POINTS}, got {quad_points}")
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     nodes, weights = np.polynomial.legendre.leggauss(8)
 
-    def quadrature(live, panels):
-        sums, grading = np.empty(live.size), np.linspace(0.0, 1.0, panels + 1)
+    def quadrature(live, panels, count):
+        # a column's first non-finite block stops it and the later columns
+        sums = np.full((count, live.size), np.nan)
+        grading = np.linspace(0.0, 1.0, panels + 1)
         rows = max(1, SHELL_BLOCK_BYTES // (panels * nodes.nbytes))
         for i in range(0, live.size, rows):
             at = live[i:i + rows]
             edges = lo[at, None] * (hi[at] / lo[at])[:, None] ** grading
             mids = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None]
             halfs = 0.5 * (edges[:, 1:] - edges[:, :-1])[..., None]
-            f = halfs * weights * fn(mids + halfs * nodes)   # (B, panels, 8)
-            sums[i:i + rows] = f.reshape(at.size, -1).sum(axis=1)
+            scale = halfs * weights
+            formed = iter(columns(mids + halfs * nodes))
+            for k in range(count):
+                f = next(formed)
+                f *= scale                                   # (B, panels, 8)
+                block = sums[k, i:i + rows] = f.reshape(at.size, -1).sum(axis=1)
+                del f       # freed before the next column is formed
+                if not np.isfinite(block[pending[k, at]]).all():
+                    count = k
+                    break
         return sums
 
-    out = np.zeros(lo.shape)
-    panels, live = max(quad_points // 8, 13), np.flatnonzero(lo < hi)
-    value = np.full(live.size, np.nan)          # the first pass settles none
-    while live.size:
+    out = np.zeros((len(what),) + lo.shape)
+    pending = np.tile(lo < hi, (len(what), 1))      # (column, shell) unsettled
+    value = np.full(pending.shape, np.nan)          # the first pass settles none
+    panels, count, error = max(quad_points // 8, 13), len(what), None
+    while pending[:count].any():
+        live = np.flatnonzero(pending[:count].any(axis=0))
         with np.errstate(all="ignore"):     # raised below as non-finite
-            refined = quadrature(live, panels)
-        done = np.abs(refined - value) <= QUAD_REL_TOL * (1.0 + np.abs(refined))
-        finite = np.isfinite(refined)
-        if not finite.all() or (panels > MAX_PANELS and not done.all()):
-            first = live[~finite if not finite.all() else ~done][0]
-            raise QuadratureError("radial quadrature did not settle to 1e-8 "
-                                  f"relative at {what} {first}")
-        out[live[done]] = refined[done]
-        live, value, panels = live[~done], refined[~done], 2 * panels
+            sums = quadrature(live, panels, count)
+        for k in range(count):
+            mine = pending[k, live]
+            at, refined = live[mine], sums[k, mine]
+            done = (np.abs(refined - value[k, at])
+                    <= QUAD_REL_TOL * (1.0 + np.abs(refined)))
+            finite = np.isfinite(refined)
+            if not finite.all() or (panels > MAX_PANELS and not done.all()):
+                first = at[~finite if not finite.all() else ~done][0]
+                count, error = k, QuadratureError(
+                    "radial quadrature did not settle to 1e-8 relative at "
+                    f"{what[k]} {first}")
+                break
+            out[k, at[done]], pending[k, at[done]] = refined[done], False
+            value[k, at] = refined
+        panels *= 2
+    if error is not None:
+        raise error
     return out
 
 
@@ -160,8 +196,11 @@ def ball_integral(p: RadialProfile, name: str, quad_points: int) -> float:
     """ω·(plateau + ∫_{r_n}^1) of ∫|∇v_n| ("w11"), ∫|∇v_n|²/(1+v_n)² ("damped"),
     ∫v_n² ("mass") or ∫(1+v_n)² ("amplitude"); only the masses have a plateau."""
     plateau = dict(zip(("mass", "amplitude"), p.plateau_masses)).get(name, 0.0)
-    shell = _converged_shells(_integrands(p)[name], [p.r_n], [1.0], quad_points)
-    return p.sphere_measure * (plateau + float(shell[0]))
+    damped, shell_columns = _integrands(p)
+    columns, what = ((damped, ("damped",)) if name == "damped"
+                     else (shell_columns, SHELL_COLUMNS))
+    shell = _converged_shells(columns, [p.r_n], [1.0], quad_points, what)
+    return p.sphere_measure * (plateau + float(shell[what.index(name), 0]))
 
 
 def log_h1_seminorm(p: RadialProfile) -> float:
@@ -222,21 +261,22 @@ def divergence_report(dimension: int, rho: float, n_max: int,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     levels = tuple(range(0, int(n_max) + 1))
     profiles = [RadialProfile(dimension, rho, float(n)) for n in levels]
-    fns, omega = _integrands(profiles[0]), profiles[0].sphere_measure
+    (damped, shell_columns), omega = _integrands(profiles[0]), profiles[0].sphere_measure
     r = np.array([p.r_n for p in profiles])
     plateaus = np.array([p.plateau_masses for p in profiles]).T
 
-    def shells(name, hi):
+    def shells(columns, what, hi):
         # shell n is [r_n, hi_n], so an error names the level it stopped at
-        return _converged_shells(fns[name], r, hi, quad_points, f"{name!r} level")
+        return _converged_shells(columns, r, hi, quad_points,
+                                 tuple(f"{name!r} level" for name in what))
 
-    def column(name, plateau=0.0):     # shell 0 is empty: [r_0, r_0]
-        cumulative = np.cumsum(shells(name, np.concatenate(([r[0]], r[:-1]))))
-        return tuple((omega * (plateau + cumulative)).tolist())
-
-    w11s, masses = column("w11"), column("mass", plateaus[0])
-    amps = column("amplitude", plateaus[1])
-    dampeds = tuple((omega * shells("damped", np.ones_like(r))).tolist())
+    # shell 0 is empty: [r_0, r_0]
+    cumulative = np.cumsum(shells(shell_columns, SHELL_COLUMNS,
+                                  np.concatenate(([r[0]], r[:-1]))), axis=1)
+    w11s, masses, amps = (tuple((omega * (plateau + c)).tolist()) for plateau, c
+                          in zip((0.0, *plateaus), cumulative))
+    dampeds = tuple((omega * shells(damped, ("damped",), np.ones_like(r))[0])
+                    .tolist())
     log_h1s = tuple(log_h1_seminorm(p) for p in profiles)
     rels = tuple(abs(d - h) / max(h, 1e-300) if h > 0 else 0.0
                  for d, h in zip(dampeds, log_h1s))

@@ -893,15 +893,21 @@ def test_unsettled_witness_exits_not_converged_naming_the_level(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rho, integral", [(0.0009, "w11"),
-                                            (0.0015, "damped")])
+SMALL_RHO_FAILURES = [(0.0009, 1, "w11", 1), (0.0015, 1, "damped", 1),
+                      (0.01, 350, "w11", 187)]
+
+
+@pytest.mark.parametrize("rho, n_max, integral, level", SMALL_RHO_FAILURES,
+                         ids=[f"{rho}-{integral}"
+                              for rho, _, integral, _ in SMALL_RHO_FAILURES])
 def test_small_rho_witness_exits_not_converged_without_warnings(
-        rho, integral, tmp_path, capsys):
+        rho, n_max, integral, level, tmp_path, capsys):
     # r_1 underflows to 0 at rho 0.0009; at 0.0015 the squared gradient
-    # overflows where r^(N-1) underflows: non-finite shells, one stderr line
+    # overflows where r^(N-1) underflows: non-finite shells, one stderr line.
+    # At 0.01 the first shell column fails in the middle of the table.
     cfg_file = tmp_path / "small.yaml"
     cfg_file.write_text("subcommand: counterexample\n"
-                        f"counterexample: {{rho: {rho}, n_max: 1}}\n")
+                        f"counterexample: {{rho: {rho}, n_max: {n_max}}}\n")
     out = tmp_path / "out"
     code = main(["counterexample", "--config", str(cfg_file), "--out", str(out)])
     assert code == EXIT_NOT_CONVERGED
@@ -909,7 +915,7 @@ def test_small_rho_witness_exits_not_converged_without_warnings(
     assert "Warning" not in err
     assert err.splitlines() == ["varlab: counterexample: radial quadrature did "
                                 "not settle to 1e-8 relative at "
-                                f"'{integral}' level 1"]
+                                f"'{integral}' level {level}"]
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from varlab.counterexample import (
     MAX_LEVEL,
     MAX_QUAD_POINTS,
     DivergenceReport,
+    QuadratureError,
     RadialProfile,
     _converged_shells,
     ball_integral,
@@ -246,6 +247,38 @@ def test_cumulative_columns_match_single_level_values(dim, rho, n_max):
             ball_integral(p, "amplitude", QUAD_POINTS), rel=1e-12, abs=0.0)
 
 
+def _one_column(fn):
+    """`fn` as the one column of a _converged_shells integrand."""
+    return lambda r: (fn(r),)
+
+
+def _reference_columns(p):
+    """The shell integrands, one formula each, as the report once had them."""
+    N, rho = p.dimension, p.rho
+    return {"w11": lambda r: (rho * r ** (-rho - 1.0) * np.exp(r ** (-rho) - 1.0)
+                              * r ** (N - 1)),
+            "mass": lambda r: np.expm1(r ** (-rho) - 1.0) ** 2 * r ** (N - 1),
+            "amplitude": lambda r: np.exp(r ** (-rho) - 1.0) ** 2 * r ** (N - 1)}
+
+
+@pytest.mark.parametrize("dim,rho,n_max", TABLES + [(8, 1.0, 335)])
+def test_fused_shell_columns_are_bitwise_the_one_column_route(dim, rho, n_max):
+    """One pass over the shared powers keeps the bits of one pass per column."""
+    rep = divergence_report(dim, rho, n_max, QUAD_POINTS)
+    profiles = [RadialProfile(dim, rho, float(n)) for n in rep.level]
+    r = np.array([p.r_n for p in profiles])
+    mass, amplitude = np.array([p.plateau_masses for p in profiles]).T
+    omega = profiles[0].sphere_measure
+    for name, field, plateau in (("w11", rep.w11_seminorm, 0.0),
+                                 ("mass", rep.square_mass, mass),
+                                 ("amplitude", rep.amplitude_mass, amplitude)):
+        fn = _reference_columns(profiles[0])[name]
+        (shells,) = _converged_shells(_one_column(fn), r,
+                                      np.concatenate(([r[0]], r[:-1])),
+                                      QUAD_POINTS, (name,))
+        assert _bits(field) == _bits(omega * (plateau + np.cumsum(shells)))
+
+
 def test_non_finite_shell_raises_after_one_evaluation():
     calls = []
 
@@ -254,7 +287,8 @@ def test_non_finite_shell_raises_after_one_evaluation():
         return np.full(r.shape, np.inf)
 
     with pytest.raises(RuntimeError, match="did not settle"):
-        _converged_shells(overflowing, [0.25, 0.5], [0.5, 1.0], QUAD_POINTS)
+        _converged_shells(_one_column(overflowing), [0.25, 0.5], [0.5, 1.0],
+                          QUAD_POINTS, ("shell",))
     assert len(calls) == 1
 
     # finite on the first pass, infinite on the refinement: |inf - x| is
@@ -266,8 +300,51 @@ def test_non_finite_shell_raises_after_one_evaluation():
         return np.full(r.shape, 1.0 if len(refined_calls) == 1 else np.inf)
 
     with pytest.raises(RuntimeError, match="did not settle"):
-        _converged_shells(overflowing_when_refined, [0.5], [1.0], QUAD_POINTS)
+        _converged_shells(_one_column(overflowing_when_refined), [0.5], [1.0],
+                          QUAD_POINTS, ("shell",))
     assert len(refined_calls) == 2
+
+
+def test_a_column_failing_on_the_first_pass_forms_no_later_column():
+    formed = []
+
+    def columns(r):
+        formed.append("first")
+        yield np.full(r.shape, np.inf)
+        formed.append("second")
+        yield np.ones(r.shape)
+
+    with pytest.raises(QuadratureError, match="at 'first' 0$"):
+        _converged_shells(columns, [0.25, 0.5], [0.5, 1.0], QUAD_POINTS,
+                          ("'first'", "'second'"))
+    assert formed == ["first"]
+
+
+def test_a_later_column_fails_only_after_the_earlier_one_settles():
+    formed = []
+
+    def columns(r):
+        panels = r.shape[1]
+        formed.append(("first", panels))
+        # moves between the first two passes, settles on the third
+        yield np.full(r.shape, 1.0 if panels == 64 else 2.0)
+        formed.append(("second", panels))
+        yield np.full(r.shape, np.inf)
+
+    with pytest.raises(QuadratureError, match="at 'second' 0$"):
+        _converged_shells(columns, [0.5], [1.0], QUAD_POINTS,
+                          ("'first'", "'second'"))
+    assert formed == [("first", 64), ("second", 64), ("first", 128),
+                      ("first", 256)]
+
+    # an earlier column that fails later still names the error
+    def earlier_fails_later(r):
+        yield np.full(r.shape, 1.0 if r.shape[1] == 64 else np.inf)
+        yield np.full(r.shape, np.inf)
+
+    with pytest.raises(QuadratureError, match="at 'first' 0$"):
+        _converged_shells(earlier_fails_later, [0.5], [1.0], QUAD_POINTS,
+                          ("'first'", "'second'"))
 
 
 def test_divergence_report_validation():
