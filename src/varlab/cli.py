@@ -9,7 +9,9 @@ sweep           Cartesian product of integrand/coefficient/datum lists
 certify         randomized admissibility checks for the built-in integrands
 
 Exit codes: 0 success, 1 usage or I/O error, 2 audit failure,
-3 non-converged stage (takes precedence over 2).
+3 non-converged stage (takes precedence over 2).  `_emit` derives the exit
+status of every report; only usage errors and an unsettled witness, which
+write no report, exit elsewhere.
 
 Determinism contract: a config document plus a seed fully determines every
 artifact byte.  JSON is emitted by a deterministic writer (sorted keys,
@@ -31,8 +33,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import (MISSING, asdict, dataclass, field, fields,
-                         is_dataclass, replace)
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache, partial
 from itertools import product, repeat
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -430,21 +431,19 @@ def _csv_column(values) -> list:
     return [_csv_cell(v) for v in values]
 
 
-def _row_blocks(rows: list) -> list:
-    """A table given row by row, as the one block of columns _write_csv takes."""
-    return [[_csv_column(column) for column in zip(*rows)]] if rows else []
-
-
 def _write_csv(path: str, header: list, blocks):
     """Write a CSV table block by block, so that no more than one block's
-    text is held at once.  A block is a list of formatted columns: a list
-    of cells, or one cell that repeats down the block."""
+    text is held at once.  A block is a list of columns: a sequence (list,
+    tuple or array) of values, or one value that repeats down the block.
+    A block without columns writes nothing."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(_csv_cell, header)) + "\n")
-        for columns in blocks:
-            rows = max(len(c) for c in columns if isinstance(c, list))
-            cells = [repeat(c, rows) if isinstance(c, str) else c
-                     for c in columns]
+        for columns in filter(None, blocks):
+            cells = [_csv_column(c) if isinstance(c, (list, tuple, np.ndarray))
+                     else c for c in columns]
+            rows = max(len(c) for c in cells if isinstance(c, list))
+            cells = [c if isinstance(c, list) else repeat(_csv_cell(c), rows)
+                     for c in cells]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -464,10 +463,8 @@ def _solution_table(grid: Grid, trace: SolveTrace) -> Tuple[list, list]:
     header = (["stage_index", "n_level", "node_index", "x", "value"] if dim == 1
               else ["stage_index", "n_level", "node_index", "x", "y", "value"])
     final = trace.stages[-1]
-    return header, [[_csv_cell(len(trace.stages) - 1), _csv_cell(final.n_level),
-                     _csv_column(np.arange(grid.n_nodes)),
-                     *(_csv_column(grid.nodes[:, d]) for d in range(dim)),
-                     _csv_column(final.field.values)]]
+    return header, [[len(trace.stages) - 1, final.n_level, np.arange(grid.n_nodes),
+                     *(grid.nodes[:, d] for d in range(dim)), final.field.values]]
 
 
 def _earlier_stages(grid: Grid, trace: SolveTrace) -> np.ndarray:
@@ -480,23 +477,24 @@ def _earlier_stages(grid: Grid, trace: SolveTrace) -> np.ndarray:
 def _energy_table(trace: SolveTrace) -> Tuple[list, list]:
     """Header and blocks of energies.csv, one block per clamp stage."""
     header = ["stage_index", "n_level", "m_level", "iteration", "energy"]
-    blocks = [[_csv_cell(si), _csv_cell(stage.n_level), _csv_cell(rec.m_level),
-               _csv_column(np.arange(len(rec.energy_history))),
-               _csv_column(rec.energy_history)]
+    blocks = [[si, stage.n_level, rec.m_level,
+               np.arange(len(rec.energy_history)), rec.energy_history]
               for si, stage in enumerate(trace.stages)
               for rec in stage.inner.records]
     return header, blocks
 
 
+def _entry(record, drop=(), add=()) -> dict:
+    """The fields of the dataclass `record` but `drop`, then `add`."""
+    names = [f.name for f in fields(record) if f.name not in drop]
+    return {name: getattr(record, name) for name in (*names, *add)}
+
+
 def _estimates_json(reports) -> dict:
     keyed: dict = {}
     for rep in reports:
-        entry = {
-            "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
-            "rel_tol": rep.rel_tol, "abs_tol": rep.abs_tol,
-            "severity": rep.severity, "passed": rep.passed, "note": rep.note,
-            "params": rep.params}
-        keyed.setdefault(rep.estimate_id, []).append(entry)
+        keyed.setdefault(rep.estimate_id, []).append(
+            _entry(rep, drop=("estimate_id",), add=("slack", "passed")))
     return keyed
 
 
@@ -504,9 +502,10 @@ def _estimates_json(reports) -> dict:
 
 
 def _build_grid(dom: DomainConfig) -> Grid:
-    if dom.dimension == 1:
-        return build_interval_grid(0.0, dom.length, dom.cells)
-    return build_rect_grid(dom.x_cells, dom.y_cells, dom.lx, dom.ly)
+    with _domain_rule("domain"):
+        if dom.dimension == 1:
+            return build_interval_grid(0.0, dom.length, dom.cells)
+        return build_rect_grid(dom.x_cells, dom.y_cells, dom.lx, dom.ly)
 
 
 def _build_spec(config: RunConfig) -> ProblemSpec:
@@ -526,14 +525,17 @@ def _build_spec(config: RunConfig) -> ProblemSpec:
         n_schedule=config.solver.n_schedule)
 
 
-def _emit(config: RunConfig, directory: str, basename: str, code: int,
-          report: dict, tables: dict) -> Tuple[int, dict]:
+def _emit(config: RunConfig, directory: str, basename: str, report: dict,
+          tables: dict, converged=True, passed=True) -> Tuple[int, dict]:
     """Open `report` with the keys of every report and close it with the
-    exit status `code`; write it, the config echo and the tables, and
-    return (code, report).  `tables` maps each file name to a function that
+    exit status: 3 unless the run `converged`, else 2 unless it `passed`,
+    else 0.  Write it, the config echo and the tables, and return (exit
+    status, report).  `tables` maps each file name to a function that
     builds its content, (header, blocks) for a `.csv` file and an array for
     a `.npy` file, so that nothing is built when the config writes no
     tables."""
+    code = (EXIT_NOT_CONVERGED if not converged
+            else EXIT_OK if passed else EXIT_AUDIT_FAIL)
     report = {"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
               "seed": config.seed, **report, "exit_status": code}
     os.makedirs(directory, exist_ok=True)
@@ -557,8 +559,6 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
     """`solve`, or `audit` when the config names it."""
     spec = _build_spec(config)
     u, trace = solve_outer(spec)
-    code = EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
-
     report = {
         "converged": trace.converged,
         "stages": [{"n_level": stage.n_level, "energy": stage.energy,
@@ -581,21 +581,19 @@ def _run_solve(config: RunConfig, directory: str) -> Tuple[int, dict]:
         minim = minimality_check(spec, u,
                                  n_samples=config.audit.minimality_samples,
                                  seed=config.seed)
-        binding_failed = sorted({r.estimate_id for r in reports
-                                 if not r.passed and r.severity == "binding"})
-        if code == EXIT_OK and binding_failed:
-            code = EXIT_AUDIT_FAIL
         report["estimates"] = _estimates_json(reports)
         report["estimates_total"] = len(reports)
-        report["estimates_failed"] = binding_failed
+        report["estimates_failed"] = sorted({
+            r.estimate_id for r in reports
+            if not r.passed and r.severity == "binding"})
         report["linf_passed"] = all(r.passed for r in reports
                                     if r.estimate_id == "LINF_BOUND")
-        report["minimality"] = {
-            "energy": minim.energy, "min_slack": minim.min_slack,
-            "tolerance": minim.tolerance, "passed": minim.passed,
-            "entries": len(minim.entries)}
+        report["minimality"] = {**_entry(minim, drop=("entries",), add=(
+            "min_slack", "tolerance", "passed")), "entries": len(minim.entries)}
 
-    return _emit(config, directory, "report", code, report, tables)
+    return _emit(config, directory, "report", report, tables,
+                 converged=trace.converged,
+                 passed=not report.get("estimates_failed"))
 
 
 def _run_counterexample(config: RunConfig, directory: str) -> Tuple[int, dict]:
@@ -605,14 +603,11 @@ def _run_counterexample(config: RunConfig, directory: str) -> Tuple[int, dict]:
     except QuadratureError as exc:      # no table to write
         print(f"varlab: counterexample: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED, {}
-    code = EXIT_OK if rep.passed else EXIT_AUDIT_FAIL
-    report = {"dimension": rep.dimension, "rho": rep.rho,
-              "log_h1_limit": rep.log_h1_limit,
-              "assertions": dict(rep.assertions), "passed": rep.passed}
-    return _emit(config, directory, "report", code, report, {
+    report = _entry(rep, drop=TABLE_COLUMNS, add=("passed",))
+    return _emit(config, directory, "report", report, {
         "counterexample.csv": lambda: (
-            list(TABLE_COLUMNS),
-            [[_csv_column(getattr(rep, name)) for name in TABLE_COLUMNS]])})
+            list(TABLE_COLUMNS), [[getattr(rep, name) for name in TABLE_COLUMNS]])},
+        passed=rep.passed)
 
 
 def _distinct(components):
@@ -639,7 +634,7 @@ def _certify_entries(components, seed: int) -> list:
             integrand = make_integrand(comp.kind, comp.params)
         rep = certify(integrand, seed=seed)
         entries.append({"kind": comp.kind, "params": dict(comp.params),
-                        **asdict(rep)})
+                        **_entry(rep)})
     return entries
 
 
@@ -648,9 +643,9 @@ def _run_certify(config: RunConfig, directory: str) -> Tuple[int, dict]:
     if config.integrand.params:
         components.append(("integrand", config.integrand))
     entries = _certify_entries(components, config.seed)
-    code = EXIT_OK if all(e["passed"] for e in entries) else EXIT_AUDIT_FAIL
-    report = {"certifications": entries, "passed": code == EXIT_OK}
-    return _emit(config, directory, "report", code, report, {})
+    passed = all(e["passed"] for e in entries)
+    report = {"certifications": entries, "passed": passed}
+    return _emit(config, directory, "report", report, {}, passed=passed)
 
 
 def _component_label(comp: ComponentConfig) -> str:
@@ -701,10 +696,8 @@ def _run_sweep(config: RunConfig, directory: str,
         head.update(path=f"{name}/report.json",
                     minimality_passed=point_report["minimality"]["passed"])
         failed = head["estimates_failed"]
-        if not head["converged"]:
-            non_converged += 1
-        if failed:
-            audit_failures += 1
+        non_converged += not head["converged"]
+        audit_failures += bool(failed)
         labels = [_component_label(c) for c in components]
         matrix_rows.append([
             index, *labels, head["converged"], head["estimates_total"],
@@ -714,12 +707,6 @@ def _run_sweep(config: RunConfig, directory: str,
             "index": index, "integrand": labels[0], "coefficient": labels[1],
             "datum": labels[2], "report": head})
 
-    if non_converged:
-        code = EXIT_NOT_CONVERGED
-    elif audit_failures or not certified:
-        code = EXIT_AUDIT_FAIL
-    else:
-        code = EXIT_OK
     report = {
         "certifications": certs,
         "points": point_entries,
@@ -729,8 +716,9 @@ def _run_sweep(config: RunConfig, directory: str,
     header = ["point", "integrand", "coefficient", "datum", "converged",
               "estimates_total", "estimates_failed", "failed_ids",
               "linf_passed", "minimality_passed", "exit_status"]
-    return _emit(config, directory, "sweep_report", code, report, {
-        "sweep_matrix.csv": lambda: (header, _row_blocks(matrix_rows))})
+    return _emit(config, directory, "sweep_report", report, {
+        "sweep_matrix.csv": lambda: (header, [list(zip(*matrix_rows))])},
+        converged=not non_converged, passed=certified and not audit_failures)
 
 
 def run(config: RunConfig, directory: str = ".", jobs: int = 1) -> int:

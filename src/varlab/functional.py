@@ -274,6 +274,8 @@ class CertificationReport:
     violations: tuple = field(default_factory=tuple)
 
 
+# a non-finite sample fails its check, so no overflow is worth a warning
+@np.errstate(all="ignore")
 def certify(integrand: Integrand, seed: int) -> CertificationReport:
     """Randomized verification of the growth/gradient/convexity contract.
 
@@ -285,20 +287,15 @@ def certify(integrand: Integrand, seed: int) -> CertificationReport:
       zero:         j(x,0) = 0
       midpoint:     j(x,(ξ₁+ξ₂)/2) ≤ (j(x,ξ₁)+j(x,ξ₂))/2
       consistency:  directional finite differences of j match j_ξ
-    Fails are reported (never raised), with the violating (x, ξ) recorded.
+    Each check keeps its worst margin.  The checks fail closed: a sample
+    whose margin is not finite (NaN, or infinite because its density,
+    ξ-gradient or bound overflowed) fails with margin -inf.  Fails are
+    reported (never raised), with the violating (x, ξ) recorded.
     """
     rng = np.random.default_rng(seed)
     margins = {k: math.inf for k in
                ("lower", "upper", "gradient", "zero", "midpoint", "fd")}
     violations = []
-
-    def note(kind, margin, x, xi, limit=12):
-        if margin < margins[kind]:
-            margins[kind] = float(margin)
-        if margin < 0 and len(violations) < limit:
-            violations.append({"kind": kind, "x": np.asarray(x).tolist(),
-                               "xi": np.asarray(xi).tolist(),
-                               "margin": float(margin)})
 
     for dim in (1, 2):
         x = rng.uniform(0.0, 1.0, size=(CERTIFY_SAMPLES, dim))
@@ -311,26 +308,27 @@ def certify(integrand: Integrand, seed: int) -> CertificationReport:
         dj = np.asarray(integrand.grad(x, xi), dtype=float)
         n2 = np.sum(xi * xi, axis=1)
         scale = 1e-12 * (1.0 + integrand.beta * n2)
-
-        low = j - integrand.alpha * n2
-        up = integrand.beta * n2 - j
-        gr = integrand.gamma * np.sqrt(n2) - np.linalg.norm(dj, axis=1)
-        for kind, vals, tol in (("lower", low, scale), ("upper", up, scale),
-                                ("gradient", gr, 1e-12 * (1 + integrand.gamma * np.sqrt(n2)))):
-            worst = int(np.argmin(vals + tol))
-            note(kind, (vals + tol)[worst], x[worst], xi[worst])
-
-        z = np.asarray(integrand.density(x, np.zeros_like(xi)), dtype=float)
-        worst = int(np.argmax(np.abs(z)))
-        note("zero", 1e-15 - abs(z[worst]), x[worst], np.zeros(dim))
+        # the norm squares the entries, which overflows above about 1e154
+        dj_norm = np.linalg.norm(dj, axis=1)
+        big = np.isinf(dj_norm)
+        dj_norm[big] = np.hypot.reduce(np.abs(dj[big]), axis=1)
+        bound = integrand.gamma * np.sqrt(n2)
+        low = j - integrand.alpha * n2 + scale
+        up = integrand.beta * n2 - j + scale
+        gr = bound - dj_norm + 1e-12 * (1 + bound)
+        zero = np.zeros_like(xi)
+        z_key = -np.abs(np.asarray(integrand.density(x, zero), dtype=float))
 
         # midpoint convexity on sample pairs sharing the same x
         xi2 = np.roll(xi, 1, axis=0)
         jmid = np.asarray(integrand.density(x, 0.5 * (xi + xi2)), dtype=float)
         j2 = np.asarray(integrand.density(x, xi2), dtype=float)
         gap = 0.5 * (j + j2) - jmid + 1e-12 * (1.0 + j + j2)
-        worst = int(np.argmin(gap))
-        note("midpoint", gap[worst], x[worst], xi[worst])
+        # (kind, selection key, margin, x, ξ), the last four one row a sample
+        checks = [("lower", low, low, x, xi), ("upper", up, up, x, xi),
+                  ("gradient", gr, gr, x, xi),
+                  ("zero", z_key, 1e-15 + z_key, x, zero),
+                  ("midpoint", gap, gap, x, xi)]
 
         # supplied gradient vs directional central differences (moderate |ξ|
         # only; extreme magnitudes lose FD accuracy, not correctness)
@@ -344,9 +342,17 @@ def certify(integrand: Integrand, seed: int) -> CertificationReport:
             jm = np.asarray(integrand.density(xk, xik - h * e), dtype=float)
             fd = (jp - jm) / (2.0 * h[:, 0])
             an = np.sum(np.asarray(integrand.grad(xk, xik), dtype=float) * e, axis=1)
-            rel = np.abs(fd - an) / (1.0 + np.abs(an))
-            worst = int(np.argmax(rel))
-            note("fd", 1e-5 - rel[worst], xk[worst], xik[worst])
+            fd_key = -(np.abs(fd - an) / (1.0 + np.abs(an)))
+            checks.append(("fd", fd_key, 1e-5 + fd_key, xk, xik))
+
+        for kind, key, margin, xs, xis in checks:
+            finite = np.isfinite(margin)
+            worst = int(np.argmin(np.where(finite, key, -math.inf)))
+            value = float(margin[worst]) if finite[worst] else -math.inf
+            margins[kind] = min(margins[kind], value)
+            if value < 0 and len(violations) < 12:
+                violations.append({"kind": kind, "x": xs[worst].tolist(),
+                                   "xi": xis[worst].tolist(), "margin": value})
 
     passed = all(m >= 0 for m in margins.values())
     return CertificationReport(label=integrand.label, passed=passed,

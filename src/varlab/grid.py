@@ -82,14 +82,14 @@ class Grid:
         return float(self.element_measures.sum())
 
 
+# the check below rejects the overflow of a cell too small or too large
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _finish_grid(dimension: int, nodes: Array, elements: Array,
                  boundary: Array, points: Array) -> Grid:
     nodes = np.asarray(nodes, dtype=float)
     elements = np.asarray(elements, dtype=np.int64)
     if dimension == 1:
         edge = nodes[elements[:, 1], 0] - nodes[elements[:, 0], 0]
-        if np.any(edge <= 0):
-            raise ValueError("degenerate segment")
         measures = edge
         grads = np.empty((elements.shape[0], 2, 1))
         grads[:, 0, 0] = -1.0 / edge
@@ -98,8 +98,6 @@ def _finish_grid(dimension: int, nodes: Array, elements: Array,
         p0 = nodes[elements[:, 0]]
         t = np.stack([nodes[elements[:, 1]] - p0, nodes[elements[:, 2]] - p0], axis=2)
         det = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 1, 0]
-        if np.any(det <= 0):
-            raise ValueError("triangle with non-positive orientation")
         measures = 0.5 * det
         inv = np.empty_like(t)  # rows of T^{-1} are grad(lambda_1), grad(lambda_2)
         inv[:, 0, 0] = t[:, 1, 1] / det
@@ -110,6 +108,10 @@ def _finish_grid(dimension: int, nodes: Array, elements: Array,
         grads[:, 1, :] = inv[:, 0, :]
         grads[:, 2, :] = inv[:, 1, :]
         grads[:, 0, :] = -inv[:, 0, :] - inv[:, 1, :]
+    # a positive measure also means a positively oriented element
+    if not (np.all((0 < measures) & (measures < math.inf)) and np.isfinite(grads).all()):
+        raise ValueError("cells too small or too large for double precision: element "
+                         "measures must be finite and positive, gradients finite")
     # physical quadrature points: sum_l bary_l * node_l
     corner = nodes[elements]                    # (E, d+1, dim)
     qc = np.einsum("ql,eld->eqd", points, corner)

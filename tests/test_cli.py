@@ -4,13 +4,14 @@ import csv
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from varlab.auditor import ESTIMATE_IDS, OVERFLOW_NOTE
+from varlab.auditor import ESTIMATE_IDS, OVERFLOW_NOTE, EstimateReport
 from varlab.cli import (
     EXIT_AUDIT_FAIL,
     EXIT_NOT_CONVERGED,
@@ -21,8 +22,6 @@ from varlab.cli import (
     ConfigError,
     RunConfig,
     _csv_cell,
-    _csv_column,
-    _row_blocks,
     _write_csv,
     config_to_mapping,
     main,
@@ -196,6 +195,19 @@ def test_domain_without_interior_node_rejected(domain, name, tmp_path, capsys):
          "counterexample: {quad_points: 1048577}\n", [],
          "counterexample.quad_points"),
     )
+] + [
+    # 1/h overflows, or h·0 is NaN, or the cell area underflows to 0: the
+    # threshold depends on the cell count, so only the built mesh can tell
+    pytest.param(f"subcommand: {subcommand}\ndomain: {domain}\n", [], "domain",
+                 id=f"domain-{name}")
+    for subcommand, domain, name in (
+        ("solve", "{cells: 4, length: 1e-308}", "1d-1e-308"),
+        ("solve", "{cells: 4, length: 1e-320}", "1d-1e-320"),
+        ("solve", "{dimension: 2, x_cells: 4, y_cells: 4, lx: 1e-170, "
+                  "ly: 1e-170}", "2d-1e-170"),
+        ("sweep", "{dimension: 2, x_cells: 4, y_cells: 4, lx: 1e-170, "
+                  "ly: 1e-170}", "2d-1e-170-sweep"),
+    )
 ])
 def test_malformed_config_exits_one_naming_the_field(text, argv, path,
                                                      tmp_path, capsys):
@@ -312,17 +324,18 @@ def test_csv_writer_matches_the_row_writer_cell_by_cell(tmp_path):
                      (i, "x"), STRINGS[-1 - i % len(STRINGS)]])
     header = ["index", "x", "x64", "x32", "label", "flag", "np_flag", "blank",
               "i64", "pair", "quoted, header"]
-    _write_csv(tmp_path / "new.csv", header, _row_blocks(rows))
+    # the one block holds the table's columns, each a tuple of raw values
+    _write_csv(tmp_path / "new.csv", header, [list(zip(*rows))])
     _reference_csv(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "old.csv").read_bytes()
 
 
 def test_csv_writer_columns_match_the_row_writer(tmp_path):
+    # repeated values, int and float arrays, and a list, in blocks
     values = np.array(FLOATS * 3)
-    blocks = [[_csv_cell(k), _csv_column(np.arange(values.size)),
-               _csv_column(values), _csv_cell(STRINGS[k]),
-               _csv_column(values.tolist())] for k in range(3)]
+    blocks = [[k, np.arange(values.size), values, STRINGS[k], values.tolist()]
+              for k in range(3)]
     rows = [[k, i, values[i], STRINGS[k], float(values[i])]
             for k in range(3) for i in range(values.size)]
     header = ["k", "i", "array", "label", "list"]
@@ -404,6 +417,9 @@ def test_audit_run_writes_all_artifacts(tmp_path):
                for entry in group]
     assert len(entries) == report["estimates_total"]
     assert all(entry["passed"] is True for entry in entries)
+    # an entry is its EstimateReport less the id, plus slack and verdict
+    keys = {f.name for f in fields(EstimateReport)} - {"estimate_id"}
+    assert all(set(entry) == keys | {"slack", "passed"} for entry in entries)
 
     echoed = parse_config((tmp_path / "config_echo.yaml").read_text())
     assert echoed.domain.cells == 32
@@ -523,6 +539,10 @@ def test_counterexample_run_artifacts(tmp_path):
     report = _read_json(tmp_path / "report.json")
     assert report["passed"] is True
     assert all(report["assertions"].values())
+    # the report is the DivergenceReport less its table, plus the verdict
+    keys = {f.name for f in fields(DivergenceReport)} - set(TABLE_COLUMNS)
+    assert set(report) == keys | {"passed", "schema", "subcommand", "seed",
+                                  "exit_status"}
     assert report["log_h1_limit"] == pytest.approx(math.pi / 2, rel=1e-15)
 
 
@@ -839,6 +859,44 @@ def test_non_convergence_exit_takes_precedence(tmp_path):
     report = _read_json(tmp_path / "report.json")
     assert report["converged"] is False
     assert report["exit_status"] == EXIT_NOT_CONVERGED
+
+
+@pytest.mark.parametrize("solver, code", [
+    ("", EXIT_AUDIT_FAIL),
+    ("solver: {tol: 1e-15, max_iter: 1}\n", EXIT_NOT_CONVERGED),
+], ids=["audit-failure", "non-converged"])
+def test_sweep_exit_takes_the_precedence_of_its_points(tmp_path, monkeypatch,
+                                                       solver, code):
+    # every point adds one failing binding estimate; a monkeypatch does not
+    # reach pool workers, so the sweep runs with one job
+    import varlab.cli as cli_mod
+
+    def failing_battery(*args, **kwargs):
+        return [*real_battery(*args, **kwargs),
+                EstimateReport("PRIMASTIMA", lhs=2.0, rhs=1.0)]
+
+    real_battery = cli_mod.audit_battery
+    monkeypatch.setattr(cli_mod, "audit_battery", failing_battery)
+    cfg_file = tmp_path / "sweep.yaml"
+    cfg_file.write_text(
+        "subcommand: sweep\n"
+        "domain: {dimension: 1, cells: 16, length: 1.0}\n"
+        "sweep:\n"
+        "  integrands: [{kind: quadratic}]\n"
+        "  coefficients: [{kind: constant, params: {value: 5.0}}]\n"
+        "  data: [{kind: sine}, {kind: step}]\n" + solver + FAST_AUDIT)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                 "--jobs", "1"]) == code
+    report = _read_json(out / "sweep_report.json")
+    assert report["exit_status"] == code
+    assert [p["report"]["exit_status"] for p in report["points"]] == [code] * 2
+    assert all("PRIMASTIMA" in p["report"]["estimates_failed"]
+               for p in report["points"])
+    assert report["summary"] == {
+        "points": 2, "audit_failures": 2,
+        "non_converged": 2 if code == EXIT_NOT_CONVERGED else 0,
+        "certification_failed": False}
 
 
 def test_large_constant_datum_audit_converges(tmp_path):

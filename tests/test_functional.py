@@ -473,6 +473,27 @@ def test_certify_records_violation_location():
     assert len(first["xi"]) in (1, 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_certify_decides_a_huge_scale_by_its_values():
+    # |j_ξ| ≤ 2e303 at scale 1e300: the norm of j_ξ must not overflow
+    report = certify(make_integrand("quadratic", {"scale": 1e300}), seed=0)
+    assert report.passed, (report.margins, report.violations[:2])
+    assert all(math.isfinite(m) for m in report.margins.values())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_certify_fails_closed_when_the_density_overflows():
+    # at scale 1e305 the density overflows for |ξ| above about 42, and so
+    # does the slack 1e-12·(1+β|ξ|²): the overflowing samples fail
+    report = certify(make_integrand("quadratic", {"scale": 1e305}), seed=0)
+    assert not report.passed
+    assert report.margins.pop("zero") == 1e-15
+    assert set(report.margins.values()) == {-math.inf}
+    assert {v["kind"] for v in report.violations} == {
+        "lower", "upper", "gradient", "midpoint", "fd"}
+    assert all(v["margin"] == -math.inf for v in report.violations)
+
+
 # -------------------------------------------------------- library registries
 
 
