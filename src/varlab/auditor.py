@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import count, islice
-from typing import Callable, Iterator, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .functional import (CoefficientField, Datum, ProblemSpec, eval_J,
                          make_Jn_datum)
 from .grid import (
+    CHAIN_BLOCK_BYTES,
     DiscreteField,
     damped_integrals,
     element_gradients,
@@ -209,7 +210,7 @@ def audit_gk(u: DiscreteField, spec: ProblemSpec, f_used: Datum,
     return EstimateReport("GK_BOUND", lhs, rhs, params=params)
 
 
-def audit_coercivity_chain(values: np.ndarray,
+def audit_coercivity_chain(blocks: Iterable[np.ndarray],
                            b: CoefficientField) -> EstimateReport:
     """Two-factor split with unit amplitude: ∫|∇v| ≤ ½∫|∇v|²/(1+|v|)² + ½∫(1+|v|)².
 
@@ -217,20 +218,21 @@ def audit_coercivity_chain(values: np.ndarray,
     problem's b (whose label is only recorded for context); the pointwise
     Young inequality makes this exact at quadrature level for EVERY field.
 
-    `values` is an (S, P) stack of nodal vectors on b's grid, audited in
-    a single batched pass. The report is that of its first row with the
-    least slack, and params["samples"] and params["failures"] count the
-    rows and the failed ones.
+    `blocks` are (B, P) stacks of nodal vectors on b's grid, each audited
+    in one batched pass; their rows are the samples. The report is that of
+    the first row with the least slack, and params["samples"] and
+    params["failures"] count the rows and the failed ones.
     """
-    lhs, damped, amplitude = damped_integrals(
-        b.grid, values, np.ones_like(b.grid.quad_weights))
+    ones = np.ones_like(b.grid.quad_weights)
+    lhs, damped, amplitude = map(np.concatenate, zip(*(
+        damped_integrals(b.grid, block, ones) for block in blocks)))
     rhs = 0.5 * damped + 0.5 * amplitude
     worst = int(np.argmin(rhs - lhs))
     passed = _verdict(lhs, rhs, REL_TOL, ABS_TOL)
     return EstimateReport("COERCIVITY_CHAIN", lhs[worst], rhs[worst], params={
         "damped_term": float(damped[worst]),
         "amplitude_term": float(amplitude[worst]), "coefficient": b.label,
-        "samples": len(values), "failures": int(np.count_nonzero(~passed))})
+        "samples": len(lhs), "failures": int(np.count_nonzero(~passed))})
 
 
 def _spike_field(u: DiscreteField) -> DiscreteField:
@@ -386,14 +388,20 @@ def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
                     for r in stage_reports]
 
     # one row at a time, amplitude before values: that order fixes the RNG
-    # stream, and with it the artifacts
-    rng = np.random.default_rng(seed)
-    samples = np.empty((coercivity_samples, spec.grid.n_nodes))
-    for row in samples:
-        amp = 10.0 ** rng.uniform(-2.0, 2.0)
-        row[:] = rng.uniform(-amp, amp, spec.grid.n_nodes)
-    samples[:, spec.grid.boundary_mask] = 0.0
-    reports.append(audit_coercivity_chain(samples, spec.b))
+    # stream, and with it the artifacts; drawn in the blocks of rows that
+    # damped_integrals works through at once
+    rng, P = np.random.default_rng(seed), spec.grid.n_nodes
+    rows = max(1, CHAIN_BLOCK_BYTES // spec.grid.quad_weights.nbytes)
+
+    def draws():
+        for lo in range(0, coercivity_samples, rows):
+            block = np.empty((min(rows, coercivity_samples - lo), P))
+            for row in block:
+                amp = 10.0 ** rng.uniform(-2.0, 2.0)
+                row[:] = rng.uniform(-amp, amp, P)
+            block[:, spec.grid.boundary_mask] = 0.0
+            yield block
+    reports.append(audit_coercivity_chain(draws(), spec.b))
 
     if spec.b.lower_bound > 0:
         reports.append(audit_testclass(u, spec))

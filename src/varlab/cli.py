@@ -431,20 +431,26 @@ def _csv_column(values) -> list:
     return [_csv_cell(v) for v in values]
 
 
+#: rows that _write_csv formats at once
+CSV_CHUNK_ROWS = 8192
+
+
 def _write_csv(path: str, header: list, blocks):
-    """Write a CSV table block by block, so that no more than one block's
-    text is held at once.  A block is a list of columns: a sequence (list,
-    tuple or array) of values, or one value that repeats down the block.
-    A block without columns writes nothing."""
+    """Write a CSV table CSV_CHUNK_ROWS rows at a time, so that no more than
+    one chunk's text is held at once.  A block is a list of columns: a
+    sequence (list, tuple or array) of values, or one value that repeats
+    down the block.  A block without columns writes nothing."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(_csv_cell, header)) + "\n")
         for columns in filter(None, blocks):
-            cells = [_csv_column(c) if isinstance(c, (list, tuple, np.ndarray))
-                     else c for c in columns]
-            rows = max(len(c) for c in cells if isinstance(c, list))
-            cells = [c if isinstance(c, list) else repeat(_csv_cell(c), rows)
-                     for c in cells]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            listed = [isinstance(c, (list, tuple, np.ndarray)) for c in columns]
+            rows = min(len(c) for c, is_list in zip(columns, listed) if is_list)
+            for lo in range(0, rows, CSV_CHUNK_ROWS):
+                hi = min(lo + CSV_CHUNK_ROWS, rows)
+                cells = [_csv_column(c[lo:hi]) if is_list
+                         else repeat(_csv_cell(c), hi - lo)
+                         for c, is_list in zip(columns, listed)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_text(path: str, text: str):

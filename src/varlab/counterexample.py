@@ -192,17 +192,6 @@ def _converged_shells(columns: Callable[[np.ndarray], Iterable[np.ndarray]],
     return out
 
 
-def ball_integral(p: RadialProfile, name: str, quad_points: int) -> float:
-    """ω·(plateau + ∫_{r_n}^1) of ∫|∇v_n| ("w11"), ∫|∇v_n|²/(1+v_n)² ("damped"),
-    ∫v_n² ("mass") or ∫(1+v_n)² ("amplitude"); only the masses have a plateau."""
-    plateau = dict(zip(("mass", "amplitude"), p.plateau_masses)).get(name, 0.0)
-    damped, shell_columns = _integrands(p)
-    columns, what = ((damped, ("damped",)) if name == "damped"
-                     else (shell_columns, SHELL_COLUMNS))
-    shell = _converged_shells(columns, [p.r_n], [1.0], quad_points, what)
-    return p.sphere_measure * (plateau + float(shell[what.index(name), 0]))
-
-
 def log_h1_seminorm(p: RadialProfile) -> float:
     """Closed form of ∫|∇ log(1+v_n)|²: ω·rho²·(1 - r_n^(N-2-2rho))/(N-2-2rho)."""
     N, rho = p.dimension, p.rho

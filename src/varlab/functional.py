@@ -14,7 +14,8 @@ The residual is the exact gradient of the *discrete* energy (differentiate
 after discretizing): every term, including the chain-rule derivative of the
 clamped amplitude in the denominator, is assembled from the same quadrature
 formula that defines eval_JM, which is what makes the finite-difference
-consistency check hold to near machine precision.
+consistency check hold to near machine precision. The kernels read (E,)
+columns (see `grid`) and keep the order of every operation, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .grid import (
 #: kept in sync with the residual: d|T_M(s)|/ds = sign(s) inside the clamp
 #: (sign(0) = 0) and 0 strictly beyond it.
 def _clamp_abs_derivative(s: Array, M: float) -> Array:
+    if np.max(np.abs(s)) <= M:      # the clamp is inactive; a NaN is not
+        return np.sign(s)
     return np.where(np.abs(s) <= M, np.sign(s), 0.0)
 
 
@@ -186,7 +189,10 @@ def energy_pieces(spec: ProblemSpec, v: DiscreteField, M: float) -> EnergyPieces
     for a caller that needs both on the same field and clamp level."""
     g = spec.grid
     vq = values_at_quadrature(v)
-    den = (1.0 + spec.b.quad_values * np.abs(np.clip(vq, -M, M))) ** 2
+    amp = np.minimum(np.abs(vq), M)     # |T_M(v)|, bit for bit |clip(v)|
+    amp *= spec.b.quad_values
+    amp += 1.0
+    den = np.square(amp, out=amp)       # (1 + b|T_M(v)|)²
     xi = element_gradients(v)[:, None, :]
     j = np.broadcast_to(spec.integrand.density(g.quad_coords, xi), vq.shape)
     return EnergyPieces(vq, den, j, xi)
@@ -200,8 +206,11 @@ def eval_JM(spec: ProblemSpec, v: DiscreteField, M: float,
     if M <= 0:
         raise ValueError(f"clamp level must be positive, got {M}")
     vq, den, j, _ = pieces if pieces is not None else energy_pieces(spec, v, M)
-    integrand = j / den + 0.5 * vq * vq - spec.f.quad_values * vq
-    return float(np.sum(spec.grid.quad_weights * integrand))
+    out = np.divide(j, den)             # j/den + ½v² − f·v, in two buffers
+    term = np.multiply(0.5, vq)
+    out += np.multiply(term, vq, out=term)
+    out -= np.multiply(spec.f.quad_values, vq, out=term)
+    return float(np.sum(np.multiply(out, spec.grid.quad_weights, out=out)))
 
 
 def eval_J(spec: ProblemSpec, v: DiscreteField) -> float:
@@ -209,11 +218,13 @@ def eval_J(spec: ProblemSpec, v: DiscreteField) -> float:
     return eval_JM(spec, v, math.inf)
 
 
-def _contract(a: Array, bary: Array) -> Array:
-    """(L, E) array of sum_q a[e, q]·bary[q, l], summed from zero in q order."""
-    out = np.zeros((bary.shape[1], a.shape[0]))
-    for q in range(bary.shape[0]):
-        out += bary[q][:, None] * a[:, q]
+def _contract(columns: Array, bary: Array, term: Array) -> Array:
+    """(L, E) array of sum_q columns[q, e]·bary[q, l], summed from zero in q
+    order; `term` is an (E,) scratch column."""
+    out = np.zeros((bary.shape[1], columns.shape[1]))
+    for q, column in enumerate(columns):
+        for l, row in enumerate(out):
+            row += np.multiply(bary[q, l], column, out=term)
     return out
 
 
@@ -226,27 +237,35 @@ def residual(spec: ProblemSpec, v: DiscreteField, M: float = math.inf,
         raise ValueError(f"clamp level must be positive, got {M}")
     g = spec.grid
     vq, den, j, xi = pieces if pieces is not None else energy_pieces(spec, v, M)
-    w = g.quad_weights                                    # (E, Q)
     bary = g.quad_points                                  # (Q, L)
-    grad_basis = g.basis_gradients                        # (E, L, d)
+    grads = g.basis_gradients.T                           # (d, L, E)
 
-    # Element contributions, held as (L, E).  Each of the three terms is
-    # summed from zero over (q, d) in that order, which is bit for bit the
-    # einsum of the same formula (kept as the reference in the tests).
+    # Element contributions, (L, E), from contiguous (E,) columns; each of
+    # the three terms is summed from zero over (q, d) in that order, bit for
+    # bit the einsum of the same formula (the tests' reference).
     dj = np.broadcast_to(spec.integrand.grad(g.quad_coords, xi),
-                         g.quad_coords.shape)             # (E, Q, d)
+                         g.quad_coords.shape).T           # (d, Q, E)
+    columns = np.empty((bary.shape[0], g.n_elements))     # (Q, E)
+    local, (column, term) = np.zeros(grads.shape[1:]), np.empty((2, g.n_elements))
     # ∂/∂v_l of j(x, ∇v)/den: through ∇v ...
-    w_den = w / den
-    local = np.zeros((bary.shape[1], g.n_elements))
+    np.divide(g.quad_weights.T, den.T, out=columns)
     for q in range(bary.shape[0]):
-        for d in range(grad_basis.shape[2]):
-            local += (w_den[:, q] * dj[:, q, d]) * grad_basis[:, :, d].T
-    # ... and through the clamped amplitude in the denominator.
-    den_chain = -2.0 * j / den ** 1.5 * spec.b.quad_values \
-        * _clamp_abs_derivative(vq, M)
-    local += _contract(w * den_chain, bary)
-    # mass and load terms.
-    local += _contract(w * (vq - spec.f.quad_values), bary)
+        for d in range(grads.shape[0]):
+            np.multiply(columns[q], dj[d, q], out=column)
+            for l, row in enumerate(local):
+                row += np.multiply(grads[d, l], column, out=term)
+    # ... through the clamped amplitude in the denominator (pow reads den in
+    # the einsum formula's layout, so a vector pow sees the same array) ...
+    np.multiply(-2.0, j.T, out=columns)
+    columns /= (den ** 1.5).T
+    columns *= spec.b.quad_values.T
+    columns *= _clamp_abs_derivative(vq, M).T
+    columns *= g.quad_weights.T
+    local += _contract(columns, bary, term)
+    # ... and the mass and load terms.
+    np.subtract(vq.T, spec.f.quad_values.T, out=columns)
+    columns *= g.quad_weights.T
+    local += _contract(columns, bary, term)
 
     out = np.zeros(g.n_nodes)
     for l in range(g.elements.shape[1]):

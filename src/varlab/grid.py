@@ -11,6 +11,10 @@ Quadrature uses equal weights per element: the 2-point Gauss rule on segments
 degree 2). Nonlinear compositions (absolute values, amplitude denominators)
 are evaluated at the quadrature points of the interpolated field, so
 composition order matches the continuous expressions.
+
+The kernels read contiguous (E,) columns: basis gradients are stored
+component-major and element gradients are (dim, E) arrays seen as (E, dim).
+No layout changes the order of an operation, so each kernel keeps its bits.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ class Grid:
     boundary_mask : (P,) True exactly at topological-boundary nodes
     quad_points : (Q, dim+1) barycentric quadrature points, weight 1/Q each
     element_measures : (E,) lengths / areas
-    basis_gradients : (E, dim+1, dim), gradient of each nodal hat per element
+    basis_gradients : (E, dim+1, dim), gradient of each nodal hat per element,
+        a view of the C-contiguous (dim, dim+1, E) `basis_gradients.T`
     quad_coords : (E, Q, dim) physical quadrature points
     quad_weights : (E, Q) measure-scaled weights (rows sum to element measure)
     """
@@ -91,23 +96,19 @@ def _finish_grid(dimension: int, nodes: Array, elements: Array,
     if dimension == 1:
         edge = nodes[elements[:, 1], 0] - nodes[elements[:, 0], 0]
         measures = edge
-        grads = np.empty((elements.shape[0], 2, 1))
-        grads[:, 0, 0] = -1.0 / edge
-        grads[:, 1, 0] = 1.0 / edge
+        grads = np.stack([-1.0 / edge, 1.0 / edge])[None]
     else:
         p0 = nodes[elements[:, 0]]
         t = np.stack([nodes[elements[:, 1]] - p0, nodes[elements[:, 2]] - p0], axis=2)
         det = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 1, 0]
         measures = 0.5 * det
-        inv = np.empty_like(t)  # rows of T^{-1} are grad(lambda_1), grad(lambda_2)
-        inv[:, 0, 0] = t[:, 1, 1] / det
-        inv[:, 0, 1] = -t[:, 0, 1] / det
-        inv[:, 1, 0] = -t[:, 1, 0] / det
-        inv[:, 1, 1] = t[:, 0, 0] / det
-        grads = np.empty((elements.shape[0], 3, 2))
-        grads[:, 1, :] = inv[:, 0, :]
-        grads[:, 2, :] = inv[:, 1, :]
-        grads[:, 0, :] = -inv[:, 0, :] - inv[:, 1, :]
+        grads = np.empty((2, 3, elements.shape[0]))
+        # the rows of T^{-1} are grad(lambda_1), grad(lambda_2)
+        grads[0, 1] = t[:, 1, 1] / det
+        grads[1, 1] = -t[:, 0, 1] / det
+        grads[0, 2] = -t[:, 1, 0] / det
+        grads[1, 2] = t[:, 0, 0] / det
+        grads[:, 0] = -grads[:, 1] - grads[:, 2]
     # a positive measure also means a positively oriented element
     if not (np.all((0 < measures) & (measures < math.inf)) and np.isfinite(grads).all()):
         raise ValueError("cells too small or too large for double precision: element "
@@ -123,7 +124,7 @@ def _finish_grid(dimension: int, nodes: Array, elements: Array,
         boundary_mask=_frozen(np.asarray(boundary, dtype=bool)),
         quad_points=points,
         element_measures=_frozen(measures),
-        basis_gradients=_frozen(grads),
+        basis_gradients=_frozen(grads).T,
         quad_coords=_frozen(qc),
         quad_weights=_frozen(qw),
     )
@@ -230,15 +231,17 @@ def tail(v: DiscreteField, k: float) -> DiscreteField:
 
 
 def element_gradients(v: DiscreteField) -> Array:
-    """Constant gradient per element, shape (E, dim): each component summed
-    from zero over the local nodes, bit for bit the einsum "el,eld->ed"."""
+    """Constant gradient per element, shape (E, dim), the transpose of a
+    (dim, E) array: each component summed from zero over the local nodes,
+    bit for bit the einsum "el,eld->ed"."""
     g = v.grid
     local = v.values[g.elements.T]                            # (L, E)
-    out = np.zeros((g.n_elements, g.dimension))
-    for d in range(g.dimension):
-        for l in range(local.shape[0]):
-            out[:, d] += local[l] * g.basis_gradients[:, l, d]
-    return out
+    grads = g.basis_gradients.T                               # (d, L, E)
+    out = np.zeros((g.dimension, g.n_elements))
+    for d, row in enumerate(out):
+        for l, column in enumerate(local):
+            row += column * grads[d, l]
+    return out.T
 
 
 def values_at_quadrature(v: DiscreteField) -> Array:

@@ -44,6 +44,8 @@ schedule warm-starts the same way over clamped data f_n.
 
 scipy is imported at the first factorization (scipy.linalg in 1D,
 scipy.sparse.linalg in 2D), so a command that never factors never loads it.
+Per-element arrays are read as contiguous (E,) columns, in an order of
+operations that keeps every iterate bit for bit.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .functional import (Datum, ProblemSpec, energy_pieces, eval_JM,
-                         make_Jn_datum, residual)
+from .functional import (Datum, EnergyPieces, ProblemSpec, energy_pieces,
+                         eval_JM, make_Jn_datum, residual)
 from .grid import DiscreteField, norm, zero_field
 
 ARMIJO_C = 1e-4
@@ -190,8 +192,10 @@ class Preconditioner:
 
     def damping(self, vq: np.ndarray, M: float) -> np.ndarray:
         """(E,) stiffness weights (α+β)/(1+b̄·min(v̄, M))² of the field whose
-        quadrature values are `vq` (E, Q), with v̄ the element mean of |vq|."""
-        v_bar = np.abs(vq).mean(axis=1)
+        quadrature values are `vq` (E, Q), with v̄ the element mean of |vq|:
+        its Q columns summed left to right, bit for bit `mean(axis=1)`."""
+        columns = np.abs(vq).T
+        v_bar = sum(columns[1:], columns[0]) / vq.shape[1]
         return self._scale / (1.0 + self._b_bar * np.minimum(v_bar, M)) ** 2
 
     def factor(self, damp: np.ndarray):
@@ -250,12 +254,14 @@ def two_loop(g: np.ndarray, memory, apply_P) -> np.ndarray:
 
 
 def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
-                   precond: Preconditioner) -> Tuple[DiscreteField, StageRecord]:
+                   precond: Preconditioner, pieces: Optional[EnergyPieces] = None
+                   ) -> Tuple[DiscreteField, StageRecord]:
     """Descend eval_JM(., M) from `start` until the residual is below tol.
 
     `precond` is `Preconditioner(spec)`, shared by the stages of one outer
     solve. Its live factor outlasts this call: in 2D the next stage starts
-    from it, in 1D the first iteration factors anew.
+    from it, in 1D the first iteration factors anew. `pieces`, when given,
+    must be energy_pieces(spec, start, M).
     """
     if start.grid is not spec.grid:
         raise ValueError("start field must live on the spec grid")
@@ -263,7 +269,7 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
         raise ValueError("start field must vanish on the boundary")
 
     v = start
-    pieces = energy_pieces(spec, v, M)
+    pieces = pieces if pieces is not None else energy_pieces(spec, v, M)
     history = [eval_JM(spec, v, M, pieces=pieces)]
     r = residual(spec, v, M, pieces=pieces)
     # the last ten accepted steps as (s, y, 1/sᵀy), with None for 1/sᵀy
@@ -319,11 +325,12 @@ def solve_stage(spec: ProblemSpec, datum: Datum, M: float,
                          "bound; clamp the datum first")
     stage_spec = replace(spec, f=datum)
     v = start if start is not None else zero_field(spec.grid)
+    pieces = energy_pieces(stage_spec, v, M)
     # a warm start that begins above the zero field's energy would break the
     # zero-comparison guarantee (final energy ≤ 0); fall back to cold start
-    if eval_JM(stage_spec, v, M) > 0.0:
-        v = zero_field(spec.grid)
-    v, rec = minimize_inner(stage_spec, M, v, precond)
+    if eval_JM(stage_spec, v, M, pieces=pieces) > 0.0:
+        v, pieces = zero_field(spec.grid), None
+    v, rec = minimize_inner(stage_spec, M, v, precond, pieces)
     return v, MScheduleTrace(records=(rec,), clamp_certified=v.linf() < M)
 
 

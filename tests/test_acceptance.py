@@ -19,12 +19,14 @@ from scipy.integrate import quad
 
 from varlab.auditor import damped_pairing, pairing_fields
 from varlab.cli import parse_config, run
-from varlab.counterexample import RadialProfile, ball_integral, divergence_report
+from varlab.counterexample import RadialProfile, divergence_report
 from varlab.functional import ProblemSpec, eval_JM, residual
 from varlab.grid import (build_interval_grid, field_from_values,
                          values_at_quadrature)
 from varlab.library import make_coefficient, make_integrand, make_library_datum
 from varlab.solver import Preconditioner, solve_outer, solve_stage
+
+from test_counterexample import ball_integral
 
 #: the radial quadrature's starting points, as the config default
 QUAD_POINTS = 512

@@ -206,7 +206,7 @@ def test_coercivity_chain_ramp_frozen():
     # v = x on (0,1): 1 ≤ ½∫(1+x)^-2 + ½∫(1+x)² = ¼ + 7/6
     grid = build_interval_grid(0.0, 1.0, 64)
     ramp = DiscreteField(grid=grid, values=grid.nodes[:, 0].copy())
-    report = audit_coercivity_chain(ramp.values[None],
+    report = audit_coercivity_chain([ramp.values[None]],
                                     make_coefficient(grid, "zero"))
     assert report.passed
     assert report.lhs == pytest.approx(1.0, rel=1e-12)
@@ -215,7 +215,7 @@ def test_coercivity_chain_ramp_frozen():
 
 def test_coercivity_chain_zero_field():
     grid = build_interval_grid(0.0, 1.0, 8)
-    report = audit_coercivity_chain(np.zeros((3, grid.n_nodes)),
+    report = audit_coercivity_chain([np.zeros((3, grid.n_nodes))],
                                     make_coefficient(grid, "zero"))
     assert report.passed
     assert (report.params["samples"], report.params["failures"]) == (3, 0)
@@ -230,7 +230,7 @@ def test_coercivity_chain_arbitrary_fields(interior):
     grid = build_interval_grid(0.0, 2.0, 8)
     vals = np.array([0.0] + interior + [0.0])
     field = DiscreteField(grid=grid, values=vals)
-    report = audit_coercivity_chain(field.values[None],
+    report = audit_coercivity_chain([field.values[None]],
                                     make_coefficient(grid, "zero"))
     assert report.passed
 
@@ -467,3 +467,28 @@ def test_batched_chain_matches_per_sample_loop(grid, seed):
                      for v in stack])
     for column, values in zip((0, 2, 3), got):
         assert np.array_equal(values, want[:, column])
+
+
+@pytest.mark.parametrize("grid", [build_interval_grid(0.0, 1.0, 512),
+                                  build_rect_grid(24, 24, 1.0, 1.0)],
+                         ids=["1d-512", "2d-24x24"])
+def test_streamed_chain_equals_the_one_array_chain(grid):
+    spec, u, trace = _solved(grid=grid)
+    rows = CHAIN_BLOCK_BYTES // grid.quad_weights.nbytes
+    samples = 2 * rows + 3          # two whole blocks and a short one
+    # the battery's draws as one (S, P) array, the stream they replace
+    rng = np.random.default_rng(3)
+    stack = np.empty((samples, grid.n_nodes))
+    for row in stack:
+        amp = 10.0 ** rng.uniform(-2.0, 2.0)
+        row[:] = rng.uniform(-amp, amp, grid.n_nodes)
+    stack[:, grid.boundary_mask] = 0.0
+    whole = audit_coercivity_chain([stack], spec.b)
+    assert whole.params["samples"] == samples
+    reports = audit_battery(spec, u, trace, seed=3, coercivity_samples=samples)
+    assert next(r for r in reports
+                if r.estimate_id == "COERCIVITY_CHAIN") == whole
+    # any split of the stack into blocks gives the same report
+    cuts = (0, 1, 8, rows + 5, samples)
+    blocks = (stack[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+    assert audit_coercivity_chain(blocks, spec.b) == whole

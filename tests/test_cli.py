@@ -13,6 +13,7 @@ import yaml
 
 from varlab.auditor import ESTIMATE_IDS, OVERFLOW_NOTE, EstimateReport
 from varlab.cli import (
+    CSV_CHUNK_ROWS,
     EXIT_AUDIT_FAIL,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -341,6 +342,26 @@ def test_csv_writer_columns_match_the_row_writer(tmp_path):
     header = ["k", "i", "array", "label", "list"]
     _write_csv(tmp_path / "new.csv", header, blocks)
     _reference_csv(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, CSV_CHUNK_ROWS + 1],
+                         ids=["below", "at", "above", "two-chunks-and-one"])
+def test_csv_writer_chunks_match_the_row_writer(tmp_path, extra):
+    # blocks at and around the chunk size, with repeated-value columns
+    rows = CSV_CHUNK_ROWS + extra
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    values[:len(FLOATS)] = FLOATS
+    labels = [STRINGS[i % len(STRINGS)] for i in range(rows)]
+    blocks = [[k, 0.1 * k, STRINGS[k + 1], np.arange(rows), values,
+               labels, tuple(values.tolist())] for k in range(2)]
+    table = [[k, 0.1 * k, STRINGS[k + 1], i, float(values[i]), labels[i],
+              float(values[i])] for k in range(2) for i in range(rows)]
+    header = ["k", "tenth", "label", "i", "array", "labels", "tuple"]
+    _write_csv(tmp_path / "new.csv", header, blocks)
+    _reference_csv(tmp_path / "old.csv", header, table)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "old.csv").read_bytes()
 

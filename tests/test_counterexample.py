@@ -10,11 +10,12 @@ from varlab.counterexample import (
     MAX_DIMENSION,
     MAX_LEVEL,
     MAX_QUAD_POINTS,
+    SHELL_COLUMNS,
     DivergenceReport,
     QuadratureError,
     RadialProfile,
     _converged_shells,
-    ball_integral,
+    _integrands,
     divergence_report,
     log_h1_limit,
     log_h1_seminorm,
@@ -22,6 +23,19 @@ from varlab.counterexample import (
 
 #: the radial quadrature's starting points, as the config default
 QUAD_POINTS = 512
+
+
+def ball_integral(p: RadialProfile, name: str, quad_points: int) -> float:
+    """One level of the witness by its own quadrature, the reference route
+    the table is tested against: ω·(plateau + ∫_{r_n}^1) of ∫|∇v_n|
+    ("w11"), ∫|∇v_n|²/(1+v_n)² ("damped"), ∫v_n² ("mass") or ∫(1+v_n)²
+    ("amplitude"); only the masses have a plateau."""
+    plateau = dict(zip(("mass", "amplitude"), p.plateau_masses)).get(name, 0.0)
+    damped, shell_columns = _integrands(p)
+    columns, what = ((damped, ("damped",)) if name == "damped"
+                     else (shell_columns, SHELL_COLUMNS))
+    shell = _converged_shells(columns, [p.r_n], [1.0], quad_points, what)
+    return p.sphere_measure * (plateau + float(shell[what.index(name), 0]))
 
 
 # ------------------------------------------------------------- validation

@@ -273,6 +273,65 @@ def test_residual_kernel_is_bitwise_the_einsum_formula(dimension, integrand_kind
                 _bits(eval_JM(spec, v, M))
 
 
+def _reference_pieces(spec, v, M):
+    """energy_pieces as the one-expression formulas: the clamp by np.clip,
+    the gradients by the einsum over (E, L, d)."""
+    from varlab.grid import values_at_quadrature
+    g = spec.grid
+    vq = values_at_quadrature(v)
+    den = (1.0 + spec.b.quad_values * np.abs(np.clip(vq, -M, M))) ** 2
+    xi = np.einsum("el,eld->ed", v.values[g.elements], g.basis_gradients)
+    j = np.broadcast_to(spec.integrand.density(g.quad_coords, xi[:, None, :]),
+                        vq.shape)
+    return vq, den, j, xi
+
+
+def _reference_JM(spec, v, M):
+    vq, den, j, _ = _reference_pieces(spec, v, M)
+    integrand = j / den + 0.5 * vq * vq - spec.f.quad_values * vq
+    return float(np.sum(spec.grid.quad_weights * integrand))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("integrand_kind", ["quadratic", "anisotropic", "logaug"])
+def test_energy_pieces_and_eval_JM_are_bitwise_the_expressions(
+        dimension, integrand_kind):
+    grid = (build_interval_grid(0.0, 1.0, 1000) if dimension == 1
+            else build_rect_grid(19, 23, 1.0, 2.0))
+    spec = ProblemSpec(
+        grid=grid, integrand=make_integrand(integrand_kind),
+        b=make_coefficient(grid, "step", {"height": 3.0}),
+        f=make_library_datum(grid, "power-singularity"),
+        solver_tol=1e-8, max_iter=50_000)
+    rng = np.random.default_rng(20 + dimension)
+    for _ in range(3):
+        vals = rng.uniform(-3.0, 3.0, grid.n_nodes)
+        vals[rng.random(grid.n_nodes) < 0.3] = -0.0
+        v = DiscreteField(grid=grid, values=vals)
+        # 1.0 clamps part of the field, 3.0 and inf none of it
+        for M in (1.0, 3.0, math.inf):
+            vq, den, j, xi = energy_pieces(spec, v, M)
+            want = _reference_pieces(spec, v, M)
+            for got, ref in zip((vq, den, j, xi[:, 0, :]), want):
+                assert got.shape == ref.shape
+                assert np.array_equal(_bits(got), _bits(ref))
+            assert _bits(eval_JM(spec, v, M)) == _bits(_reference_JM(spec, v, M))
+
+
+def test_clamp_derivative_is_bitwise_the_where_formula():
+    from varlab.functional import _clamp_abs_derivative
+    rng = np.random.default_rng(5)
+    special = [math.nan, -math.nan, 0.0, -0.0, 1.5, -1.5, math.inf, -math.inf,
+               np.nextafter(1.5, 2.0), np.nextafter(-1.5, -2.0), 5e-324]
+    cases = [np.array(special), np.array(special[2:6]),
+             rng.uniform(-1.5, 1.5, (40, 3)), rng.uniform(-3.0, 3.0, (40, 2)),
+             np.full((4, 3), -0.0)]
+    for s in cases:
+        for M in (1.5, 3.0, math.inf):      # |s| = M exactly for M = 1.5
+            want = np.where(np.abs(s) <= M, np.sign(s), 0.0)
+            assert np.array_equal(_bits(_clamp_abs_derivative(s, M)), _bits(want))
+
+
 def _pointwise_pieces(spec, v, M):
     """The pieces with ξ broadcast to every quadrature point, (E, Q, d), so
     that j is evaluated once per point: the evaluation that the

@@ -16,12 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "varlab").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
-#: module-level definitions that no program path reads, each with its reason
-UNREAD_BY_DESIGN = {
-    "ball_integral": "one level of the radial witness by its own quadrature: "
-                     "the reference route the witness table is tested against",
-}
-
 
 def _unread_imports(path: Path) -> list:
     """`file:line name` for each module-level import whose name is never read."""
@@ -65,7 +59,6 @@ def _unread_definitions() -> list:
     for i, (path, stmt) in enumerate(statements):
         if (path in SOURCES and isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and stmt.name not in UNREAD_BY_DESIGN
                 and not any(stmt.name in names
                             for j, names in enumerate(reads) if j != i)):
             unread.append(f"{path.name}:{stmt.lineno} {stmt.name}")

@@ -741,3 +741,27 @@ def test_minimality_memory_does_not_grow_with_the_sample_count():
         peaks[n_samples] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peaks[200] - peaks[20] <= u.values.nbytes
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_damping_is_bitwise_the_element_mean_formula(dimension):
+    # the column sums divided by Q against the (E, Q) row mean they replace
+    grid = (build_interval_grid(0.0, 1.0, 1000) if dimension == 1
+            else build_rect_grid(24, 17, 1.0, 1.0))
+    spec = ProblemSpec(grid=grid, integrand=make_integrand("logaug"),
+                       b=make_coefficient(grid, "step", {"height": 3.0}),
+                       f=make_library_datum(grid, "sine"),
+                       solver_tol=1e-8, max_iter=1)
+    precond = Preconditioner(spec)
+    rng = np.random.default_rng(dimension)
+    b_bar = spec.b.quad_values.mean(axis=1)
+    scale = spec.integrand.alpha + spec.integrand.beta
+    for _ in range(3):
+        vals = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.integers(
+            -8, 8, grid.n_nodes)
+        vals[rng.random(grid.n_nodes) < 0.2] = -0.0
+        vq = values_at_quadrature(DiscreteField(grid=grid, values=vals))
+        for M in (0.5, 1e3, math.inf):
+            v_bar = np.abs(vq).mean(axis=1)
+            want = scale / (1.0 + b_bar * np.minimum(v_bar, M)) ** 2
+            assert precond.damping(vq, M).tobytes() == want.tobytes()
