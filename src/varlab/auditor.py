@@ -17,24 +17,15 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .functional import (CoefficientField, Datum, ProblemSpec, eval_J,
                          make_Jn_datum)
-from .grid import (
-    CHAIN_BLOCK_BYTES,
-    DiscreteField,
-    damped_integrals,
-    element_gradients,
-    field_from_values,
-    norm,
-    sample_at_quadrature,
-    truncate,
-    tail,
-    values_at_quadrature,
-)
+from .grid import (CHAIN_BLOCK_BYTES, DiscreteField, damped_integrals,
+                   element_gradients, field_from_values, norm,
+                   sample_at_quadrature, truncate, tail, values_at_quadrature)
 from .solver import SolveTrace
 
 ESTIMATE_IDS = (
@@ -260,6 +251,7 @@ def audit_testclass(u: DiscreteField, spec: ProblemSpec) -> EstimateReport:
         raise ValueError("test-class audit needs a positive lower amplitude bound")
     two_u = DiscreteField(grid=u.grid, values=2.0 * u.values)
     k_grid = tuple(m * max(u.linf(), 1e-12) for m in (0.25, 0.5, 1.0, 2.0))
+    ks = np.array(k_grid)[:, None]
 
     lhs = eval_J(spec, u)
     candidates = []
@@ -273,7 +265,7 @@ def audit_testclass(u: DiscreteField, spec: ProblemSpec) -> EstimateReport:
                   and all(math.isfinite(norm(truncate(w, k), "H1_semi"))
                           for k in k_grid))
         surrogates_ok = surrogates_ok and finite
-        values = [eval_J(spec, truncate(w, k)) for k in k_grid]
+        values = eval_J(spec, np.clip(w.values, -ks, ks))   # the four T_k(w)
         candidates.append({"label": label, "linf": w.linf(),
                            "energies": values, "surrogates_finite": bool(finite)})
         rhs = min(rhs, min(values))
@@ -307,14 +299,14 @@ def pairing_fields(dim: int) -> tuple:
               for i in range(1, 10)))
 
 
-def damped_pairing(u: DiscreteField, spec: ProblemSpec,
-                   phi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Quadrature of Φ·∇u/(1 + b|u|)."""
-    g = u.grid
+def damped_pairing(u: DiscreteField, spec: ProblemSpec, phis: np.ndarray) -> list:
+    """Quadrature of Φ·∇u/(1 + b|u|) for each Φ of a (K, E, Q, d) stack of
+    samples at the quadrature points, as K floats, each one row sum."""
     grads = element_gradients(u)                              # (E, d)
     den = 1.0 + spec.b.quad_values * np.abs(values_at_quadrature(u))
-    dot = np.einsum("eqd,ed->eq", sample_at_quadrature(g, phi), grads)
-    return float(np.sum(g.quad_weights * dot / den))
+    dot = np.einsum("keqd,ed->keq", phis, grads)
+    out = u.grid.quad_weights * dot / den                     # (K, E, Q)
+    return out.reshape(len(phis), -1).sum(axis=1).tolist()
 
 
 def _ratio_chain(diffs: Sequence[float], floor: float) -> float:
@@ -344,14 +336,15 @@ def audit_stabilization(trace: SolveTrace, spec: ProblemSpec
     strong = EstimateReport("STRONG_L2_STAB", strong_lhs, 1.0, params={
         "diffs": diffs, "n_levels": [s.n_level for s in trace.stages]})
 
-    pairings = {}
+    labels, phis = zip(*pairing_fields(spec.grid.dimension))
+    phis = np.array([sample_at_quadrature(spec.grid, phi) for phi in phis])
+    per_stage = [damped_pairing(f, spec, phis) for f in fields]
+    pairings = {label: list(vals) for label, vals in zip(labels, zip(*per_stage))}
     worst = 0.0
-    for label, phi in pairing_fields(spec.grid.dimension):
-        vals = [damped_pairing(f, spec, phi) for f in fields]
+    for vals in pairings.values():
         pdiffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
         floor = STAB_FLOOR * (1.0 + abs(vals[-1]))
         worst = max(worst, _ratio_chain(pdiffs, floor))
-        pairings[label] = vals
     weak = EstimateReport("WEAK_GRAD_STAB", worst, 1.0, params={
         "pairings": pairings, "n_levels": [s.n_level for s in trace.stages]})
     return strong, weak
@@ -387,18 +380,18 @@ def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
                                        "M": m_level})
                     for r in stage_reports]
 
-    # one row at a time, amplitude before values: that order fixes the RNG
-    # stream, and with it the artifacts; drawn in the blocks of rows that
-    # damped_integrals works through at once
+    # each row draws its amplitude, then its values: that order fixes the
+    # RNG stream, and with it the artifacts.  One draw per block of the rows
+    # damped_integrals works through at once, in Generator.uniform's
+    # low + range·next_double arithmetic and with a scalar pow per amplitude
     rng, P = np.random.default_rng(seed), spec.grid.n_nodes
     rows = max(1, CHAIN_BLOCK_BYTES // spec.grid.quad_weights.nbytes)
 
     def draws():
         for lo in range(0, coercivity_samples, rows):
-            block = np.empty((min(rows, coercivity_samples - lo), P))
-            for row in block:
-                amp = 10.0 ** rng.uniform(-2.0, 2.0)
-                row[:] = rng.uniform(-amp, amp, P)
+            raw = rng.random((min(rows, coercivity_samples - lo), P + 1))
+            amp = np.array([[10.0 ** (4.0 * d - 2.0)] for d in raw[:, 0].tolist()])
+            block = -amp + (amp - -amp) * raw[:, 1:]
             block[:, spec.grid.boundary_mask] = 0.0
             yield block
     reports.append(audit_coercivity_chain(draws(), spec.b))
@@ -456,15 +449,17 @@ def minimality_check(spec: ProblemSpec, u: DiscreteField, n_samples: int,
 
     Every comparison v must satisfy
     eval_J(u) ≤ eval_J(v) + MINIMALITY_TOL·(1+|eval_J(v)|); the slack
-    eval_J(v) − eval_J(u) is recorded per field.  Each field is evaluated
-    as it is drawn, so the memory does not grow with `n_samples`.
+    eval_J(v) − eval_J(u) is recorded per field.  The fields are evaluated
+    as stacks of damped_integrals' block rows, so the memory does not grow
+    with `n_samples`.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    j_u = eval_J(spec, u)
-    entries = []
-    for label, v in islice(_comparisons(u, np.random.default_rng(seed)),
-                           n_samples):
-        j_v = eval_J(spec, v)
-        entries.append((label, j_v, j_v - j_u))
+    j_u, entries = eval_J(spec, u), []
+    comparisons = islice(_comparisons(u, np.random.default_rng(seed)), n_samples)
+    rows = max(1, CHAIN_BLOCK_BYTES // spec.grid.quad_weights.nbytes)
+    while block := tuple(islice(comparisons, rows)):
+        labels, fields = zip(*block)
+        energies = eval_J(spec, np.array([v.values for v in fields]))
+        entries += [(lab, j_v, j_v - j_u) for lab, j_v in zip(labels, energies)]
     return MinimalityReport(energy=j_u, entries=tuple(entries))

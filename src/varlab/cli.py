@@ -31,7 +31,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache, partial
@@ -352,8 +351,8 @@ def config_to_mapping(config) -> dict:
 
 def render_config(config: RunConfig) -> str:
     """Deterministic YAML text that parses back to an equal RunConfig."""
-    return yaml.safe_dump(config_to_mapping(config), sort_keys=True,
-                          default_flow_style=False)
+    return yaml.dump(config_to_mapping(config), Dumper=getattr(
+        yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=True, default_flow_style=False)
 
 
 # ------------------------------------------------- deterministic serializers
@@ -686,6 +685,7 @@ def _run_sweep(config: RunConfig, directory: str,
     # a fork pool starts every worker on its first submit
     workers = min(jobs, len(points))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_solve, point_configs, point_dirs))
     else:

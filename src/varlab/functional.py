@@ -26,15 +26,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import (
-    Array,
-    DiscreteField,
-    Grid,
-    _frozen,
-    element_gradients,
-    sample_at_quadrature,
-    values_at_quadrature,
-)
+from .grid import (Array, DiscreteField, Grid, _frozen, element_gradients,
+                   sample_at_quadrature, stack_at_quadrature,
+                   values_at_quadrature)
 
 #: kept in sync with the residual: d|T_M(s)|/ds = sign(s) inside the clamp
 #: (sign(0) = 0) and 0 strictly beyond it.
@@ -184,23 +178,26 @@ class EnergyPieces(NamedTuple):
     xi: Array       # element gradients, (E, 1, d): ∇v is constant on an element
 
 
-def energy_pieces(spec: ProblemSpec, v: DiscreteField, M: float) -> EnergyPieces:
+def energy_pieces(spec: ProblemSpec, v: DiscreteField | Array,
+                  M: float) -> EnergyPieces:
     """Build the pieces of eval_JM(spec, v, M) and residual(spec, v, M) once,
-    for a caller that needs both on the same field and clamp level."""
+    for a caller that needs both on the same field and clamp level; for an
+    (S, P) stack of nodal vectors, with a leading S axis, bit for bit."""
     g = spec.grid
-    vq = values_at_quadrature(v)
+    one = isinstance(v, DiscreteField)
+    vq, xi = (values_at_quadrature(v), None) if one else stack_at_quadrature(g, v)
     amp = np.minimum(np.abs(vq), M)     # |T_M(v)|, bit for bit |clip(v)|
     amp *= spec.b.quad_values
     amp += 1.0
     den = np.square(amp, out=amp)       # (1 + b|T_M(v)|)²
-    xi = element_gradients(v)[:, None, :]
+    xi = element_gradients(v)[:, None, :] if one else xi[:, :, None, :]
     j = np.broadcast_to(spec.integrand.density(g.quad_coords, xi), vq.shape)
     return EnergyPieces(vq, den, j, xi)
 
 
-def eval_JM(spec: ProblemSpec, v: DiscreteField, M: float,
-            pieces: Optional[EnergyPieces] = None) -> float:
-    """Discrete energy with the denominator amplitude clamped at M.
+def eval_JM(spec: ProblemSpec, v: DiscreteField | Array, M: float,
+            pieces: Optional[EnergyPieces] = None) -> float | list:
+    """Discrete energy with the amplitude clamped at M: a float, or S floats.
 
     `pieces`, when given, must be energy_pieces(spec, v, M)."""
     if M <= 0:
@@ -210,10 +207,11 @@ def eval_JM(spec: ProblemSpec, v: DiscreteField, M: float,
     term = np.multiply(0.5, vq)
     out += np.multiply(term, vq, out=term)
     out -= np.multiply(spec.f.quad_values, vq, out=term)
-    return float(np.sum(np.multiply(out, spec.grid.quad_weights, out=out)))
+    out = np.multiply(out, spec.grid.quad_weights, out=out)
+    return out.reshape(vq.shape[:-2] + (-1,)).sum(axis=-1).tolist()  # row sums
 
 
-def eval_J(spec: ProblemSpec, v: DiscreteField) -> float:
+def eval_J(spec: ProblemSpec, v: DiscreteField | Array) -> float | list:
     """Discrete energy with the raw (unclamped) amplitude in the denominator."""
     return eval_JM(spec, v, math.inf)
 

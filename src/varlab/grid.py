@@ -250,6 +250,14 @@ def values_at_quadrature(v: DiscreteField) -> Array:
     return v.values[g.elements] @ g.quad_points.T
 
 
+def stack_at_quadrature(grid: Grid, values: Array) -> tuple:
+    """values_at_quadrature, (S, E, Q), and element_gradients, (S, E, dim),
+    of each row of an (S, P) stack of nodal vectors, bit for bit."""
+    local = np.take(values, grid.elements, axis=-1)           # (S, E, L)
+    return local @ grid.quad_points.T, np.einsum("sel,eld->sed", local,
+                                                 grid.basis_gradients)
+
+
 def sample_at_quadrature(grid: Grid, fn: Callable[[Array], Array]) -> Array:
     """`fn` of the (E·Q, dim) physical quadrature points, as (E, Q), or as
     (E, Q, k) for a function with k components per point."""
@@ -301,10 +309,9 @@ def damped_integrals(grid: Grid, values: Array, b_q: Array) -> tuple:
         return a.reshape(a.shape[0], -1).sum(axis=1)
 
     for lo in range(0, values.shape[0], rows):
-        local = values[lo:lo + rows, grid.elements]           # (B, E, L)
-        grads = np.linalg.norm(np.einsum(
-            "sel,eld->sed", local, grid.basis_gradients), axis=2)[..., None]
-        amp = 1.0 + b_q * np.abs(local @ grid.quad_points.T)   # (B, E, Q)
+        vq, xi = stack_at_quadrature(grid, values[lo:lo + rows])
+        grads = np.linalg.norm(xi, axis=2)[..., None]
+        amp = 1.0 + b_q * np.abs(vq)                          # (B, E, Q)
         w11[lo:lo + rows] = row_sums(w * grads)
         damped[lo:lo + rows] = row_sums(w * (grads / amp) ** 2)
         amplitude[lo:lo + rows] = row_sums(w * amp ** 2)

@@ -22,7 +22,7 @@ from varlab.cli import parse_config, run
 from varlab.counterexample import RadialProfile, divergence_report
 from varlab.functional import ProblemSpec, eval_JM, residual
 from varlab.grid import (build_interval_grid, field_from_values,
-                         values_at_quadrature)
+                         sample_at_quadrature, values_at_quadrature)
 from varlab.library import make_coefficient, make_integrand, make_library_datum
 from varlab.solver import Preconditioner, solve_outer, solve_stage
 
@@ -193,7 +193,8 @@ def test_criterion_5_outer_stage_stabilization():
     family = pairing_fields(1)
     assert len(family) == 10
     for label, phi in family:
-        values = [damped_pairing(f, spec, phi) for f in fields]
+        phis = sample_at_quadrature(spec.grid, phi)[None]
+        values = [damped_pairing(f, spec, phis)[0] for f in fields]
         pair_diffs = [abs(b - a) for a, b in zip(values, values[1:])]
         ptail = pair_diffs[-3:]
         assert ptail[0] > ptail[1] > ptail[2], \

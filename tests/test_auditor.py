@@ -23,7 +23,9 @@ from varlab.auditor import (
     audit_terzastima,
     audit_testclass,
     audit_tk,
+    damped_pairing,
     default_k_grid,
+    minimality_check,
     pairing_fields,
 )
 from varlab.functional import (CoefficientField, ProblemSpec, eval_J,
@@ -36,6 +38,7 @@ from varlab.grid import (
     damped_integrals,
     element_gradients,
     field_from_values,
+    sample_at_quadrature,
     values_at_quadrature,
     zero_field,
 )
@@ -332,6 +335,85 @@ def test_stabilization_bounded_datum_settles():
     strong, weak = audit_stabilization(trace, spec)
     assert strong.passed and weak.passed
     assert strong.lhs == 0.0    # single effective stage: nothing to compare
+
+
+def _one_field_pairing(u, spec, phi_q):
+    """The one-field formula that damped_pairing stacks."""
+    den = 1.0 + spec.b.quad_values * np.abs(values_at_quadrature(u))
+    dot = np.einsum("eqd,ed->eq", phi_q, element_gradients(u))
+    return float(np.sum(u.grid.quad_weights * dot / den))
+
+
+@pytest.mark.parametrize("grid", [build_interval_grid(0.0, 1.0, 40),
+                                  build_rect_grid(7, 6, 1.0, 1.0)],
+                         ids=["1d-40", "2d-7x6"])
+def test_stacked_pairings_are_bitwise_the_one_field_formula(grid):
+    spec = ProblemSpec(grid=grid, integrand=make_integrand("quadratic"),
+                       b=make_coefficient(grid, "step", {"height": 3.0}),
+                       f=make_library_datum(grid, "sine"),
+                       solver_tol=1e-8, max_iter=50_000)
+    phis = np.array([sample_at_quadrature(grid, phi)
+                     for _, phi in pairing_fields(grid.dimension)])
+    rng = np.random.default_rng(grid.dimension)
+    for _ in range(5):
+        vals = rng.uniform(-2.0, 2.0, grid.n_nodes)
+        vals[rng.random(grid.n_nodes) < 0.3] = -0.0
+        u = DiscreteField(grid=grid, values=vals)
+        got = damped_pairing(u, spec, phis)
+        assert got == [_one_field_pairing(u, spec, phi_q) for phi_q in phis]
+        assert damped_pairing(u, spec, phis[3:4]) == got[3:4]
+
+
+def test_weak_stabilization_pairs_each_stage_by_the_one_field_formula():
+    spec, u, trace = _solved(cells=32, datum=("power-singularity", None))
+    _, weak = audit_stabilization(trace, spec)
+    for label, phi in pairing_fields(1):
+        phi_q = sample_at_quadrature(spec.grid, phi)
+        assert weak.params["pairings"][label] == [
+            _one_field_pairing(s.field, spec, phi_q) for s in trace.stages]
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_coercivity_block_draws_are_the_row_by_row_stream(monkeypatch, seed):
+    import varlab.auditor as auditor_mod
+    spec, u, trace = _solved(grid=build_interval_grid(0.0, 1.0, 512))
+    rows = CHAIN_BLOCK_BYTES // spec.grid.quad_weights.nbytes
+    samples = 2 * rows + 3            # two whole blocks and a short one
+    blocks = []
+
+    def recording_chain(draws, b):
+        blocks.extend(block.copy() for block in draws)
+        return audit_coercivity_chain(blocks, b)
+
+    monkeypatch.setattr(auditor_mod, "audit_coercivity_chain", recording_chain)
+    audit_battery(spec, u, trace, seed=seed, coercivity_samples=samples)
+    assert [len(block) for block in blocks] == [rows, rows, 3]
+    # the reference: one amplitude, then one row, per sample
+    rng = np.random.default_rng(seed)
+    want = np.empty((samples, spec.grid.n_nodes))
+    for row in want:
+        amp = 10.0 ** rng.uniform(-2.0, 2.0)
+        row[:] = rng.uniform(-amp, amp, spec.grid.n_nodes)
+    want[:, spec.grid.boundary_mask] = 0.0
+    assert np.array_equal(np.concatenate(blocks).view(np.int64),
+                          want.view(np.int64))
+
+
+def test_minimality_blocks_are_bitwise_the_one_field_loop():
+    from varlab.auditor import _comparisons
+    spec, u, _ = _solved(grid=build_interval_grid(0.0, 1.0, 512))
+    rows = CHAIN_BLOCK_BYTES // spec.grid.quad_weights.nbytes
+    samples = 2 * rows + 3
+    report = minimality_check(spec, u, n_samples=samples, seed=4)
+    j_u = eval_J(spec, u)
+    comparisons = _comparisons(u, np.random.default_rng(4))
+    want = []
+    for _ in range(samples):
+        label, v = next(comparisons)
+        j_v = eval_J(spec, v)
+        want.append((label, j_v, j_v - j_u))
+    assert report.energy == j_u
+    assert report.entries == tuple(want)
 
 
 def test_pairing_fields_contract():

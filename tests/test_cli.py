@@ -1,15 +1,20 @@
 """Config parsing, artifact writing, determinism, and exit-code discipline."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varlab.auditor import ESTIMATE_IDS, OVERFLOW_NOTE, EstimateReport
 from varlab.cli import (
@@ -21,6 +26,7 @@ from varlab.cli import (
     SCHEMA_VERSION,
     ComponentConfig,
     ConfigError,
+    SUBCOMMANDS,
     RunConfig,
     _csv_cell,
     _write_csv,
@@ -270,6 +276,66 @@ def test_render_parse_round_trip_defaults_and_custom():
     ):
         cfg = parse_config(text)
         assert parse_config(render_config(cfg)) == cfg
+
+
+def _echo_corpus() -> list:
+    """configs/*.yaml, the perfbench configs, each subcommand's defaults and
+    the twelve points of the perfbench sweep."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", CONFIGS.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    texts = [path.read_text() for path in sorted(CONFIGS.glob("*.yaml"))]
+    texts += [op.config for ops in workloads.WORKLOADS.values() for op in ops]
+    texts += [f"subcommand: {name}\n" for name in SUBCOMMANDS]
+    sweep = parse_config(workloads.SWEEP_CONFIG).sweep
+    points = [replace(parse_config(workloads.SWEEP_CONFIG), subcommand="audit",
+                      integrand=ic, coefficient=cc, datum=dc)
+              for ic, cc, dc in product(sweep.integrands, sweep.coefficients,
+                                        sweep.data)]
+    return [parse_config(text) for text in texts] + points
+
+
+def _pure_echo(config) -> str:
+    return yaml.dump(config_to_mapping(config), Dumper=yaml.SafeDumper,
+                     sort_keys=True, default_flow_style=False)
+
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                                   reason="PyYAML is built without libyaml")
+
+
+@needs_libyaml
+def test_libyaml_echo_is_the_pure_emitters_bytes():
+    corpus = _echo_corpus()
+    assert len(corpus) == 35
+    for config in corpus:
+        assert render_config(config) == _pure_echo(config)
+        assert yaml.dump(config_to_mapping(config), Dumper=yaml.CSafeDumper,
+                         sort_keys=True, default_flow_style=False) == \
+            _pure_echo(config)
+
+
+#: number-like text, as a config may write a component parameter as a string
+_NUMBER_TEXT = st.one_of(
+    st.sampled_from([" 1.5", "1e-8", "1_000", "+2", "1.5 ", ".5", "1E+3"]),
+    st.tuples(st.sampled_from(["", " ", "+", "  "]),
+              st.one_of(st.floats(min_value=0.0, allow_nan=False,
+                                  allow_infinity=False).map(repr),
+                        st.integers(min_value=0).map("{:_}".format)),
+              st.sampled_from(["", " ", "\t"])).map("".join))
+
+
+@needs_libyaml
+@settings(max_examples=200, deadline=None)
+@given(value=_NUMBER_TEXT, contrast=_NUMBER_TEXT)
+def test_libyaml_echo_matches_on_params_written_as_strings(value, contrast):
+    config = replace(
+        parse_config("subcommand: audit\n"),
+        coefficient=ComponentConfig("constant", {"value": value}),
+        integrand=ComponentConfig("anisotropic", {"contrast": contrast}))
+    assert render_config(config) == _pure_echo(config)
 
 
 def test_schema_document_states_the_defaults():
@@ -768,8 +834,9 @@ def test_sweep_jobs_do_not_change_artifact_bytes(tmp_path):
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Replace the sweep's process pool by one that records its worker count
-    and maps in this process, so that no test starts a process."""
-    import varlab.cli as cli_mod
+    and maps in this process, so that no test starts a process.  The sweep
+    imports the pool from concurrent.futures only when it opens one."""
+    import concurrent.futures
     sizes = []
 
     class SerialPool:
@@ -785,7 +852,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 

@@ -318,6 +318,73 @@ def test_energy_pieces_and_eval_JM_are_bitwise_the_expressions(
             assert _bits(eval_JM(spec, v, M)) == _bits(_reference_JM(spec, v, M))
 
 
+def _signed_zero_fields(rng, grid, count, scale):
+    """`count` random nodal vectors with -0.0 and +0.0 entries, and whole
+    elements of -0.0 in the first."""
+    vals = rng.uniform(-scale, scale, (count, grid.n_nodes))
+    vals[rng.random(vals.shape) < 0.3] = -0.0
+    vals[rng.random(vals.shape) < 0.2] = 0.0
+    vals[0, grid.elements[0]] = -0.0
+    return vals
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("integrand_kind", ["quadratic", "anisotropic", "logaug"])
+def test_stacked_energies_are_bitwise_the_one_field_energies(
+        dimension, integrand_kind):
+    from varlab.grid import CHAIN_BLOCK_BYTES
+    grid = (build_interval_grid(0.0, 1.0, 40) if dimension == 1
+            else build_rect_grid(7, 6, 1.0, 1.0))
+    spec = ProblemSpec(
+        grid=grid, integrand=make_integrand(integrand_kind),
+        b=make_coefficient(grid, "step", {"height": 3.0}),
+        f=make_library_datum(grid, "power-singularity"),
+        solver_tol=1e-8, max_iter=50_000)
+    rows = CHAIN_BLOCK_BYTES // grid.quad_weights.nbytes   # minimality's block
+    rng = np.random.default_rng(30 + dimension)
+    for count in (1, rows, rows + 1):
+        stack = _signed_zero_fields(rng, grid, count, 3.0)
+        fields = [DiscreteField(grid=grid, values=row) for row in stack]
+        # 0.5 clamps part of every field, 3.0 and inf none of it
+        for M in (0.5, 3.0, math.inf):
+            pieces = energy_pieces(spec, stack, M)
+            energies = eval_JM(spec, stack, M)
+            assert isinstance(energies, list) and len(energies) == count
+            for i in (0, count // 2, count - 1):
+                for got, want in zip(pieces, energy_pieces(spec, fields[i], M)):
+                    assert np.array_equal(_bits(got[i]), _bits(want))
+            want = [eval_JM(spec, v, M) for v in fields]
+            assert np.array_equal(_bits(energies), _bits(want))
+            assert np.array_equal(_bits(energies), _bits(
+                [_reference_JM(spec, v, M) for v in fields]))
+        assert np.array_equal(_bits(eval_J(spec, stack)),
+                              _bits([eval_J(spec, v) for v in fields]))
+
+
+@pytest.mark.parametrize("grid", [build_interval_grid(0.0, 1.0, 2),
+                                  build_rect_grid(2, 2, 1.0, 1.0)],
+                         ids=["1d-2-cells", "2d-2x2"])
+@pytest.mark.parametrize("integrand_kind", ["quadratic", "anisotropic", "logaug"])
+def test_energy_of_a_few_point_grid_is_bitwise_the_expression(grid,
+                                                              integrand_kind):
+    """With only a few terms in each quadrature sum, a last-bit change at one
+    quadrature point (say j·(1/den) for j/den) reaches the energy of some of
+    many random fields."""
+    spec = ProblemSpec(
+        grid=grid, integrand=make_integrand(integrand_kind),
+        b=make_coefficient(grid, "step", {"height": 3.0}),
+        f=make_library_datum(grid, "sine"),
+        solver_tol=1e-8, max_iter=50_000)
+    stack = _signed_zero_fields(np.random.default_rng(7), grid, 400, 3.0)
+    for M in (1.0, math.inf):
+        want = [_reference_JM(spec, DiscreteField(grid=grid, values=row), M)
+                for row in stack]
+        assert np.array_equal(_bits(eval_JM(spec, stack, M)), _bits(want))
+        assert np.array_equal(_bits(
+            [eval_JM(spec, DiscreteField(grid=grid, values=row), M)
+             for row in stack]), _bits(want))
+
+
 def test_clamp_derivative_is_bitwise_the_where_formula():
     from varlab.functional import _clamp_abs_derivative
     rng = np.random.default_rng(5)

@@ -1,7 +1,8 @@
 """Import hygiene: every name a varlab module imports at module level is
 read somewhere in that module (``from __future__`` imports are exempt),
 every module-level function or class is read by a program path, and scipy
-is loaded only by a command that factors a matrix."""
+is loaded only by a command that factors a matrix, and the process pool's
+modules only by a sweep that opens a pool."""
 
 import ast
 import json
@@ -72,15 +73,18 @@ def test_module_level_definitions_are_read_by_a_program_path():
 # ------------------------------------------------------------- cold start
 
 #: Run in a fresh interpreter, in this order: import varlab.cli, then one
-#: `main` call per case, printing the scipy factorization modules loaded
-#: after each step as one JSON object (stdout also carries `--help`).
+#: `main` call per case, printing the scipy factorization modules and the
+#: process pool's modules loaded after each step as one JSON object (stdout
+#: also carries `--help`).
 _COLD_START = """
 import json, sys
 from varlab.cli import main
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m == "scipy.linalg" or m.startswith("scipy.sparse"))
+                  if m in ("scipy.linalg", "concurrent.futures",
+                           "concurrent.futures.process")
+                  or m.startswith("scipy.sparse"))
 
 seen = {"import": loaded()}
 for case, argv in json.loads(sys.argv[1]):
@@ -89,7 +93,8 @@ for case, argv in json.loads(sys.argv[1]):
 print(json.dumps(seen))
 """
 
-#: the commands that never factor come first: each must leave scipy unloaded
+#: the commands that never factor come first: each must leave scipy and the
+#: process pool unloaded
 _NO_FACTOR = ("import", "counterexample", "certify", "help", "config-error")
 
 
@@ -107,6 +112,11 @@ def cold_start(tmp_path_factory):
          "subcommand: solve\ndomain: {dimension: 1, cells: 8}\n"),
         ("solve-2d", "solve",
          "subcommand: solve\ndomain: {dimension: 2, x_cells: 4, y_cells: 4}\n"),
+        ("sweep-1-job", "sweep",
+         "subcommand: sweep\ndomain: {dimension: 1, cells: 8}\n"
+         "sweep: {integrands: [{kind: quadratic}], coefficients: [{kind: zero}],"
+         " data: [{kind: sine}, {kind: step}]}\n"
+         "audit: {coercivity_samples: 2, minimality_samples: 2}\n"),
     )
     cases = []
     for case, subcommand, doc in runs:
@@ -131,10 +141,21 @@ def test_commands_that_never_factor_load_no_scipy(cold_start, case):
     assert cold_start[case] == []
 
 
+def _scipy(modules):
+    return [m for m in modules if m.startswith("scipy")]
+
+
 def test_a_1d_factor_loads_scipy_linalg_alone(cold_start):
-    assert cold_start["solve-1d"] == ["scipy.linalg"]
+    assert _scipy(cold_start["solve-1d"]) == ["scipy.linalg"]
 
 
 def test_a_2d_factor_loads_scipy_sparse_linalg(cold_start):
     assert "scipy.sparse.linalg" not in cold_start["solve-1d"]
     assert "scipy.sparse.linalg" in cold_start["solve-2d"]
+
+
+def test_a_one_job_sweep_opens_no_process_pool(cold_start):
+    # scipy.linalg itself imports the concurrent.futures package, so a sweep
+    # that factors loads it; only a pool loads the process executor
+    assert "scipy.linalg" in cold_start["sweep-1-job"]
+    assert "concurrent.futures.process" not in cold_start["sweep-1-job"]
