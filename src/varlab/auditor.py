@@ -23,9 +23,9 @@ import numpy as np
 
 from .functional import (CoefficientField, Datum, ProblemSpec, eval_J,
                          make_Jn_datum)
-from .grid import (CHAIN_BLOCK_BYTES, DiscreteField, damped_integrals,
-                   element_gradients, field_from_values, norm,
-                   sample_at_quadrature, truncate, tail, values_at_quadrature)
+from .grid import (DiscreteField, Grid, damped_integrals, element_gradients,
+                   field_from_values, norm, sample_at_quadrature,
+                   stack_at_quadrature, truncate, tail, values_at_quadrature)
 from .solver import SolveTrace
 
 ESTIMATE_IDS = (
@@ -51,6 +51,15 @@ STAB_FLOOR = 1e-13
 #: a comparison field undercuts the candidate minimizer when its energy is
 #: lower by more than this, relative to 1 + |its energy|
 MINIMALITY_TOL = 1e-9
+#: bytes of the largest (B, E, Q) temporary of a stacked audit; larger
+#: blocks were no faster and raised the peak memory of a sweep
+CHAIN_BLOCK_BYTES = 128 << 10
+
+
+def block_rows(grid: Grid) -> int:
+    """Fields per block of a stacked audit (the coercivity draws, the
+    minimality comparisons): its temporaries stay within CHAIN_BLOCK_BYTES."""
+    return max(1, CHAIN_BLOCK_BYTES // grid.quad_weights.nbytes)
 
 
 @dataclass(frozen=True)
@@ -71,8 +80,8 @@ class EstimateReport:
             raise ValueError(f"unknown estimate id {self.estimate_id!r}")
         if self.severity not in ("binding", "warning"):
             raise ValueError(f"unknown severity {self.severity!r}")
-        # a numpy lhs would make `passed` a numpy.bool_, which the CSV
-        # writer spells True, not true
+        # audits pass numpy scalars (a row of a stacked integral); floats
+        # keep `slack` a float and `passed` a bool, whatever the source
         object.__setattr__(self, "lhs", float(self.lhs))
         object.__setattr__(self, "rhs", float(self.rhs))
 
@@ -242,7 +251,7 @@ def audit_testclass(u: DiscreteField, spec: ProblemSpec) -> EstimateReport:
     a spike, at k = (¼, ½, 1, 2)·‖u‖∞, so that the low levels cut u and 2u.
 
     Requires a strictly positive lower amplitude bound. Each candidate's
-    membership surrogates (finite truncate energies, finite seminorm of the
+    membership surrogates (finite truncate seminorms, finite seminorm of the
     log(1+A|w|) interpolant, finite square mass) are checked before its
     truncates enter the comparison.
     """
@@ -258,14 +267,17 @@ def audit_testclass(u: DiscreteField, spec: ProblemSpec) -> EstimateReport:
     surrogates_ok = True
     rhs = math.inf
     for label, w in (("u", u), ("2u", two_u), ("spike", _spike_field(u))):
+        truncates = np.clip(w.values, -ks, ks)              # the four T_k(w)
+        # |T_k(w)|²_H¹ of each row, in norm's order of operations
+        mag = np.linalg.norm(stack_at_quadrature(w.grid, truncates)[1], axis=2)
+        seminorms = np.sum(w.grid.element_measures * mag ** 2, axis=1)
         log_interp = DiscreteField(
             grid=w.grid, values=np.log1p(A * np.abs(w.values)))
         finite = (math.isfinite(norm(w, "L2"))
                   and math.isfinite(norm(log_interp, "H1_semi"))
-                  and all(math.isfinite(norm(truncate(w, k), "H1_semi"))
-                          for k in k_grid))
+                  and bool(np.isfinite(seminorms).all()))
         surrogates_ok = surrogates_ok and finite
-        values = eval_J(spec, np.clip(w.values, -ks, ks))   # the four T_k(w)
+        values = eval_J(spec, truncates)
         candidates.append({"label": label, "linf": w.linf(),
                            "energies": values, "surrogates_finite": bool(finite)})
         rhs = min(rhs, min(values))
@@ -381,11 +393,11 @@ def audit_battery(spec: ProblemSpec, u: DiscreteField, trace: SolveTrace,
                     for r in stage_reports]
 
     # each row draws its amplitude, then its values: that order fixes the
-    # RNG stream, and with it the artifacts.  One draw per block of the rows
-    # damped_integrals works through at once, in Generator.uniform's
-    # low + range·next_double arithmetic and with a scalar pow per amplitude
+    # RNG stream, and with it the artifacts.  One draw per block, in
+    # Generator.uniform's low + range·next_double arithmetic and with a
+    # scalar pow per amplitude
     rng, P = np.random.default_rng(seed), spec.grid.n_nodes
-    rows = max(1, CHAIN_BLOCK_BYTES // spec.grid.quad_weights.nbytes)
+    rows = block_rows(spec.grid)
 
     def draws():
         for lo in range(0, coercivity_samples, rows):
@@ -450,15 +462,13 @@ def minimality_check(spec: ProblemSpec, u: DiscreteField, n_samples: int,
     Every comparison v must satisfy
     eval_J(u) ≤ eval_J(v) + MINIMALITY_TOL·(1+|eval_J(v)|); the slack
     eval_J(v) − eval_J(u) is recorded per field.  The fields are evaluated
-    as stacks of damped_integrals' block rows, so the memory does not grow
-    with `n_samples`.
+    block_rows at a time, so the memory does not grow with `n_samples`.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     j_u, entries = eval_J(spec, u), []
     comparisons = islice(_comparisons(u, np.random.default_rng(seed)), n_samples)
-    rows = max(1, CHAIN_BLOCK_BYTES // spec.grid.quad_weights.nbytes)
-    while block := tuple(islice(comparisons, rows)):
+    while block := tuple(islice(comparisons, block_rows(spec.grid))):
         labels, fields = zip(*block)
         energies = eval_J(spec, np.array([v.values for v in fields]))
         entries += [(lab, j_v, j_v - j_u) for lab, j_v in zip(labels, energies)]

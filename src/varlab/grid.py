@@ -27,10 +27,6 @@ import numpy as np
 
 Array = np.ndarray
 
-#: bytes of the largest (samples, E, Q) temporary in damped_integrals;
-#: larger blocks were no faster and raised the peak memory of a sweep
-CHAIN_BLOCK_BYTES = 128 << 10
-
 
 def _frozen(a: Array) -> Array:
     a = np.ascontiguousarray(a)
@@ -292,8 +288,8 @@ def damped_integrals(grid: Grid, values: Array, b_q: Array) -> tuple:
     is the absolute value of the interpolated value. Returns three (S,)
     arrays: ∫|∇v|, ∫|∇v|²/(1+b|v|)² and ∫(1+b|v|)². Each sample's
     quadrature sum is one contiguous row reduction, so it equals the
-    single-field sum bit for bit. The stack is worked through in blocks
-    whose (B, E, Q) temporaries stay within CHAIN_BLOCK_BYTES.
+    single-field sum bit for bit. The stack is worked through in one pass
+    with (S, E, Q) temporaries: a caller with many samples passes blocks.
     """
     w = grid.quad_weights                                     # (E, Q)
     b_q = np.asarray(b_q, dtype=float)
@@ -301,18 +297,8 @@ def damped_integrals(grid: Grid, values: Array, b_q: Array) -> tuple:
         raise ValueError(
             f"coefficient samples {b_q.shape} do not match quadrature layout "
             f"{w.shape}")
-    values = np.asarray(values, dtype=float)
-    rows = max(1, CHAIN_BLOCK_BYTES // w.nbytes)
-    w11, damped, amplitude = (np.empty(values.shape[0]) for _ in range(3))
-
-    def row_sums(a):
-        return a.reshape(a.shape[0], -1).sum(axis=1)
-
-    for lo in range(0, values.shape[0], rows):
-        vq, xi = stack_at_quadrature(grid, values[lo:lo + rows])
-        grads = np.linalg.norm(xi, axis=2)[..., None]
-        amp = 1.0 + b_q * np.abs(vq)                          # (B, E, Q)
-        w11[lo:lo + rows] = row_sums(w * grads)
-        damped[lo:lo + rows] = row_sums(w * (grads / amp) ** 2)
-        amplitude[lo:lo + rows] = row_sums(w * amp ** 2)
-    return w11, damped, amplitude
+    vq, xi = stack_at_quadrature(grid, np.asarray(values, dtype=float))
+    grads = np.linalg.norm(xi, axis=2)[..., None]
+    amp = 1.0 + b_q * np.abs(vq)                              # (S, E, Q)
+    return tuple((w * a).reshape(len(a), -1).sum(axis=1)    # row sums
+                 for a in (grads, (grads / amp) ** 2, amp ** 2))

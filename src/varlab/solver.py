@@ -90,7 +90,6 @@ class StageRecord:
     """One inner minimization at a fixed clamp level."""
 
     m_level: float
-    field: DiscreteField    # the stage's converged (or last) iterate
     iterations: int
     converged: bool
     residual_linf: float
@@ -306,7 +305,7 @@ def minimize_inner(spec: ProblemSpec, M: float, start: DiscreteField,
         history.append(trial_energy)
 
     return v, StageRecord(
-        m_level=float(M), field=v, iterations=len(history) - 1,
+        m_level=float(M), iterations=len(history) - 1,
         converged=res_linf <= spec.solver_tol, residual_linf=res_linf,
         energy_history=tuple(history))
 

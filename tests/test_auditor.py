@@ -23,6 +23,7 @@ from varlab.auditor import (
     audit_terzastima,
     audit_testclass,
     audit_tk,
+    block_rows,
     damped_pairing,
     default_k_grid,
     minimality_check,
@@ -31,7 +32,6 @@ from varlab.auditor import (
 from varlab.functional import (CoefficientField, ProblemSpec, eval_J,
                                make_Jn_datum)
 from varlab.grid import (
-    CHAIN_BLOCK_BYTES,
     DiscreteField,
     build_interval_grid,
     build_rect_grid,
@@ -305,6 +305,27 @@ def test_testclass_requires_positive_lower_bound():
         audit_testclass(u2, spec2)
 
 
+@pytest.mark.parametrize("length, plateau", [(1e10, 0.8e149), (1e-150, 1.2e3)],
+                         ids=["square-mass", "truncate-seminorm"])
+def test_testclass_surrogate_overflow_fails_with_a_nan_rhs(length, plateau):
+    # a plateau at every interior node of 8 cells: for 2u and the spike,
+    # ∫w² overflows on the long mesh, and only the seminorms of the
+    # truncates do on the short one; u stays finite on both
+    grid = build_interval_grid(0.0, length, 8)
+    spec = ProblemSpec(grid=grid, integrand=make_integrand("quadratic"),
+                       b=make_coefficient(grid, "constant", {"value": 1e-30}),
+                       f=make_library_datum(grid, "constant"),
+                       solver_tol=1e-8, max_iter=50_000)
+    u = field_from_values(grid, np.full(grid.n_nodes, plateau))
+    with np.errstate(over="ignore"):        # as the command line runs it
+        report = audit_testclass(u, spec)
+    assert [c["surrogates_finite"] for c in report.params["candidates"]] == [
+        True, False, False]
+    assert all(math.isfinite(e) for e in report.params["candidates"][0]["energies"])
+    assert math.isnan(report.rhs) and not report.passed
+    assert report.note == "membership surrogate not finite"
+
+
 def test_testclass_flags_non_minimizer():
     spec, u, _ = _solved()
     fake = DiscreteField(grid=spec.grid, values=3.0 * u.values)
@@ -377,7 +398,7 @@ def test_weak_stabilization_pairs_each_stage_by_the_one_field_formula():
 def test_coercivity_block_draws_are_the_row_by_row_stream(monkeypatch, seed):
     import varlab.auditor as auditor_mod
     spec, u, trace = _solved(grid=build_interval_grid(0.0, 1.0, 512))
-    rows = CHAIN_BLOCK_BYTES // spec.grid.quad_weights.nbytes
+    rows = block_rows(spec.grid)
     samples = 2 * rows + 3            # two whole blocks and a short one
     blocks = []
 
@@ -402,7 +423,7 @@ def test_coercivity_block_draws_are_the_row_by_row_stream(monkeypatch, seed):
 def test_minimality_blocks_are_bitwise_the_one_field_loop():
     from varlab.auditor import _comparisons
     spec, u, _ = _solved(grid=build_interval_grid(0.0, 1.0, 512))
-    rows = CHAIN_BLOCK_BYTES // spec.grid.quad_weights.nbytes
+    rows = block_rows(spec.grid)
     samples = 2 * rows + 3
     report = minimality_check(spec, u, n_samples=samples, seed=4)
     j_u = eval_J(spec, u)
@@ -505,7 +526,7 @@ def _chain_one_field(v, b_q):
                          ids=["1d-512", "2d-24x24"])
 def test_batched_chain_matches_per_sample_loop(grid, seed):
     spec, u, trace = _solved(grid=grid)
-    samples = CHAIN_BLOCK_BYTES // grid.quad_weights.nbytes + 50
+    samples = block_rows(grid) + 50
     reports = audit_battery(spec, u, trace, seed=seed,
                             coercivity_samples=samples)
     coer = next(r for r in reports if r.estimate_id == "COERCIVITY_CHAIN")
@@ -556,7 +577,7 @@ def test_batched_chain_matches_per_sample_loop(grid, seed):
                          ids=["1d-512", "2d-24x24"])
 def test_streamed_chain_equals_the_one_array_chain(grid):
     spec, u, trace = _solved(grid=grid)
-    rows = CHAIN_BLOCK_BYTES // grid.quad_weights.nbytes
+    rows = block_rows(grid)
     samples = 2 * rows + 3          # two whole blocks and a short one
     # the battery's draws as one (S, P) array, the stream they replace
     rng = np.random.default_rng(3)

@@ -203,6 +203,29 @@ def test_domain_without_interior_node_rejected(domain, name, tmp_path, capsys):
          "counterexample.quad_points"),
     )
 ] + [
+    pytest.param(text, [], path, id=name) for text, path, name in (
+        ("subcommand: solve\ndomain: 3\n", "domain", "domain-not-a-mapping"),
+        ("subcommand: solve\nsolver: {tol: abc}\n", "solver.tol",
+         "solver.tol-not-a-number"),
+        ("subcommand: solve\nintegrand: {params: {scale: 2}}\n", "integrand",
+         "integrand-without-kind"),
+        ("subcommand: sweep\nsweep: {integrands: []}\n", "sweep.integrands",
+         "sweep.integrands-empty"),
+        # certify builds the integrand only when it runs
+        ("subcommand: certify\n"
+         "integrand: {kind: quadratic, params: {scale: -1}}\n", "integrand",
+         "certify-integrand-scale"),
+        ("subcommand: solve\n"
+         "integrand: {kind: anisotropic, params: {contrast: 0}}\n",
+         "integrand", "anisotropic-contrast"),
+        ("subcommand: solve\n"
+         "coefficient: {kind: constant, params: {value: -1}}\n",
+         "coefficient", "constant-value"),
+        ("subcommand: solve\n"
+         "coefficient: {kind: smooth-bump, params: {height: 0}}\n",
+         "coefficient", "smooth-bump-height"),
+    )
+] + [
     # 1/h overflows, or h·0 is NaN, or the cell area underflows to 0: the
     # threshold depends on the cell count, so only the built mesh can tell
     pytest.param(f"subcommand: {subcommand}\ndomain: {domain}\n", [], "domain",

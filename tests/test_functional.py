@@ -332,7 +332,7 @@ def _signed_zero_fields(rng, grid, count, scale):
 @pytest.mark.parametrize("integrand_kind", ["quadratic", "anisotropic", "logaug"])
 def test_stacked_energies_are_bitwise_the_one_field_energies(
         dimension, integrand_kind):
-    from varlab.grid import CHAIN_BLOCK_BYTES
+    from varlab.auditor import block_rows
     grid = (build_interval_grid(0.0, 1.0, 40) if dimension == 1
             else build_rect_grid(7, 6, 1.0, 1.0))
     spec = ProblemSpec(
@@ -340,7 +340,7 @@ def test_stacked_energies_are_bitwise_the_one_field_energies(
         b=make_coefficient(grid, "step", {"height": 3.0}),
         f=make_library_datum(grid, "power-singularity"),
         solver_tol=1e-8, max_iter=50_000)
-    rows = CHAIN_BLOCK_BYTES // grid.quad_weights.nbytes   # minimality's block
+    rows = block_rows(grid)            # minimality's block
     rng = np.random.default_rng(30 + dimension)
     for count in (1, rows, rows + 1):
         stack = _signed_zero_fields(rng, grid, count, 3.0)
@@ -522,6 +522,9 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(grid=grid, integrand=integrand, b=b, f=f,
                     n_schedule=(4.0, 2.0),
+                    solver_tol=1e-8, max_iter=50_000)
+    with pytest.raises(ValueError, match="n_schedule must be non-empty"):
+        ProblemSpec(grid=grid, integrand=integrand, b=b, f=f, n_schedule=(),
                     solver_tol=1e-8, max_iter=50_000)
     with pytest.raises(ValueError):
         ProblemSpec(grid=grid, integrand=integrand, b=b, f=f, solver_tol=0.0,

@@ -184,6 +184,8 @@ def test_truncate_tail_examples():
     np.testing.assert_allclose(t.values + r.values, v.values)
     with pytest.raises(ValueError):
         truncate(v, -1.0)
+    with pytest.raises(ValueError, match="tail level"):
+        tail(v, -1.0)
 
 
 interval_fields = arrays(
