@@ -14,6 +14,10 @@ must leave unchanged:
   - the smallest accepted domains, a 1D 2-cell and a 2D 2x2 `varlab
     audit`, whose one interior node leaves the preconditioner only its
     boundary identity and a single interior diagonal entry;
+  - a 1D 4-cell `varlab audit` of length 1e-300, on which ∫|∇v| and the
+    damped integral of every coercivity sample overflow: its chain and
+    TESTCLASS fail with a NaN right-hand side, and it exits 2 without a
+    warning;
   - a linear 1D `varlab solve` (quadratic integrand, zero coefficient,
     constant datum) at 2·10⁵ cells without the solution CSV, where a
     decrease test that shrinks with the mesh stops converging in one step;
@@ -77,6 +81,8 @@ AUDIT_1D_2 = ("subcommand: audit\n"
               "domain: {dimension: 1, cells: 2}\n")
 AUDIT_2D_2 = ("subcommand: audit\n"
               "domain: {dimension: 2, x_cells: 2, y_cells: 2}\n")
+AUDIT_1D_TINY = ("subcommand: audit\n"
+                 "domain: {dimension: 1, cells: 4, length: 1e-300}\n")
 AUDIT_CONSTANT20 = ("subcommand: audit\n"
                     "datum: {kind: constant, params: {value: 20}}\n")
 SOLVE_LINEAR_200K = ("subcommand: solve\n"
@@ -113,6 +119,7 @@ def runs() -> list:
             ("audit-2d-24", "audit", AUDIT_2D, []),
             ("audit-1d-2", "audit", AUDIT_1D_2, []),
             ("audit-2d-2", "audit", AUDIT_2D_2, []),
+            ("audit-1d-tiny", "audit", AUDIT_1D_TINY, []),
             ("solve-linear-200k", "solve", SOLVE_LINEAR_200K, []),
             ("solve-2d-64-constant20", "solve", SOLVE_2D_CONSTANT20, []),
             ("solve-2d-32-singular", "solve", SOLVE_2D_SINGULAR, []),

@@ -7,4 +7,4 @@ make the scheme converge, together with a radial blow-up example showing why
 the gradient term alone is not coercive.
 """
 
-__version__ = "0.12.1"
+__version__ = "0.13.0"

@@ -221,18 +221,23 @@ def audit_coercivity_chain(blocks: Iterable[np.ndarray],
     `blocks` are (B, P) stacks of nodal vectors on b's grid, each audited
     in one batched pass; their rows are the samples. The report is that of
     the first row with the least slack, and params["samples"] and
-    params["failures"] count the rows and the failed ones.
+    params["failures"] count the rows and the failed ones. A row with a
+    non-finite side fails and has the least slack; its report has rhs NaN.
     """
     ones = np.ones_like(b.grid.quad_weights)
     lhs, damped, amplitude = map(np.concatenate, zip(*(
         damped_integrals(b.grid, block, ones) for block in blocks)))
     rhs = 0.5 * damped + 0.5 * amplitude
-    worst = int(np.argmin(rhs - lhs))
-    passed = _verdict(lhs, rhs, REL_TOL, ABS_TOL)
-    return EstimateReport("COERCIVITY_CHAIN", lhs[worst], rhs[worst], params={
-        "damped_term": float(damped[worst]),
-        "amplitude_term": float(amplitude[worst]), "coefficient": b.label,
-        "samples": len(lhs), "failures": int(np.count_nonzero(~passed))})
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    worst = int(np.argmin(np.subtract(
+        rhs, lhs, out=np.full_like(rhs, -math.inf), where=finite)))
+    passed = finite & _verdict(lhs, rhs, REL_TOL, ABS_TOL)
+    return EstimateReport(
+        "COERCIVITY_CHAIN", lhs[worst], rhs[worst] if finite[worst] else math.nan,
+        note="" if finite[worst] else "a sample integral is not finite", params={
+            "damped_term": float(damped[worst]),
+            "amplitude_term": float(amplitude[worst]), "coefficient": b.label,
+            "samples": len(lhs), "failures": int(np.count_nonzero(~passed))})
 
 
 def _spike_field(u: DiscreteField) -> DiscreteField:

@@ -14,9 +14,11 @@ status of every report; only usage errors and an unsettled witness, which
 write no report, exit elsewhere.
 
 Determinism contract: a config document plus a seed fully determines every
-artifact byte.  JSON is emitted by a deterministic writer (sorted keys,
-floats at 17 significant digits, non-finite values as the strings "inf",
-"-inf", "nan"); no timestamps or absolute paths appear in any artifact.
+artifact byte.  JSON is written by the standard library's encoder (sorted
+keys, two-space indent, ASCII escapes), with floats in their shortest
+round-trip form (integral ones keep their ``.0``) and non-finite values as
+the strings "inf", "-inf", "nan"; CSV cells keep floats at 17 significant
+digits.  No timestamps or absolute paths appear in any artifact.
 The artifact directory is not part of the config document: ``run(config,
 directory)`` takes it as an argument, and the command line passes ``--out``.
 """
@@ -358,43 +360,18 @@ def render_config(config: RunConfig) -> str:
 # ------------------------------------------------- deterministic serializers
 
 
-def _float_token(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def _json_text(value, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats,
-    non-finite floats as strings — always valid JSON.  A numpy scalar is
-    written as the Python value it holds."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return repr(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float_token(float(value))
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=True)
+def _plain(value):
+    """`value` with numpy scalars as the Python values they hold and
+    non-finite floats as the strings "inf", "-inf" and "nan"."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)                      # 'inf', '-inf' or 'nan'
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k), ensure_ascii=True)}: "
-                 f"{_json_text(value[k], indent + 1)}"
-                 for k in sorted(value, key=str)]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{_json_text(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return list(map(_plain, value))
+    return value
 
 
 def _csv_cell(value) -> str:
@@ -546,7 +523,8 @@ def _emit(config: RunConfig, directory: str, basename: str, report: dict,
     os.makedirs(directory, exist_ok=True)
     _write_text(os.path.join(directory, "config_echo.yaml"),
                 render_config(config))
-    _write_text(os.path.join(directory, basename + ".json"), _json_text(report))
+    _write_text(os.path.join(directory, basename + ".json"), json.dumps(
+        _plain(report), indent=2, sort_keys=True, allow_nan=False))
     if config.output.csv:
         for name, table in tables.items():
             path = os.path.join(directory, name)

@@ -205,6 +205,19 @@ def test_terzastima_zero_field():
     assert report.lhs == 0.0
 
 
+def test_terzastima_violated_middle_step_fails_with_a_nan_rhs(monkeypatch):
+    # ∫|∇u| = 2 above √1·√1: the split step cannot hold at quadrature level,
+    # so only a wrong integral reaches this branch
+    import varlab.auditor as auditor
+    spec, u, _ = _solved(cells=8)
+    monkeypatch.setattr(auditor, "_split_integrals", lambda v, s: [2.0, 1.0, 1.0])
+    report = audit_terzastima(u, spec, spec.f)
+    assert report.params["holder_passed"] is False
+    assert (report.lhs, report.params["holder_rhs"]) == (2.0, 1.0)
+    assert math.isnan(report.rhs) and not report.passed
+    assert report.note == "middle two-factor split step violated"
+
+
 def test_coercivity_chain_ramp_frozen():
     # v = x on (0,1): 1 ≤ ½∫(1+x)^-2 + ½∫(1+x)² = ¼ + 7/6
     grid = build_interval_grid(0.0, 1.0, 64)
@@ -224,6 +237,23 @@ def test_coercivity_chain_zero_field():
     assert (report.params["samples"], report.params["failures"]) == (3, 0)
     assert report.lhs == 0.0
     assert report.rhs == pytest.approx(0.5 * grid.measure, rel=1e-12)
+
+
+def test_coercivity_chain_non_finite_sample_fails_closed():
+    # ∫(1+|v|)² overflows for the second row, so its rhs is inf while its
+    # lhs stays finite: that row fails, where lhs ≤ inf let it pass, and it
+    # is the one reported
+    grid = build_interval_grid(0.0, 1e10, 8)
+    stack = np.zeros((3, grid.n_nodes))
+    stack[1, 1:-1] = 1e155
+    stack[2, 4] = 1.0
+    with np.errstate(over="ignore"):        # as the command line runs it
+        report = audit_coercivity_chain([stack], make_coefficient(grid, "zero"))
+    assert math.isfinite(report.lhs) and math.isnan(report.rhs)
+    assert report.params["amplitude_term"] == math.inf
+    assert (report.params["samples"], report.params["failures"]) == (3, 1)
+    assert not report.passed
+    assert report.note == "a sample integral is not finite"
 
 
 @given(st.lists(st.floats(-50, 50), min_size=7, max_size=7))
@@ -435,6 +465,12 @@ def test_minimality_blocks_are_bitwise_the_one_field_loop():
         want.append((label, j_v, j_v - j_u))
     assert report.energy == j_u
     assert report.entries == tuple(want)
+
+
+def test_minimality_check_rejects_zero_samples():
+    spec, u, _ = _solved(cells=8)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        minimality_check(spec, u, n_samples=0, seed=0)
 
 
 def test_pairing_fields_contract():

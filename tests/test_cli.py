@@ -29,6 +29,7 @@ from varlab.cli import (
     SUBCOMMANDS,
     RunConfig,
     _csv_cell,
+    _emit,
     _write_csv,
     config_to_mapping,
     main,
@@ -166,41 +167,46 @@ def test_domain_without_interior_node_rejected(domain, name, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text, argv, path", [
-    pytest.param(text, argv, path, id=path) for text, argv, path in (
+#: every case carries its own id: ids derived from a shared field would be
+#: renumbered by pytest, which renames the existing cases
+MALFORMED_CONFIGS = [
+    pytest.param(text, argv, path, id=name) for text, argv, path, name in (
         ("subcommand: counterexample\ncounterexample: {n_max: 351}\n", [],
-         "counterexample.n_max"),
+         "counterexample.n_max", "counterexample.n_max"),
         ("subcommand: solve\n"
          "integrand: {kind: quadratic, params: {scal: 2}}\n", [],
-         "integrand.params.scal"),
+         "integrand.params.scal", "integrand.params.scal"),
         ("subcommand: solve\n"
          "coefficient: {kind: constant, params: {value: [1]}}\n", [],
-         "coefficient.params.value"),
+         "coefficient.params.value", "coefficient.params.value"),
         ("subcommand: solve\n"
          "datum: {kind: sine, params: {amplitude: null}}\n", [],
-         "datum.params.amplitude"),
+         "datum.params.amplitude", "datum.params.amplitude"),
         ("subcommand: solve\n"
          "integrand: {kind: quadratic, params: {scale: -1}}\n", [],
-         "integrand"),
+         "integrand", "integrand"),
         ("subcommand: sweep\nsweep: {integrands: [{kind: quadratic}, "
          "{kind: logaug, params: {scale: 2}}]}\n", [],
+         "sweep.integrands[1].params.scale",
          "sweep.integrands[1].params.scale"),
         ("subcommand: sweep\nsweep: {integrands: [{kind: quadratic}, "
          "{kind: quadratic, params: {scale: -1}}]}\n", [],
-         "sweep.integrands[1]"),
-        ("subcommand: solve\n", ["--seed", "-1"], "--seed"),
-        (f"subcommand: solve\nsolver: {{tol: {HUGE}}}\n", [], "solver.tol"),
+         "sweep.integrands[1]", "sweep.integrands[1]"),
+        ("subcommand: solve\n", ["--seed", "-1"], "--seed", "--seed"),
+        (f"subcommand: solve\nsolver: {{tol: {HUGE}}}\n", [], "solver.tol",
+         "solver.tol"),
         ("subcommand: solve\n"
          f"integrand: {{kind: quadratic, params: {{scale: {HUGE}}}}}\n", [],
-         "integrand.params.scale"),
+         "integrand.params.scale", "integrand.params.scale"),
         (f"subcommand: solve\nsolver: {{n_schedule: [{HUGE}]}}\n", [],
-         "solver.n_schedule[0]"),
+         "solver.n_schedule[0]", "solver.n_schedule[0]"),
         ("subcommand: solve\nsolver: {m_schedule: [1, 2]}\n", [],
-         "solver.m_schedule"),
-        ("subcommand: audit\noutput: {json: false}\n", [], "output.json"),
+         "solver.m_schedule", "solver.m_schedule"),
+        ("subcommand: audit\noutput: {json: false}\n", [], "output.json",
+         "output.json"),
         ("subcommand: counterexample\n"
          "counterexample: {quad_points: 1048577}\n", [],
-         "counterexample.quad_points"),
+         "counterexample.quad_points", "counterexample.quad_points"),
     )
 ] + [
     pytest.param(text, [], path, id=name) for text, path, name in (
@@ -238,7 +244,11 @@ def test_domain_without_interior_node_rejected(domain, name, tmp_path, capsys):
         ("sweep", "{dimension: 2, x_cells: 4, y_cells: 4, lx: 1e-170, "
                   "ly: 1e-170}", "2d-1e-170-sweep"),
     )
-])
+]
+assert len({case.id for case in MALFORMED_CONFIGS}) == len(MALFORMED_CONFIGS)
+
+
+@pytest.mark.parametrize("text, argv, path", MALFORMED_CONFIGS)
 def test_malformed_config_exits_one_naming_the_field(text, argv, path,
                                                      tmp_path, capsys):
     subcommand = text.split()[1]
@@ -712,14 +722,31 @@ def test_different_seed_changes_randomized_audits(tmp_path):
         rep_b["estimates"]["COERCIVITY_CHAIN"]
 
 
-def test_json_writer_emits_valid_json_for_nonfinite_floats():
-    from varlab.cli import _json_text
-    text = _json_text({"a": float("inf"), "b": float("-inf"),
-                       "c": float("nan"), "d": 0.1, "e": [1.5, None, True]})
-    doc = json.loads(text)                           # must be valid JSON
-    assert doc == {"a": "inf", "b": "-inf", "c": "nan", "d": 0.1,
-                   "e": [1.5, None, True]}
-    assert "0.10000000000000001" in text             # 17 significant digits
+def _reject_constant(name):
+    raise ValueError(f"bare JSON constant {name}")
+
+
+def test_json_writer_emits_valid_json_for_nonfinite_floats(tmp_path):
+    finite = [x for x in FLOATS if math.isfinite(x)] + [1e300]
+    report = {"a": float("inf"), "b": float("-inf"), "c": float("nan"),
+              "d": [1.5, None, True], "e": finite, "np": {
+                  "f": np.float64(0.1), "i": np.int64(-3), "t": np.bool_(True),
+                  "g": np.float64("-inf"), "n": np.float32(np.nan)}}
+    _emit(RunConfig(subcommand="solve"), str(tmp_path), "report", report, {})
+    text = (tmp_path / "report.json").read_text()
+    doc = json.loads(text, parse_constant=_reject_constant)  # valid JSON
+    assert doc["a"] == "inf" and doc["b"] == "-inf" and doc["c"] == "nan"
+    assert doc["d"] == [1.5, None, True]
+    assert doc["np"] == {"f": 0.1, "i": -3, "t": True, "g": "-inf", "n": "nan"}
+    assert type(doc["np"]["i"]) is int and type(doc["np"]["t"]) is bool
+    # shortest round-trip spelling, every bit kept, integral floats with .0
+    assert [x.hex() for x in doc["e"]] == [x.hex() for x in finite]
+    assert "0.1," in text and "0.10000000000000001" not in text
+    assert "123456789.0," in text and "1e+300\n" in text
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError, match="ndarray"):
+        _emit(RunConfig(subcommand="solve"), str(tmp_path), "bad",
+              {"field": np.zeros(2)}, {})
 
 
 def test_unbounded_datum_audit_reports_final_truncation_bound(tmp_path):
@@ -1114,6 +1141,35 @@ def test_huge_coefficient_ends_without_a_traceback(subcommand, coefficient,
         assert terza["passed"]
         assert terza["params"]["holder_rhs"] == "inf"
         assert terza["note"] == OVERFLOW_NOTE
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_mesh_audit_fails_the_chain_closed(tmp_path, capsys):
+    # on a mesh of length 1e-300 every sample's ∫|∇v| overflows, and the
+    # chain sample with two infinite sides fails instead of passing inf ≤ inf
+    cfg_file = tmp_path / "tiny.yaml"
+    cfg_file.write_text("subcommand: audit\n"
+                        "domain: {dimension: 1, cells: 4, length: 1e-300}\n")
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(cfg_file), "--out", str(out)]) == \
+        EXIT_AUDIT_FAIL
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    report = _read_json(out / "report.json")
+    assert report["estimates_failed"] == ["COERCIVITY_CHAIN", "TESTCLASS"]
+    (chain,) = report["estimates"]["COERCIVITY_CHAIN"]
+    assert (chain["lhs"], chain["rhs"], chain["passed"]) == ("inf", "nan", False)
+    assert chain["note"] == "a sample integral is not finite"
+    assert chain["params"]["failures"] == chain["params"]["samples"] == 200
+
+
+def test_run_rejects_an_unknown_subcommand(tmp_path):
+    # the parser never builds such a config; a hand-built one is refused
+    # before anything is written
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="unknown subcommand 'minimize'"):
+        run(RunConfig(subcommand="minimize"), str(out))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dimension", [343, 344])

@@ -7,6 +7,7 @@ routes stay visible.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -493,6 +494,24 @@ def test_coefficient_bound_violation_rejected():
         CoefficientField(label="bad", grid=grid,
                          quad_values=good[:, :1], lower_bound=0.0,
                          upper_bound=1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda grid: replace(make_integrand("quadratic"), alpha=2.0, beta=1.0),
+     "need 0 < alpha <= beta"),
+    (lambda grid: replace(make_integrand("quadratic"), gamma=0.0),
+     "gamma must be positive"),
+    (lambda grid: Datum(grid=grid, quad_values=np.ones(grid.quad_weights.size),
+                        linf_bound=None),
+     "datum samples do not match the quadrature layout"),
+    (lambda grid: Datum(grid=grid, linf_bound=None, quad_values=np.full(
+        grid.quad_weights.shape, math.inf)),
+     "datum must be square-integrable"),
+], ids=["integrand-alpha-above-beta", "integrand-gamma-zero", "datum-layout",
+        "datum-infinite"])
+def test_integrand_and_datum_contracts_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(build_interval_grid(0.0, 1.0, 4))
 
 
 def test_zero_coefficient_is_allowed():
